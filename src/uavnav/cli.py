@@ -1,7 +1,8 @@
 """Command-line entry point wiring all pipeline stages.
 
-Exit codes: 0 success, 1 violations or failed episodes, 2 configuration
-errors (bad flags, malformed config files, missing inputs).
+Exit codes: 0 success, 1 violations, failed episodes or other library
+errors, 2 configuration errors (bad flags, malformed config or scene
+files, missing inputs).
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import ConfigError, UavnavError
 from . import dataset as ds
 from . import evaluation as ev
-from . import instructions as instr
 from . import keyframe as kf
 from . import pipeline as pl
 from . import segmentation as seg
@@ -52,7 +51,7 @@ def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
         return pl.load_scene_dir(args.scene, cfg)
     if getattr(args, "spec", None):
         return pl.build_scene_bundle(load_scene_spec(args.spec), cfg)
-    raise pl.ConfigError("a scene directory (--scene) or spec (--spec) is required")
+    raise ConfigError("a scene directory (--scene) or spec (--spec) is required")
 
 
 def cmd_scene_synth(args) -> int:
@@ -87,50 +86,16 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def cmd_trajgen(args) -> int:
-    cfg = _load_config(args)
-    bundle = _bundle(args, cfg)
-    rng_seed = cfg.seed
-    episodes = []
-    for index in range(args.count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
-        start, goal, target = tg.sample_endpoints(
-            bundle.landmarks, bundle.bev, bundle.nav_grid, cfg.trajgen, rng)
-        from dataclasses import replace
-        trajectory = replace(tg.astar_search(start, goal, bundle.nav_grid, cfg.trajgen),
-                             target_landmark_id=target)
-        episode_id = f"{bundle.scene_id}-{index:06d}"
-        refs = [f"{episode_id}/frame_{k:05d}" for k in range(len(trajectory.poses))]
-        episodes.append(ds.Episode(
-            episode_id=episode_id, scene_id=bundle.scene_id,
-            trajectory=trajectory, instruction=None, image_refs=refs,
-            meta={"engine": "synthetic", "seed": rng_seed, "episode_index": index,
-                  "goal": [goal.x, goal.y, goal.z],
-                  "gt_length": trajectory.path_length(), "created_at": None},
-        ))
-    count = ds.write_episodes(episodes, args.out)
-    print(f"generated {count} trajectories -> {args.out}")
-    return 0
-
-
 def cmd_instruct(args) -> int:
     cfg = _load_config(args)
     bundle = _bundle(args, cfg)
     vlm = cfg.make_vlm()
     episodes = ds.read_episodes(args.episodes)
-    out = []
     for episode in episodes:
-        visibility = kf.landmark_visibility(
-            episode.trajectory.poses, bundle.landmarks, bundle.raw_grid)
-        instruction = instr.build_instruction(
-            episode.trajectory, bundle.captions(), vlm,
-            image_refs=episode.image_refs, visibility=visibility,
-            threshold=cfg.coref_threshold)
-        episode.instruction = instruction
-        out.append(episode)
-    ds.write_episodes(out, args.out)
-    print(f"instructed {len(out)} episodes -> {args.out}")
+        episode.instruction = pl.narrate(bundle, cfg, vlm, episode.trajectory,
+                                         episode.image_refs)
+    ds.write_episodes(episodes, args.out)
+    print(f"instructed {len(episodes)} episodes -> {args.out}")
     return 0
 
 
@@ -236,7 +201,7 @@ def cmd_keyframe(args) -> int:
         kf.memory_push(bank, kf.grid_pool(merged, cfg.pooled_tokens), cfg)
     current_index = max(frames) if frames else None
     if current_index is None:
-        raise pl.ConfigError(f"no token files found under {tokens_dir}")
+        raise ConfigError(f"no token files found under {tokens_dir}")
     observation = kf.assemble_observation(bank, frames[current_index], cfg)
     kf.save_tokens(observation, args.out)
     if args.log:
@@ -250,9 +215,10 @@ def cmd_keyframe(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    """``generate``, and ``trajgen`` (the same run without narration)."""
     cfg = _load_config(args)
     bundle = _bundle(args, cfg)
-    report = pl.run_generate(bundle, cfg, args.count, args.out)
+    report = pl.run_generate(bundle, cfg, args.count, args.out, narrate=args.narrate)
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_dict(), indent=1),
                                      encoding="utf-8")
@@ -309,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("trajgen", help="sample and search trajectories")
+    p = sub.add_parser("trajgen", help="generate episodes without instructions")
     add_common(p, seed=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_trajgen)
+    p.set_defaults(func=cmd_generate, narrate=False, report=None)
 
     p = sub.add_parser("instruct", help="generate instructions for episodes")
     add_common(p)
@@ -368,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the generation report JSON here")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, narrate=True)
 
     p = sub.add_parser("validate", help="re-check every episode invariant")
     add_common(p)
@@ -386,15 +352,12 @@ def main(argv: list[str] | None = None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except pl.ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ds.DatasetError, seg.CaptionError, tg.TrajGenError) as exc:
+    except UavnavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

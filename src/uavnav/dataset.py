@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import UavnavError
 from .geometry import Point3
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -29,7 +30,7 @@ MAX_ACTIONS = 150
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
 
 
-class DatasetError(RuntimeError):
+class DatasetError(UavnavError, RuntimeError):
     pass
 
 

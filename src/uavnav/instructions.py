@@ -12,7 +12,6 @@ instruction, and near-duplicate landmark descriptions are replaced by
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -36,10 +35,6 @@ FUSION_PROMPT = (
     "meaning. If adjacent clauses describe similar or identical landmarks, "
     "refer back to them with pronouns."
 )
-
-
-class InstructionError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -248,18 +243,7 @@ def build_instruction(
             return None
         return captions_by_landmark.get(lm)
 
-    def clause(indexed: tuple[int, SubTrajectory]) -> str:
-        index, sub = indexed
-        try:
-            return generate_sub_instruction(sub, caption_for(sub), vlm)
-        except Exception as exc:
-            raise InstructionError(f"sub-trajectory {index}: {exc}") from exc
-
-    if vlm.mode == "live" and len(subs) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(subs), vlm.max_in_flight)) as pool:
-            clauses = list(pool.map(clause, enumerate(subs)))
-    else:
-        clauses = [clause(item) for item in enumerate(subs)]
+    clauses = [generate_sub_instruction(sub, caption_for(sub), vlm) for sub in subs]
     instruction = fuse_instruction(clauses, vlm)
     if refine:
         instruction = refine_coreference(instruction, threshold=threshold)

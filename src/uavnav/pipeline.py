@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import ConfigError
 from . import dataset as ds
 from . import instructions as instr
 from . import segmentation as seg
@@ -30,15 +31,11 @@ from .keyframe import landmark_visibility
 from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, segment_free, voxelize
 from .scene import (PointCloud, SceneSpec, load_point_cloud, load_scene_spec,
                     save_point_cloud, scene_spec_to_dict, synthesize_scene)
-from .vlm import VlmClient
+from .vlm import VlmClient, VlmError
 
 log = logging.getLogger("uavnav")
 
 RETRY_BUDGET_FACTOR = 5
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -243,6 +240,7 @@ class GenerationReport:
     rejections: dict[str, int]
     sampling_failures: int
     search_failures: int
+    vlm_failures: int
     wall_time_s: float
 
     def to_dict(self) -> dict:
@@ -253,6 +251,7 @@ class GenerationReport:
             "rejections": dict(sorted(self.rejections.items())),
             "sampling_failures": self.sampling_failures,
             "search_failures": self.search_failures,
+            "vlm_failures": self.vlm_failures,
             "wall_time_s": round(self.wall_time_s, 3),
         }
 
@@ -272,12 +271,27 @@ class _EpisodeOutcome:
     rejections: list[str]
     sampling_failures: int = 0
     search_failures: int = 0
+    vlm_failures: int = 0
 
 
-def generate_episode(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
-                     index: int, attempts: int = RETRY_BUDGET_FACTOR,
-                     ) -> _EpisodeOutcome:
-    """Sample, search, narrate, and filter one episode; retry within budget."""
+def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
+            trajectory: tg.Trajectory, image_refs: list[str]) -> instr.Instruction:
+    """Instruction for one trajectory, hinted by the landmarks in view."""
+    visibility = landmark_visibility(trajectory.poses, bundle.landmarks,
+                                     bundle.raw_grid)
+    return instr.build_instruction(
+        trajectory, bundle.captions(), vlm, image_refs=image_refs,
+        visibility=visibility, threshold=cfg.coref_threshold)
+
+
+def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
+                     vlm: VlmClient | None, index: int,
+                     attempts: int = RETRY_BUDGET_FACTOR) -> _EpisodeOutcome:
+    """Sample, search, narrate, and filter one episode; retry within budget.
+
+    Without a VLM client the episode carries no instruction. A failed VLM
+    request fails only the attempt it belongs to.
+    """
     rng = _episode_rng(cfg.seed, index)
     outcome = _EpisodeOutcome(episode=None, rejections=[])
     episode_id = f"{bundle.scene_id}-{index:06d}"
@@ -302,11 +316,12 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
             continue
         image_refs = [f"{episode_id}/frame_{k:05d}"
                       for k in range(len(trajectory.poses))]
-        visibility = landmark_visibility(trajectory.poses, bundle.landmarks,
-                                         bundle.raw_grid)
-        instruction = instr.build_instruction(
-            trajectory, bundle.captions(), vlm, image_refs=image_refs,
-            visibility=visibility, threshold=cfg.coref_threshold)
+        try:
+            instruction = (narrate(bundle, cfg, vlm, trajectory, image_refs)
+                           if vlm is not None else None)
+        except VlmError:
+            outcome.vlm_failures += 1
+            continue
         meta = {
             "engine": "synthetic",
             "seed": cfg.seed,
@@ -328,16 +343,18 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
 
 
 def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
-                 out_path: str | Path, vlm: VlmClient | None = None,
-                 ) -> GenerationReport:
+                 out_path: str | Path, vlm: VlmClient | None = None, *,
+                 narrate: bool = True) -> GenerationReport:
     """Produce ``count`` accepted episodes (resampling rejected ones) and
-    write them as canonical JSONL."""
+    write them as canonical JSONL; ``narrate=False`` leaves instructions
+    out and needs no VLM."""
     cfg.validate()
-    vlm = vlm or cfg.make_vlm()
+    vlm = (vlm or cfg.make_vlm()) if narrate else None
     started = time.monotonic()
     rejections: dict[str, int] = {}
     sampling_failures = 0
     search_failures = 0
+    vlm_failures = 0
     episodes: list[ds.Episode] = []
     failed = 0
 
@@ -359,6 +376,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     for outcome in outcomes:
         sampling_failures += outcome.sampling_failures
         search_failures += outcome.search_failures
+        vlm_failures += outcome.vlm_failures
         for reason in outcome.rejections:
             rejections[reason] = rejections.get(reason, 0) + 1
         if outcome.episode is None:
@@ -369,7 +387,8 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     return GenerationReport(
         requested=count, accepted=len(episodes), failed_episodes=failed,
         rejections=rejections, sampling_failures=sampling_failures,
-        search_failures=search_failures, wall_time_s=time.monotonic() - started,
+        search_failures=search_failures, vlm_failures=vlm_failures,
+        wall_time_s=time.monotonic() - started,
     )
 
 

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ConfigError
 from .geometry import point_in_polygon, polygon_centroid, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
 
 
-class PointCloudParseError(ValueError):
+class PointCloudParseError(ConfigError):
     """Malformed point cloud line; carries the 1-based line number."""
 
     def __init__(self, path: str | Path, line_number: int, message: str) -> None:
@@ -30,7 +31,7 @@ class PointCloudParseError(ValueError):
         self.line_number = line_number
 
 
-class SceneSpecError(ValueError):
+class SceneSpecError(ConfigError):
     pass
 
 
@@ -150,7 +151,10 @@ def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SceneSpecError(f"{path}: {exc}") from exc
     return scene_spec_from_dict(doc)
 
 
@@ -177,7 +181,7 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
             seed=int(doc.get("seed", 0)),
             scene_id=str(doc.get("scene_id", "scene")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SceneSpecError(f"bad scene spec: {exc}") from exc
     spec.validate()
     return spec

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import UavnavError
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -33,7 +34,7 @@ _CAPTION_FIELDS = ("color", "feature", "size", "type")
 _CAPTION_KEY_RE = re.compile(r"\b(color|feature|size|type)\b\s*[:=]", re.IGNORECASE)
 
 
-class CaptionError(RuntimeError):
+class CaptionError(UavnavError, RuntimeError):
     """Caption reply failed to parse after all retries; keeps the raw reply."""
 
     def __init__(self, message: str, raw_reply: str) -> None:

@@ -17,6 +17,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from . import UavnavError
 from .geometry import Point3
 from .occupancy import BevGrid, VoxelGrid, is_free, segment_free_coords
 from .segmentation import LandmarkInstance
@@ -42,7 +43,7 @@ DEFAULT_GOAL_TOLERANCE = 5.0
 DEFAULT_GOAL_OFFSET = 10.0
 
 
-class TrajGenError(RuntimeError):
+class TrajGenError(UavnavError, RuntimeError):
     pass
 
 
@@ -265,16 +266,6 @@ def state_xyz(state: SearchState,
     return (origin[0] + 1.5 * (a + b * SQRT3),
             origin[1] + 1.5 * (c + d * SQRT3),
             origin[2] + VERTICAL_STEP * kz)
-
-
-def state_position(state: SearchState, origin: tuple[float, float, float]) -> Point3:
-    return Point3(*state_xyz(state, origin))
-
-
-def bin_key(state: SearchState, origin: tuple[float, float, float]) -> tuple[int, int, int, int]:
-    x, y, _ = state_xyz(state, origin)
-    return (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN),
-            state[4], state[5])
 
 
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,

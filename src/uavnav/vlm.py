@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import requests
+
+from . import ConfigError, UavnavError
 
 ENDPOINT_ENV = "UAVNAV_VLM_ENDPOINT"
 API_KEY_ENV = "UAVNAV_VLM_API_KEY"
@@ -39,11 +40,15 @@ COLOR_WORDS = {
 KNOWN_SIZE_BUCKETS = ((200.0, "small"), (1000.0, "medium"))
 
 
-class VlmTransportError(RuntimeError):
+class VlmError(UavnavError):
+    """A request that produced no usable reply."""
+
+
+class VlmTransportError(VlmError, RuntimeError):
     """Network failure or persistent bad status from the endpoint."""
 
 
-class VlmReplyError(RuntimeError):
+class VlmReplyError(VlmError, RuntimeError):
     """Reply received but unusable; carries the raw reply text."""
 
     def __init__(self, message: str, raw_reply: str) -> None:
@@ -51,7 +56,7 @@ class VlmReplyError(RuntimeError):
         self.raw_reply = raw_reply
 
 
-class VlmReplayMissError(KeyError):
+class VlmReplayMissError(VlmError, KeyError):
     """Replay mode had no recorded reply for the request hash."""
 
 
@@ -148,21 +153,12 @@ class VlmClient:
 
     def __post_init__(self) -> None:
         if self.mode not in ("live", "mock", "replay"):
-            raise ValueError(f"unknown VLM mode {self.mode!r}")
+            raise ConfigError(f"unknown VLM mode {self.mode!r}")
         if self.mode == "replay" and self.cache_dir is None:
-            raise ValueError("replay mode requires a cache directory")
+            raise ConfigError("replay mode requires a cache directory")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
         self._gate = threading.Semaphore(self.max_in_flight)
-
-    @classmethod
-    def from_env(cls, mode: str = "live", **kwargs) -> "VlmClient":
-        return cls(
-            mode=mode,
-            endpoint=os.environ.get(ENDPOINT_ENV, kwargs.pop("endpoint", "")),
-            api_key=os.environ.get(API_KEY_ENV, kwargs.pop("api_key", "")),
-            **kwargs,
-        )
 
     def complete(self, system_prompt: str, payload: dict) -> str:
         """Resolve one request to reply text, per the configured mode."""

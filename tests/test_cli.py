@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ def small_spec() -> SceneSpec:
         buildings=[BuildingSpec(box(20, 20, 18, 18), 32.0, "blue glass tower"),
                    BuildingSpec(box(75, 70, 20, 16), 26.0, "red brick warehouse")],
         trees=[TreeSpec((60.0, 30.0), 8.0)], seed=3)
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip()
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    return err
+
+
+def scene_args(workdir, config: Path | None = None) -> list[str]:
+    return ["--scene", str(workdir / "scene"),
+            "--config", str(config or workdir / "config.json")]
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +232,62 @@ def test_bad_config_exits_2(workdir, tmp_path):
 def test_missing_scene_exits_2(tmp_path):
     assert main(["generate", "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+def test_trajgen_is_generate_without_instructions(workdir, tmp_path):
+    trajs, generated, instructed = (tmp_path / f"{name}.jsonl" for name in
+                                    ("trajs", "generated", "instructed"))
+    assert main(["trajgen", *scene_args(workdir), "--count", "5",
+                 "--out", str(trajs)]) == 0
+    assert main(["generate", *scene_args(workdir), "--count", "5",
+                 "--out", str(generated)]) == 0
+    lines = generated.read_text().splitlines()
+    assert len(lines) == 5
+    assert [json.loads(line) for line in trajs.read_text().splitlines()] == \
+        [dict(json.loads(line), instruction=None) for line in lines]
+    # Narrating afterwards goes through the same code as narrating in place.
+    assert main(["instruct", *scene_args(workdir), "--episodes", str(trajs),
+                 "--out", str(instructed)]) == 0
+    assert instructed.read_bytes() == generated.read_bytes()
+
+
+def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "config.json").read_text())
+    doc["trajgen"]["max_expansions"] = 4  # too few for some first attempts
+    config = tmp_path / "tight.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "trajs.jsonl"
+    assert main(["trajgen", *scene_args(workdir, config), "--count", "5",
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["search_failures"] > 0
+    assert report["accepted"] == 5
+    assert len(read_episodes(out)) == 5
+
+
+def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    replay = ["generate", *scene_args(workdir), "--count", "1", "--mode", "replay",
+              "--out", str(tmp_path / "x.jsonl")]
+    assert main([*replay, "--cache-dir", str(cache)]) == 1
+    assert "no recorded reply" in one_line_error(capsys)
+    assert main(replay) == 2
+    assert "cache directory" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("cloud.txt", lambda spec: "1.0 2.0\n", "expected 3 or 6 fields"),
+    ("scene.json", lambda spec: json.dumps({**json.loads(spec), "extent": [-120.0, 120.0]}),
+     "extent must be positive"),
+    ("scene.json", lambda spec: "{not json", "scene.json"),
+], ids=["two_field_cloud", "negative_extent", "spec_not_json"])
+def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    spec = (workdir / "scene" / "scene.json").read_text()
+    (scene / "scene.json").write_text(spec)
+    (scene / name).write_text(edit(spec))
+    assert main(["trajgen", "--scene", str(scene), "--count", "1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert message in one_line_error(capsys)

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import desk_trajgen_config
 from uavnav import pipeline as pl
 from uavnav.dataset import read_episodes
-from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV
+from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
 
 class TestPipelineConfig:
@@ -96,13 +98,23 @@ class TestRunGenerate:
         assert report.sampling_failures > 0
         assert read_episodes(out) == []
 
+    def test_vlm_failures_fail_only_their_episodes(self, demo_bundle, desk_cfg,
+                                                   tmp_path):
+        # Every instruction request misses the empty replay cache.
+        replay = VlmClient(mode="replay", cache_dir=tmp_path / "empty_cache")
+        out = tmp_path / "unnarrated.jsonl"
+        report = pl.run_generate(demo_bundle, desk_cfg, 2, out, replay)
+        assert report.failed_episodes == 2
+        assert report.vlm_failures > 0
+        assert read_episodes(out) == []
+
     def test_report_shape(self, demo_bundle, desk_cfg, tmp_path):
         report = pl.run_generate(demo_bundle, desk_cfg, 3,
                                  tmp_path / "r.jsonl")
         doc = report.to_dict()
         assert set(doc) == {"requested", "accepted", "failed_episodes",
                             "rejections", "sampling_failures",
-                            "search_failures", "wall_time_s"}
+                            "search_failures", "vlm_failures", "wall_time_s"}
         assert doc["requested"] == 3
 
 
@@ -151,3 +163,12 @@ class TestSceneBundle:
     def test_captions_reflect_ground_truth_labels(self, demo_bundle):
         colors = {lm.caption.color for lm in demo_bundle.landmarks}
         assert {"blue", "red", "gray", "beige", "green", "white"} == colors
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    """perfbench/tracing.py wraps program attributes by name; renaming one
+    of them must fail here, not only in the slow benchmark smoke test."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    probes = tracing._probes(tracing.Tracer())
+    assert probes and all(callable(wrapper) for _, _, wrapper in probes)

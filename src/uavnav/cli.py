@@ -46,6 +46,36 @@ def _load_config(args) -> pl.PipelineConfig:
     return cfg
 
 
+def _read_json(path: str | Path, kind: type) -> dict | list:
+    """Parse a JSON side input of the given top-level type; anything else
+    is a ConfigError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, kind):
+        raise ConfigError(f"{path}: expected a JSON {'object' if kind is dict else 'array'}")
+    return doc
+
+
+def _read_predictions(path: str | Path) -> list[tuple[str, list[tg.Action]]]:
+    """(episode id, actions) per non-blank JSONL line of a predictions file."""
+    predictions = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                if not isinstance(doc["episode_id"], str):
+                    raise TypeError("episode_id is not a string")
+                predictions.append((doc["episode_id"],
+                                    [tg.Action.from_dict(a) for a in doc["actions"]]))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad prediction ({exc!r})") from exc
+    return predictions
+
+
 def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
     if getattr(args, "scene", None):
         return pl.load_scene_dir(args.scene, cfg)
@@ -120,7 +150,7 @@ def cmd_dataset_filter(args) -> int:
 
 def cmd_dataset_split(args) -> int:
     episodes = ds.read_episodes(args.episodes)
-    assignment = json.loads(Path(args.assignment).read_text(encoding="utf-8"))
+    assignment = _read_json(args.assignment, dict)
     train, seen, unseen = ds.split_dataset(episodes, assignment)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,14 +177,11 @@ def cmd_eval(args) -> int:
     gt = {e.episode_id: e for e in ds.read_episodes(args.episodes)}
     results = []
     missing = 0
-    with Path(args.predictions).open("r", encoding="utf-8") as fh:
-        predictions = [json.loads(line) for line in fh if line.strip()]
-    for pred in predictions:
-        episode = gt.get(pred["episode_id"])
+    for episode_id, actions in _read_predictions(args.predictions):
+        episode = gt.get(episode_id)
         if episode is None:
             missing += 1
             continue
-        actions = [tg.Action.from_dict(a) for a in pred["actions"]]
         result = ev.replay(episode.trajectory.start, actions, bundle.nav_grid)
         goal = episode.meta.get("goal")
         goal_point = (Point3(*goal) if goal
@@ -174,11 +201,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_keyframe(args) -> int:
-    action_docs = json.loads(Path(args.actions).read_text(encoding="utf-8"))
-    actions = [tg.Action.from_dict(a) for a in action_docs]
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    window = int(doc.pop("window", kf.DEFAULT_WINDOW))
-    cfg = kf.MemoryBankConfig(**doc)
+    action_docs = _read_json(args.actions, list)
+    try:
+        actions = [tg.Action.from_dict(a) for a in action_docs]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{args.actions}: bad action ({exc!r})") from exc
+    doc = _read_json(args.config, dict) if args.config else {}
+    try:
+        window = int(doc.pop("window", kf.DEFAULT_WINDOW))
+        cfg = kf.MemoryBankConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
     tokens_dir = Path(args.tokens)
     frames = {}
     for k in range(len(actions) + 1):
@@ -186,7 +219,7 @@ def cmd_keyframe(args) -> int:
         if path.exists():
             frames[k] = kf.load_tokens(path, frame_index=k)
     if args.visibility:
-        vis_doc = json.loads(Path(args.visibility).read_text(encoding="utf-8"))
+        vis_doc = _read_json(args.visibility, dict)
         visibility = {int(k): set(v) for k, v in vis_doc.items()}
     else:
         visibility = {k: {-1} for k in frames}  # no map: every frame counts

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import UavnavError
+from . import UavnavError, atomic_open
 from .geometry import Point3
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -155,11 +155,14 @@ def episode_to_line(episode: Episode) -> str:
 
 
 def write_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
-    """Write canonical JSONL, one episode per line; returns the count."""
-    path = Path(path)
+    """Write canonical JSONL, one episode per line; returns the count.
+
+    The file appears whole or not at all: on an error, such as a
+    duplicate episode id, an earlier file at ``path`` is left unchanged.
+    """
     seen: set[str] = set()
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for episode in episodes:
             if episode.episode_id in seen:
                 raise IntegrityError(f"duplicate episode_id {episode.episode_id!r}")

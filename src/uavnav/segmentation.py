@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import UavnavError
+from . import ConfigError, UavnavError
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -251,7 +251,11 @@ def instances_from_json(text: str) -> list[LandmarkInstance]:
 
 
 def load_instances(path: str | Path) -> list[LandmarkInstance]:
-    return instances_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a landmarks.json file; a malformed one is a ConfigError."""
+    try:
+        return instances_from_json(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: bad landmark entry ({exc!r})") from exc
 
 
 def save_instances(instances: list[LandmarkInstance], path: str | Path) -> None:

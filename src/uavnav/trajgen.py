@@ -33,10 +33,14 @@ UNITS_PER_METER = 10
 POSITION_BIN = 1.0  # dominance bin, below the smallest 3 m step
 
 # A settled state makes every same-bin state at least this much costlier
-# prunable. Same-bin states sit under sqrt(2) m apart, so the heuristic
-# below spreads by less than 30 + 10 * sqrt(2) between them; with a larger
-# margin the cheaper state settles first under both A* and plain Dijkstra
-# orderings, making the pruned search graph identical for the two.
+# prunable. Same-bin states share z and sit under sqrt(2) m apart in x and
+# y. The lattice norm of that offset is under sqrt(2) / cos 15 m, which
+# bounds the unrounded heuristic's spread (the Euclidean term spreads by
+# under sqrt(2) m); rounding to whole 3 m steps adds at most one step. So
+# lattice_heuristic spreads by less than 10 * sqrt(2) / cos 15 + 30 = 44.64
+# units between them, and with a larger margin the cheaper state settles
+# first under both A* and plain Dijkstra orderings, making the pruned
+# search graph identical for the two.
 BIN_DOMINANCE_MARGIN_UNITS = 45
 
 DEFAULT_GOAL_TOLERANCE = 5.0
@@ -235,37 +239,63 @@ _SIN_PQ = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 1), (1, 0),
 #   z = z0 + 3 * kz.
 SearchState = tuple[int, int, int, int, int, int]
 
-
-def search_moves(granularities: tuple[float, ...]) -> list[tuple[Action, int]]:
-    """Canonical successor order shared by search and any external oracle."""
-    moves = [(forward(g), int(round(g / 3.0))) for g in sorted(granularities)]
-    moves += [(TURN_LEFT, 0), (TURN_RIGHT, 0), (MOVE_UP, 0), (MOVE_DOWN, 0)]
-    return moves
-
-
-def apply_move(state: SearchState, action: Action, steps: int) -> SearchState:
-    a, b, c, d, kz, yaw = state
-    if action.kind is ActionKind.FORWARD:
-        cp, cq = _COS_PQ[yaw]
-        sp, sq = _SIN_PQ[yaw]
-        return (a + steps * cp, b + steps * cq, c + steps * sp, d + steps * sq, kz, yaw)
-    if action.kind is ActionKind.TURN_LEFT:
-        return (a, b, c, d, kz, (yaw + 1) % 12)
-    if action.kind is ActionKind.TURN_RIGHT:
-        return (a, b, c, d, kz, (yaw - 1) % 12)
-    if action.kind is ActionKind.MOVE_UP:
-        return (a, b, c, d, kz + 1, yaw)
-    if action.kind is ActionKind.MOVE_DOWN:
-        return (a, b, c, d, kz - 1, yaw)
-    return state
+# The 12 headings are the vertices of a regular 12-gon whose edge normals
+# n_k point at 15 + 30k degrees, cos 15 degrees from the centre. Its gauge
+# max_k |v . n_k| / cos 15 is 1 on every heading, so a forward move of L m
+# changes it by at most L; by the polygon's mirror symmetries the six
+# terms reduce to three, in |dx| and |dy| (see lattice_heuristic).
+_TAN15 = 2.0 - SQRT3  # sin 15 / cos 15
+_COS45_OVER_COS15 = SQRT3 - 1.0
+# Largest lattice norm over a ball of radius r is r * hypot(1 / cos 15, 1).
+GOAL_BALL_NORM = math.hypot(1.0 / math.cos(math.radians(15.0)), 1.0)
 
 
-def state_xyz(state: SearchState,
-              origin: tuple[float, float, float]) -> tuple[float, float, float]:
-    a, b, c, d, kz, _ = state
-    return (origin[0] + 1.5 * (a + b * SQRT3),
-            origin[1] + 1.5 * (c + d * SQRT3),
-            origin[2] + VERTICAL_STEP * kz)
+def lattice_heuristic(dx: float, dy: float, dz: float, tolerance: float) -> float:
+    """Lower bound, in cost units, on reaching the goal ball from offset
+    (dx, dy, dz) = position - goal.
+
+    The lattice norm N(v) = gauge(v_xy) + |v_z| changes by at most the
+    length of any forward or vertical move, so N(p - g) bounds the cost
+    to reach g; by the triangle inequality the tolerance ball is no
+    nearer than N(p - g) - GOAL_BALL_NORM * tolerance. Near the goal the
+    Euclidean bound is the tighter one. Paths move in whole 3 m steps, so
+    the larger bound rounds up to the next step (the 1e-9 guard keeps
+    float noise on an exact multiple from adding a step). The result is
+    admissible and consistent, and zero inside the goal ball.
+    """
+    ax, ay = abs(dx), abs(dy)
+    norm = max(ax + _TAN15 * ay, _COS45_OVER_COS15 * (ax + ay), _TAN15 * ax + ay) + abs(dz)
+    bound = max(norm - GOAL_BALL_NORM * tolerance, math.hypot(dx, dy, dz) - tolerance)
+    if bound <= 0.0:
+        return 0.0
+    return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
+
+
+_FORWARD, _TURN, _VERTICAL = range(3)
+
+
+def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
+    """Per heading, the moves in canonical order (forward by magnitude,
+    left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
+    move kind, action)."""
+    vertical_units = action_cost_units(MOVE_UP)
+    table = []
+    for yaw in range(12):
+        (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
+        moves = []
+        for g in sorted(granularities):
+            n = int(round(g / 3.0))
+            action = forward(g)
+            moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
+                          action_cost_units(action), _FORWARD, action))
+        moves += [
+            (0, 0, 0, 0, 0, (yaw + 1) % 12, TURN_COST_UNITS, _TURN, TURN_LEFT),
+            (0, 0, 0, 0, 0, (yaw - 1) % 12, TURN_COST_UNITS, _TURN, TURN_RIGHT),
+            (0, 0, 0, 0, 1, yaw, vertical_units, _VERTICAL, MOVE_UP),
+            (0, 0, 0, 0, -1, yaw, vertical_units, _VERTICAL, MOVE_DOWN),
+        ]
+        table.append(moves)
+    return table
 
 
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
@@ -273,30 +303,27 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     """A* over exact (position, heading) states.
 
     Edge costs are meters moved in 0.1 m units plus one unit per turn.
-    The heuristic rounds the Euclidean distance to the goal-tolerance
-    sphere up to the next multiple of one 3 m step, which stays
-    admissible (every path's length is a multiple of 3 m and at least
-    the net displacement) and consistent; goal states all have zero
-    heuristic, so they settle in cost order and the returned cost is
-    minimal over the search graph. Ties break on the smaller heuristic,
-    then first-in-first-out insertion. States deduplicate exactly; the
-    bin-dominance rule above keeps the state space finite without
-    breaking Dijkstra-comparability.
+    The heuristic is ``lattice_heuristic``: the larger of a lattice-norm
+    and a Euclidean bound on the distance to the goal-tolerance sphere,
+    rounded up to whole 3 m steps. It is admissible and consistent, and
+    goal states all have zero heuristic, so they settle in cost order and
+    the returned cost is minimal over the search graph. Ties break on the
+    smaller heuristic, then first-in-first-out insertion. States
+    deduplicate exactly; the bin-dominance rule above keeps the state
+    space finite without breaking Dijkstra-comparability.
+
+    Successors come from a per-heading table of integer state deltas.
+    Positions are always computed from the integer state with the
+    expressions in the SearchState comment, so a state's coordinates, and
+    every collision verdict on them, do not depend on the path to it.
     """
     cfg.validate()
     if not is_free(grid, start.position):
         raise NoPathError("start pose is occupied or out of bounds")
-    origin = start.position.as_tuple()
-    goal_xyz = (goal.x, goal.y, goal.z)
-
-    def heuristic(xyz: tuple[float, float, float]) -> float:
-        d = math.dist(xyz, goal_xyz) - cfg.goal_tolerance
-        if d <= 0.0:
-            return 0.0
-        return 30.0 * math.ceil(d / VERTICAL_STEP)
-
-    moves = [(action, steps, action_cost_units(action))
-             for action, steps in search_moves(cfg.forward_granularities)]
+    ox, oy, oz = start.position.as_tuple()
+    goal_xyz = gx, gy, gz = (goal.x, goal.y, goal.z)
+    tolerance = cfg.goal_tolerance
+    table = _successor_table(cfg.forward_granularities)
     start_state: SearchState = (0, 0, 0, 0, 0, yaw_index(start.yaw))
     g_pushed: dict[SearchState, int] = {start_state: 0}
     # Parent links are recorded when a state is settled, so the
@@ -304,7 +331,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     # were collision-checked.
     parents: dict[SearchState, tuple[SearchState, Action] | None] = {}
     bin_best: dict[tuple, int] = {}
-    h0 = heuristic(origin)
+    h0 = lattice_heuristic(ox - gx, oy - gy, oz - gz, tolerance)
     heap: list[tuple[float, float, int, int, SearchState,
                      SearchState | None, Action | None]] = [
         (h0, h0, 0, 0, start_state, None, None)
@@ -321,8 +348,11 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
         expansions += 1
         if expansions > cfg.max_expansions:
             raise NoPathError(f"expansion budget {cfg.max_expansions} exceeded")
-        pos = state_xyz(state, origin)
-        if math.dist(pos, goal_xyz) <= cfg.goal_tolerance:
+        a, b, c, d, kz, yaw = state
+        x = ox + 1.5 * (a + b * SQRT3)
+        y = oy + 1.5 * (c + d * SQRT3)
+        z = oz + VERTICAL_STEP * kz
+        if math.dist((x, y, z), goal_xyz) <= tolerance:
             actions: list[Action] = []
             s = state
             while parents[s] is not None:
@@ -331,30 +361,35 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
             actions.reverse()
             actions.append(STOP)
             return Trajectory.from_actions(start, actions)
-        key = (math.floor(pos[0] / POSITION_BIN), math.floor(pos[1] / POSITION_BIN),
-               state[4], state[5])
+        key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
         best = bin_best.get(key)
         if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
             continue  # a much cheaper same-bin state already settled
         if best is None or g_here < best:
             bin_best[key] = g_here
-        for action, steps, cost in moves:
-            nstate = apply_move(state, action, steps)
+        for da, db, dc, dd, dkz, nyaw, cost, kind, action in table[yaw]:
+            na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
+            nstate = (na, nb, nc, nd, nkz, nyaw)
             if nstate in parents:
                 continue
-            npos = state_xyz(nstate, origin)
-            if action.kind in (ActionKind.MOVE_UP, ActionKind.MOVE_DOWN):
-                if not (z_lo <= npos[2] <= z_hi):
-                    continue
-            if action.kind in (ActionKind.FORWARD, ActionKind.MOVE_UP,
-                               ActionKind.MOVE_DOWN):
-                if not segment_free_coords(grid, pos[0], pos[1], pos[2],
-                                           npos[0], npos[1], npos[2]):
+            if kind == _TURN:
+                nx, ny, nz = x, y, z
+            else:
+                if kind == _FORWARD:
+                    nx = ox + 1.5 * (na + nb * SQRT3)
+                    ny = oy + 1.5 * (nc + nd * SQRT3)
+                    nz = z
+                else:
+                    nx, ny = x, y
+                    nz = oz + VERTICAL_STEP * nkz
+                    if not (z_lo <= nz <= z_hi):
+                        continue
+                if not segment_free_coords(grid, x, y, z, nx, ny, nz):
                     continue
             ng = g_here + cost
             if ng < g_pushed.get(nstate, _INF):
                 g_pushed[nstate] = ng
-                nh = heuristic(npos)
+                nh = lattice_heuristic(nx - gx, ny - gy, nz - gz, tolerance)
                 seq += 1
                 heappush(heap, (ng + nh, nh, seq, ng, nstate, state, action))
     raise NoPathError("open set exhausted without reaching the goal")

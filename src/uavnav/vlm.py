@@ -26,7 +26,7 @@ from pathlib import Path
 
 import requests
 
-from . import ConfigError, UavnavError
+from . import ConfigError, UavnavError, atomic_open
 
 ENDPOINT_ENV = "UAVNAV_VLM_ENDPOINT"
 API_KEY_ENV = "UAVNAV_VLM_API_KEY"
@@ -208,9 +208,8 @@ class VlmClient:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         doc = {"request": request, "reply": reply}
-        self._cache_path(request).write_text(
-            json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        with atomic_open(self._cache_path(request)) as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=1))
 
     def _live_reply(self, request: dict) -> str:
         if not self.endpoint:

@@ -281,7 +281,10 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     ("scene.json", lambda spec: json.dumps({**json.loads(spec), "extent": [-120.0, 120.0]}),
      "extent must be positive"),
     ("scene.json", lambda spec: "{not json", "scene.json"),
-], ids=["two_field_cloud", "negative_extent", "spec_not_json"])
+    ("landmarks.json", lambda spec: json.dumps([{"id": 0, "height": 30.0}]),
+     "landmarks.json"),
+], ids=["two_field_cloud", "negative_extent", "spec_not_json",
+        "landmark_without_contour"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -291,3 +294,46 @@ def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, mes
     assert main(["trajgen", "--scene", str(scene), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("line", [
+    "{not json",
+    json.dumps({"actions": [{"kind": "stop"}]}),
+    json.dumps({"episode_id": "cli-scene-000000"}),
+    json.dumps({"episode_id": ["cli-scene-000000"], "actions": [{"kind": "stop"}]}),
+    json.dumps({"episode_id": "cli-scene-000000", "actions": [{"kind": "fly"}]}),
+], ids=["not_json", "no_episode_id", "no_actions", "list_episode_id", "bad_action"])
+def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
+    src = workdir / "generated.jsonl"
+    first = read_episodes(src)[0]
+    good = json.dumps({"episode_id": first.episode_id,
+                       "actions": [a.to_dict() for a in first.trajectory.actions]})
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(good + "\n" + line + "\n")
+    assert main(["eval", *scene_args(workdir), "--episodes", str(src),
+                 "--predictions", str(preds)]) == 2
+    assert "preds.jsonl" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("actions, config, culprit", [
+    ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"bogus": 1}, "kf.json"),
+    ([{"kind": "fly"}], {}, "actions.json"),
+], ids=["unknown_config_key", "bad_action"])
+def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, culprit):
+    (tmp_path / "actions.json").write_text(json.dumps(actions))
+    (tmp_path / "kf.json").write_text(json.dumps(config))
+    assert main(["keyframe", "--actions", str(tmp_path / "actions.json"),
+                 "--tokens", str(tmp_path), "--config", str(tmp_path / "kf.json"),
+                 "--out", str(tmp_path / "obs.bin")]) == 2
+    assert culprit in one_line_error(capsys)
+
+
+def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
+    episodes = tmp_path / "empty.jsonl"
+    episodes.write_text("")
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text("{not json")
+    assert main(["dataset", "split", "--episodes", str(episodes),
+                 "--assignment", str(assignment),
+                 "--out-dir", str(tmp_path / "splits")]) == 2
+    assert "assignment.json" in one_line_error(capsys)

@@ -139,6 +139,15 @@ class TestRoundTrip:
         with pytest.raises(IntegrityError):
             write_episodes([make_episode(), make_episode()], tmp_path / "x.jsonl")
 
+    def test_failed_write_leaves_earlier_file(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        write_episodes([make_episode("ep-earlier")], path)
+        before = path.read_bytes()
+        with pytest.raises(IntegrityError):
+            write_episodes([make_episode(), make_episode()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
     def test_unknown_fields_preserved(self, tmp_path):
         doc = episode_to_dict(make_episode())
         doc["annotator_note"] = {"stars": 5}

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
 from oracles import bfs_hops, dijkstra_units, point_blocked
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
-from uavnav.trajgen import (MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
-                            Action, ActionKind, EligibilityError, GridLattice,
-                            NoPathError, Pose, SamplingExhaustedError,
-                            Trajectory, TrajGenConfig, astar_search,
-                            chain_trajectories, forward, grid_search,
-                            path_cost_units, rollout, sample_endpoints, step)
+from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES,
+                            MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
+                            UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
+                            EligibilityError, GridLattice, NoPathError, Pose,
+                            SamplingExhaustedError, Trajectory, TrajGenConfig,
+                            astar_search, chain_trajectories, forward,
+                            grid_search, lattice_heuristic, path_cost_units,
+                            rollout, sample_endpoints, step)
 
 
 class TestActions:
@@ -159,6 +163,32 @@ class TestAstar:
             assert path_cost_units(traj.actions) == dijkstra_units(start, goal, grid, cfg)
             checked += 1
 
+    def test_cost_matches_dijkstra_with_altitude_change(self):
+        # Goals above or below the start exercise the |dz| term of the
+        # lattice norm and the goal-ball slack of the heuristic.
+        rng = np.random.default_rng(5)
+        cfg = TrajGenConfig(height_range=(4.0, 26.0), goal_tolerance=5.0,
+                            max_expansions=300_000)
+        checked = 0
+        while checked < 8:
+            grid = random_obstacle_grid(rng, dims=(60, 60, 30), n_boxes=8)
+            sx, sy = rng.uniform(8, 52, size=2)
+            sz = rng.uniform(6, 24)
+            start = Pose(Point3(sx, sy, sz), 30.0 * rng.integers(0, 12))
+            angle = rng.uniform(0, 2 * math.pi)
+            d = rng.uniform(8, 14)
+            gz = float(np.clip(sz + rng.uniform(-15, 15), *cfg.height_range))
+            goal = Point3(sx + d * math.cos(angle), sy + d * math.sin(angle), gz)
+            if not is_free(grid, start.position) or not is_free(grid, goal):
+                continue
+            try:
+                traj = astar_search(start, goal, grid, cfg)
+            except NoPathError:
+                assert dijkstra_units(start, goal, grid, cfg) is None
+                continue
+            assert path_cost_units(traj.actions) == dijkstra_units(start, goal, grid, cfg)
+            checked += 1
+
     def test_deterministic_output(self):
         grid = random_obstacle_grid(np.random.default_rng(4))
         cfg = TrajGenConfig(height_range=(3.0, 27.0))
@@ -167,6 +197,62 @@ class TestAstar:
         t1 = astar_search(start, goal, grid, cfg)
         t2 = astar_search(start, goal, grid, cfg)
         assert t1 == t2
+
+
+_coord = st.floats(-300.0, 300.0, allow_nan=False)
+_tolerance = st.floats(0.5, 20.0)
+
+
+def _gauge_by_definition(dx: float, dy: float) -> float:
+    """Largest |v . n_k| / cos 15 over the six edge normals of the 12-gon."""
+    return max(abs(dx * math.cos(math.radians(15 + 30 * k))
+                   + dy * math.sin(math.radians(15 + 30 * k)))
+               for k in range(6)) / math.cos(math.radians(15))
+
+
+class TestLatticeHeuristic:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0),
+           _tolerance)
+    def test_zero_inside_goal_ball(self, frac, theta, cos_polar, tol):
+        r = frac * tol
+        sin_polar = math.sqrt(1.0 - cos_polar * cos_polar)
+        h = lattice_heuristic(r * sin_polar * math.cos(theta),
+                              r * sin_polar * math.sin(theta), r * cos_polar, tol)
+        assert h == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coord, _coord, _coord, _tolerance)
+    def test_bounded_below_by_the_gauge_definition(self, dx, dy, dz, tol):
+        # Without the Euclidean term and the rounding, the heuristic is the
+        # six-normal gauge of the offset minus the goal-ball slack.
+        slack = tol * math.hypot(1.0 / math.cos(math.radians(15)), 1.0)
+        bound = _gauge_by_definition(dx, dy) + abs(dz) - slack
+        assert lattice_heuristic(dx, dy, dz, tol) >= UNITS_PER_METER * bound - 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coord, _coord, _coord, _tolerance)
+    def test_consistent_over_every_move(self, dx, dy, dz, tol):
+        h = lattice_heuristic(dx, dy, dz, tol)
+        for k in range(12):
+            c, s = math.cos(math.radians(30 * k)), math.sin(math.radians(30 * k))
+            for m in FORWARD_MAGNITUDES:
+                cost = m * UNITS_PER_METER
+                assert h <= cost + lattice_heuristic(dx + m * c, dy + m * s, dz, tol)
+        cost = VERTICAL_STEP * UNITS_PER_METER
+        for sign in (1.0, -1.0):
+            assert h <= cost + lattice_heuristic(dx, dy, dz + sign * VERTICAL_STEP, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-300, 300), st.integers(-300, 300), _coord,
+           st.floats(0.0, 0.999999), st.floats(0.0, 0.999999),
+           st.floats(0.0, 0.999999), st.floats(0.0, 0.999999),
+           st.floats(-150.0, 150.0), st.floats(-150.0, 150.0), _tolerance)
+    def test_same_bin_spread_below_dominance_margin(self, i, j, z, u1, v1, u2, v2,
+                                                    gx, gy, tol):
+        h1 = lattice_heuristic(i + u1 - gx, j + v1 - gy, z, tol)
+        h2 = lattice_heuristic(i + u2 - gx, j + v2 - gy, z, tol)
+        assert abs(h1 - h2) < BIN_DOMINANCE_MARGIN_UNITS
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,8 @@ class TestReplayMode:
                          cache_dir=tmp_path)
         payload = {"task": "fuse", "clauses": ["hello"]}
         assert live.complete("p", payload) == "recorded reply"
+        # The reply is written through a temp file that is renamed into place.
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
         def explode(*a, **k):
             raise AssertionError("replay mode must not touch the network")

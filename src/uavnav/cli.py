@@ -58,6 +58,19 @@ def _read_json(path: str | Path, kind: type) -> dict | list:
     return doc
 
 
+def _read_visibility(path: str | Path) -> dict[int, set[int]]:
+    """Frame index -> visible landmark ids, from a JSON object of lists."""
+    visibility = {}
+    for key, ids in _read_json(path, dict).items():
+        if not (isinstance(ids, list) and all(isinstance(i, int) for i in ids)):
+            raise ConfigError(f"{path}: frame {key!r} needs a list of landmark ids")
+        try:
+            visibility[int(key)] = set(ids)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: frame key {key!r} is not an integer") from exc
+    return visibility
+
+
 def _read_predictions(path: str | Path) -> list[tuple[str, list[tg.Action]]]:
     """(episode id, actions) per non-blank JSONL line of a predictions file."""
     predictions = []
@@ -219,8 +232,7 @@ def cmd_keyframe(args) -> int:
         if path.exists():
             frames[k] = kf.load_tokens(path, frame_index=k)
     if args.visibility:
-        vis_doc = _read_json(args.visibility, dict)
-        visibility = {int(k): set(v) for k, v in vis_doc.items()}
+        visibility = _read_visibility(args.visibility)
     else:
         visibility = {k: {-1} for k in frames}  # no map: every frame counts
     candidates = kf.select_candidates(actions, window)

@@ -269,6 +269,15 @@ def assemble_observation(bank: MemoryBank, current: TokenMatrix,
     return TokenMatrix(np.concatenate(parts, axis=0), current.frame_index)
 
 
+def aim_cell(grid: VoxelGrid, cells: Sequence[tuple[int, int]],
+             centroid: tuple[float, float]) -> tuple[int, int]:
+    """The cell whose centre is nearest ``centroid``; the first such on ties."""
+    ij = np.array(cells, dtype=np.float64)
+    dx = grid.origin[0] + (ij[:, 0] + 0.5) * grid.voxel_size - centroid[0]
+    dy = grid.origin[1] + (ij[:, 1] + 0.5) * grid.voxel_size - centroid[1]
+    return cells[int(np.argmin(dx * dx + dy * dy))]
+
+
 def landmark_visibility(
     poses: Sequence[Pose],
     landmarks: Sequence[LandmarkInstance],
@@ -288,10 +297,7 @@ def landmark_visibility(
     for lm in landmarks:
         cells = set(lm.cells)
         lm_cells.append(cells)
-        cx, cy = lm.centroid
-        best = min(cells, key=lambda c: (
-            (grid.origin[0] + (c[0] + 0.5) * size - cx) ** 2
-            + (grid.origin[1] + (c[1] + 0.5) * size - cy) ** 2))
+        best = aim_cell(grid, list(cells), lm.centroid)
         aims.append((grid.origin[0] + (best[0] + 0.5) * size,
                      grid.origin[1] + (best[1] + 0.5) * size,
                      lm.height - 0.5 * size))

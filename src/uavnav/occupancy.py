@@ -49,7 +49,9 @@ class VoxelGrid:
         return (i, j, k)
 
     def in_bounds(self, cell: tuple[int, int, int]) -> bool:
-        return all(0 <= c < d for c, d in zip(cell, self.dims))
+        i, j, k = cell
+        nx, ny, nz = self.dims
+        return 0 <= i < nx and 0 <= j < ny and 0 <= k < nz
 
     @property
     def max_corner(self) -> np.ndarray:

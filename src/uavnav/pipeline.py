@@ -241,6 +241,7 @@ class GenerationReport:
     sampling_failures: int
     search_failures: int
     vlm_failures: int
+    search: tg.SearchStats
     wall_time_s: float
 
     def to_dict(self) -> dict:
@@ -252,6 +253,7 @@ class GenerationReport:
             "sampling_failures": self.sampling_failures,
             "search_failures": self.search_failures,
             "vlm_failures": self.vlm_failures,
+            "search": self.search.to_dict(),
             "wall_time_s": round(self.wall_time_s, 3),
         }
 
@@ -272,6 +274,7 @@ class _EpisodeOutcome:
     sampling_failures: int = 0
     search_failures: int = 0
     vlm_failures: int = 0
+    search: tg.SearchStats = field(default_factory=tg.SearchStats)
 
 
 def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
@@ -301,12 +304,13 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
                 start, goal, target = tg.sample_endpoints(
                     bundle.landmarks, bundle.bev, bundle.nav_grid, cfg.trajgen, rng)
                 trajectory = replace(
-                    tg.astar_search(start, goal, bundle.nav_grid, cfg.trajgen),
+                    tg.astar_search(start, goal, bundle.nav_grid, cfg.trajgen,
+                                    outcome.search),
                     target_landmark_id=target)
             else:
                 trajectory = tg.chain_trajectories(
                     cfg.segments, bundle.landmarks, bundle.bev, bundle.nav_grid,
-                    cfg.trajgen, rng)
+                    cfg.trajgen, rng, outcome.search)
                 goal = trajectory.poses[-1].position
         except tg.SamplingError:
             outcome.sampling_failures += 1
@@ -355,6 +359,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     sampling_failures = 0
     search_failures = 0
     vlm_failures = 0
+    search = tg.SearchStats()
     episodes: list[ds.Episode] = []
     failed = 0
 
@@ -364,6 +369,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
         log.debug(json.dumps({
             "stage": "episode", "episode_index": index,
             "accepted": outcome.episode is not None,
+            "search": outcome.search.to_dict(),
             "duration_s": round(time.monotonic() - t0, 4),
         }))
         return outcome
@@ -377,6 +383,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
         sampling_failures += outcome.sampling_failures
         search_failures += outcome.search_failures
         vlm_failures += outcome.vlm_failures
+        search.add(outcome.search)
         for reason in outcome.rejections:
             rejections[reason] = rejections.get(reason, 0) + 1
         if outcome.episode is None:
@@ -388,7 +395,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
         requested=count, accepted=len(episodes), failed_episodes=failed,
         rejections=rejections, sampling_failures=sampling_failures,
         search_failures=search_failures, vlm_failures=vlm_failures,
-        wall_time_s=time.monotonic() - started,
+        search=search, wall_time_s=time.monotonic() - started,
     )
 
 

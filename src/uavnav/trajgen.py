@@ -298,8 +298,24 @@ def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
     return table
 
 
+@dataclass
+class SearchStats:
+    """Work counters that ``astar_search`` adds to, failed searches too:
+    settled states and swept-segment collision checks."""
+
+    expansions: int = 0
+    collision_checks: int = 0
+
+    def add(self, other: "SearchStats") -> None:
+        self.expansions += other.expansions
+        self.collision_checks += other.collision_checks
+
+    def to_dict(self) -> dict:
+        return {"expansions": self.expansions, "collision_checks": self.collision_checks}
+
+
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
-                 cfg: TrajGenConfig) -> Trajectory:
+                 cfg: TrajGenConfig, stats: SearchStats | None = None) -> Trajectory:
     """A* over exact (position, heading) states.
 
     Edge costs are meters moved in 0.1 m units plus one unit per turn.
@@ -316,6 +332,18 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     Positions are always computed from the integer state with the
     expressions in the SearchState comment, so a state's coordinates, and
     every collision verdict on them, do not depend on the path to it.
+
+    Edges are checked lazily, as in Lazy PRM (Bohlin & Kavraki 2000).
+    Every offer into an unsettled state is pushed unchecked, apart from
+    the height-range test on vertical moves. A forward or vertical edge
+    is swept for collisions only when its entry is popped for a state
+    that is not settled yet; a blocked entry is dropped and the state
+    waits for its next offer. Offers into one state pop in cost order,
+    so it settles at its cheapest collision-free cost, and no edge into
+    a settled state is ever checked.
+
+    ``stats``, when given, gains this search's settled expansions and
+    collision checks, also when the search fails.
     """
     cfg.validate()
     if not is_free(grid, start.position):
@@ -325,7 +353,6 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     tolerance = cfg.goal_tolerance
     table = _successor_table(cfg.forward_granularities)
     start_state: SearchState = (0, 0, 0, 0, 0, yaw_index(start.yaw))
-    g_pushed: dict[SearchState, int] = {start_state: 0}
     # Parent links are recorded when a state is settled, so the
     # reconstructed action chain is exactly the one whose swept segments
     # were collision-checked.
@@ -333,69 +360,72 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     bin_best: dict[tuple, int] = {}
     h0 = lattice_heuristic(ox - gx, oy - gy, oz - gz, tolerance)
     heap: list[tuple[float, float, int, int, SearchState,
-                     SearchState | None, Action | None]] = [
-        (h0, h0, 0, 0, start_state, None, None)
+                     SearchState | None, Action | None, int]] = [
+        (h0, h0, 0, 0, start_state, None, None, _TURN)  # no edge to check
     ]
     seq = 0
-    expansions = 0
+    expansions = checks = 0
     z_lo, z_hi = cfg.height_range
 
-    while heap:
-        _, _, _, g_here, state, parent, via_action = heappop(heap)
-        if state in parents:
-            continue  # settled already
-        parents[state] = (parent, via_action) if parent is not None else None
-        expansions += 1
-        if expansions > cfg.max_expansions:
-            raise NoPathError(f"expansion budget {cfg.max_expansions} exceeded")
-        a, b, c, d, kz, yaw = state
-        x = ox + 1.5 * (a + b * SQRT3)
-        y = oy + 1.5 * (c + d * SQRT3)
-        z = oz + VERTICAL_STEP * kz
-        if math.dist((x, y, z), goal_xyz) <= tolerance:
-            actions: list[Action] = []
-            s = state
-            while parents[s] is not None:
-                s, action = parents[s]  # type: ignore[misc]
-                actions.append(action)
-            actions.reverse()
-            actions.append(STOP)
-            return Trajectory.from_actions(start, actions)
-        key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
-        best = bin_best.get(key)
-        if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
-            continue  # a much cheaper same-bin state already settled
-        if best is None or g_here < best:
-            bin_best[key] = g_here
-        for da, db, dc, dd, dkz, nyaw, cost, kind, action in table[yaw]:
-            na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
-            nstate = (na, nb, nc, nd, nkz, nyaw)
-            if nstate in parents:
-                continue
-            if kind == _TURN:
-                nx, ny, nz = x, y, z
-            else:
+    try:
+        while heap:
+            _, h_here, _, g_here, state, parent, via_action, kind = heappop(heap)
+            if state in parents:
+                continue  # settled already
+            a, b, c, d, kz, yaw = state
+            x = ox + 1.5 * (a + b * SQRT3)
+            y = oy + 1.5 * (c + d * SQRT3)
+            z = oz + VERTICAL_STEP * kz
+            if kind != _TURN:
+                pa, pb, pc, pd, pkz, _ = parent
+                checks += 1
+                if not segment_free_coords(grid, ox + 1.5 * (pa + pb * SQRT3),
+                                           oy + 1.5 * (pc + pd * SQRT3),
+                                           oz + VERTICAL_STEP * pkz, x, y, z):
+                    continue  # blocked edge; a costlier offer may still be free
+            parents[state] = (parent, via_action) if parent is not None else None
+            expansions += 1
+            if expansions > cfg.max_expansions:
+                raise NoPathError(f"expansion budget {cfg.max_expansions} exceeded")
+            if math.dist((x, y, z), goal_xyz) <= tolerance:
+                actions: list[Action] = []
+                s = state
+                while parents[s] is not None:
+                    s, action = parents[s]  # type: ignore[misc]
+                    actions.append(action)
+                actions.reverse()
+                actions.append(STOP)
+                return Trajectory.from_actions(start, actions)
+            key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
+            best = bin_best.get(key)
+            if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
+                continue  # a much cheaper same-bin state already settled
+            if best is None or g_here < best:
+                bin_best[key] = g_here
+            for da, db, dc, dd, dkz, nyaw, cost, kind, action in table[yaw]:
+                na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
+                nstate = (na, nb, nc, nd, nkz, nyaw)
+                if nstate in parents:
+                    continue
                 if kind == _FORWARD:
-                    nx = ox + 1.5 * (na + nb * SQRT3)
-                    ny = oy + 1.5 * (nc + nd * SQRT3)
-                    nz = z
+                    nh = lattice_heuristic(ox + 1.5 * (na + nb * SQRT3) - gx,
+                                           oy + 1.5 * (nc + nd * SQRT3) - gy,
+                                           z - gz, tolerance)
+                elif kind == _TURN:
+                    nh = h_here  # same position
                 else:
-                    nx, ny = x, y
                     nz = oz + VERTICAL_STEP * nkz
                     if not (z_lo <= nz <= z_hi):
                         continue
-                if not segment_free_coords(grid, x, y, z, nx, ny, nz):
-                    continue
-            ng = g_here + cost
-            if ng < g_pushed.get(nstate, _INF):
-                g_pushed[nstate] = ng
-                nh = lattice_heuristic(nx - gx, ny - gy, nz - gz, tolerance)
+                    nh = lattice_heuristic(x - gx, y - gy, nz - gz, tolerance)
+                ng = g_here + cost
                 seq += 1
-                heappush(heap, (ng + nh, nh, seq, ng, nstate, state, action))
-    raise NoPathError("open set exhausted without reaching the goal")
-
-
-_INF = float("inf")
+                heappush(heap, (ng + nh, nh, seq, ng, nstate, state, action, kind))
+        raise NoPathError("open set exhausted without reaching the goal")
+    finally:
+        if stats is not None:
+            stats.expansions += expansions
+            stats.collision_checks += checks
 
 
 def _bearing_deg(dx: float, dy: float) -> float:
@@ -481,16 +511,17 @@ def chain_trajectories(
     grid: VoxelGrid,
     cfg: TrajGenConfig,
     rng: np.random.Generator,
+    stats: SearchStats | None = None,
 ) -> Trajectory:
     """Chain A* segments, each starting where the previous one stopped.
 
     Intermediate Stops are dropped; the result carries the last
-    segment's target landmark.
+    segment's target landmark. Every segment's search adds to ``stats``.
     """
     if segments < 1:
         raise ValueError("segments must be >= 1")
     start, goal, target = sample_endpoints(landmarks, bev, grid, cfg, rng)
-    first = astar_search(start, goal, grid, cfg)
+    first = astar_search(start, goal, grid, cfg, stats)
     if segments == 1:
         return replace(first, target_landmark_id=target)
     actions = [a for a in first.actions if a.kind is not ActionKind.STOP]
@@ -512,7 +543,7 @@ def chain_trajectories(
             )
             if goal is None:
                 raise SamplingExhaustedError("no clear goal on the connecting line")
-            part = astar_search(current, goal, grid, cfg)
+            part = astar_search(current, goal, grid, cfg, stats)
         except TrajGenError as exc:
             raise NoPathError(f"segment {index} of {segments} failed: {exc}") from exc
         target = lm.id

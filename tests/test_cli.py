@@ -328,6 +328,20 @@ def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, cul
     assert culprit in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("visibility", [{"0": 5}, {"x": [1]}, {"0": [[1]]}],
+                         ids=["ids_not_a_list", "frame_not_an_integer", "id_not_an_integer"])
+def test_malformed_visibility_exit_2(tmp_path, capsys, visibility):
+    (tmp_path / "actions.json").write_text(json.dumps([{"kind": "stop"}]))
+    for k in range(2):
+        save_tokens(TokenMatrix(np.ones((4, 2)), frame_index=k),
+                    tmp_path / f"frame_{k:05d}.bin")
+    (tmp_path / "vis.json").write_text(json.dumps(visibility))
+    assert main(["keyframe", "--actions", str(tmp_path / "actions.json"),
+                 "--tokens", str(tmp_path), "--visibility", str(tmp_path / "vis.json"),
+                 "--out", str(tmp_path / "obs.bin")]) == 2
+    assert "vis.json" in one_line_error(capsys)
+
+
 def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
     episodes = tmp_path / "empty.jsonl"
     episodes.write_text("")

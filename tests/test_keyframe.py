@@ -9,7 +9,7 @@ from oracles import exhaustive_greedy_merge, split_runs_oracle
 from uavnav.geometry import Point3
 from uavnav.keyframe import (KeyframeCandidate, KeyframeSet, MemoryBank,
                              MemoryBankConfig, MergeEvent, TokenMatrix,
-                             assemble_observation, confirm_keyframes,
+                             aim_cell, assemble_observation, confirm_keyframes,
                              grid_pool, landmark_visibility, load_tokens,
                              memory_push, merge_tokens, save_tokens,
                              select_candidates)
@@ -360,3 +360,28 @@ class TestLandmarkVisibility:
         poses = [Pose(Point3(10.0, 30.5, 28.0), 0.0)]
         vis = landmark_visibility(poses, [landmark], grid)
         assert vis[0] == {0}
+
+    def test_aim_cell_matches_nearest_by_loop(self):
+        def reference(grid, cells, centroid):
+            size = grid.voxel_size
+            return min(cells, key=lambda c: (
+                (grid.origin[0] + (c[0] + 0.5) * size - centroid[0]) ** 2
+                + (grid.origin[1] + (c[1] + 0.5) * size - centroid[1]) ** 2))
+
+        rng = np.random.default_rng(0)
+        grid = VoxelGrid(origin=np.array([-3.7, 12.2, 0.0]), voxel_size=1.0,
+                         dims=(80, 80, 4), occupancy=np.zeros((80, 80, 4), dtype=bool))
+        for _ in range(200):
+            i0, j0 = rng.integers(0, 60, size=2)
+            cells = list({(int(i0 + i), int(j0 + j))
+                          for i, j in rng.integers(0, 20, size=(30, 2))})
+            centroid = tuple(rng.uniform(-10.0, 90.0, size=2))
+            assert aim_cell(grid, cells, centroid) == reference(grid, cells, centroid)
+        # A centroid on a shared corner ties four cells; both keep the first.
+        grid = VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=(8, 8, 1),
+                         occupancy=np.zeros((8, 8, 1), dtype=bool))
+        square = [(5, 6), (6, 6), (6, 5), (5, 5)]
+        for first in range(4):
+            cells = square[first:] + square[:first]
+            assert aim_cell(grid, cells, (6.0, 6.0)) == reference(grid, cells, (6.0, 6.0)) \
+                == cells[0]

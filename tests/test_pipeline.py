@@ -114,8 +114,11 @@ class TestRunGenerate:
         doc = report.to_dict()
         assert set(doc) == {"requested", "accepted", "failed_episodes",
                             "rejections", "sampling_failures",
-                            "search_failures", "vlm_failures", "wall_time_s"}
+                            "search_failures", "vlm_failures", "search",
+                            "wall_time_s"}
         assert doc["requested"] == 3
+        assert set(doc["search"]) == {"expansions", "collision_checks"}
+        assert doc["search"]["expansions"] > 0
 
 
 class TestRunValidate:

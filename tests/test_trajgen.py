@@ -16,10 +16,10 @@ from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES,
                             MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
                             EligibilityError, GridLattice, NoPathError, Pose,
-                            SamplingExhaustedError, Trajectory, TrajGenConfig,
-                            astar_search, chain_trajectories, forward,
-                            grid_search, lattice_heuristic, path_cost_units,
-                            rollout, sample_endpoints, step)
+                            SamplingExhaustedError, SearchStats, Trajectory,
+                            TrajGenConfig, astar_search, chain_trajectories,
+                            forward, grid_search, lattice_heuristic,
+                            path_cost_units, rollout, sample_endpoints, step)
 
 
 class TestActions:
@@ -197,6 +197,65 @@ class TestAstar:
         t1 = astar_search(start, goal, grid, cfg)
         t2 = astar_search(start, goal, grid, cfg)
         assert t1 == t2
+
+    def test_blocked_cheap_offer_does_not_hide_free_costlier_one(self):
+        # A one-voxel wall at x in [17, 18) up to z = 6 stands between the
+        # start and the goal, which needs z = 4.5 (tolerance 1 m). The
+        # first offer into the goal state, a 9 m hop from the start
+        # (90 units), crosses the wall; the only free way in is over it,
+        # up 3 m, ahead 9 m, down 3 m (150 units), offered later. Pruning
+        # offers by their pushed cost would drop that one.
+        grid = empty_grid(dims=(40, 20, 12))
+        grid.occupancy[17, :, 0:6] = True
+        cfg = TrajGenConfig(height_range=(3.0, 7.5), goal_tolerance=1.0)
+        start = Pose(Point3(10.5, 10.5, 4.5), 0.0)
+        goal = Point3(19.5, 10.5, 4.5)
+        traj = astar_search(start, goal, grid, cfg)
+        assert path_cost_units(traj.actions) == dijkstra_units(start, goal, grid, cfg) == 150
+        for a, b in zip(traj.poses, traj.poses[1:]):
+            assert segment_free(grid, a.position, b.position)
+
+    def test_edges_checked_only_when_popped(self, monkeypatch):
+        # Each check runs for one popped entry of an unsettled state, and a
+        # free verdict settles that state, so there are no more checks than
+        # pops and no more free verdicts than states settled after the start.
+        import uavnav.trajgen as tg
+
+        verdicts: list[bool] = []
+        pops = 0
+        check, pop = tg.segment_free_coords, tg.heappop
+
+        def counting_check(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        def counting_pop(heap):
+            nonlocal pops
+            pops += 1
+            return pop(heap)
+
+        monkeypatch.setattr(tg, "segment_free_coords", counting_check)
+        monkeypatch.setattr(tg, "heappop", counting_pop)
+        grid = random_obstacle_grid(np.random.default_rng(4))
+        cfg = TrajGenConfig(height_range=(3.0, 27.0))
+        stats = SearchStats()
+        astar_search(Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0),
+                     grid, cfg, stats)
+        assert False in verdicts  # the case does hit obstacles
+        assert stats.collision_checks == len(verdicts) <= pops
+        assert sum(verdicts) <= stats.expansions - 1
+
+    def test_stats_count_failed_searches(self):
+        grid = empty_grid(dims=(40, 40, 12))
+        grid.occupancy[18:23, 18:23, :] = True  # the goal is inside the block
+        cfg = TrajGenConfig(height_range=(0.0, 11.0), goal_tolerance=1.0,
+                            max_expansions=200)
+        stats = SearchStats()
+        with pytest.raises(NoPathError):
+            astar_search(Pose(Point3(5, 5, 5), 0.0), Point3(20.5, 20.5, 5.5), grid, cfg,
+                         stats)
+        assert stats.expansions == 201  # the one past the budget raises
+        assert stats.collision_checks > 0
 
 
 _coord = st.floats(-300.0, 300.0, allow_nan=False)

@@ -230,7 +230,10 @@ def cmd_keyframe(args) -> int:
     for k in range(len(actions) + 1):
         path = tokens_dir / f"frame_{k:05d}.bin"
         if path.exists():
-            frames[k] = kf.load_tokens(path, frame_index=k)
+            try:
+                frames[k] = kf.load_tokens(path, frame_index=k)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
     if args.visibility:
         visibility = _read_visibility(args.visibility)
     else:
@@ -239,15 +242,17 @@ def cmd_keyframe(args) -> int:
     sets = kf.confirm_keyframes(
         [c for c in candidates if all(i in frames for i in c.frame_indices)],
         visibility, frames)
+    if not frames:
+        raise ConfigError(f"no token files found under {tokens_dir}")
     bank = kf.MemoryBank()
     events: list[kf.MergeEvent] = []
-    for keyframe_set in sets:
-        merged = kf.merge_tokens(keyframe_set, cfg.similarity_threshold, log=events)
-        kf.memory_push(bank, kf.grid_pool(merged, cfg.pooled_tokens), cfg)
-    current_index = max(frames) if frames else None
-    if current_index is None:
-        raise ConfigError(f"no token files found under {tokens_dir}")
-    observation = kf.assemble_observation(bank, frames[current_index], cfg)
+    try:  # token shapes that disagree with each other or with the config
+        for keyframe_set in sets:
+            merged = kf.merge_tokens(keyframe_set, cfg.similarity_threshold, log=events)
+            kf.memory_push(bank, kf.grid_pool(merged, cfg.pooled_tokens), cfg)
+        observation = kf.assemble_observation(bank, frames[max(frames)], cfg)
+    except ValueError as exc:
+        raise ConfigError(f"{tokens_dir}: {exc}") from exc
     kf.save_tokens(observation, args.out)
     if args.log:
         Path(args.log).write_text(json.dumps([

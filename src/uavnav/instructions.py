@@ -13,7 +13,7 @@ instruction, and near-duplicate landmark descriptions are replaced by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .textproc import (alnum_tokens, bag_of_words_embedding, embedding_dot,
                        extract_landmark_phrases)
@@ -183,28 +183,24 @@ def fuse_instruction(sub_instructions: Sequence[str], llm: VlmClient) -> Instruc
     return Instruction(text=text, sub_instructions=list(sub_instructions))
 
 
-Embedder = Callable[[str], dict[str, float]]
-
-
 def refine_coreference(
     instruction: Instruction,
-    embedder: Embedder = bag_of_words_embedding,
     threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
 ) -> Instruction:
     """Replace repeated landmark descriptions with "it".
 
-    Landmark noun phrases are found by rule-based chunking and embedded;
-    any phrase whose similarity to an earlier phrase exceeds the
-    threshold is replaced by a pronoun. Identical phrases count as
-    similarity exactly 1, so they merge even at threshold 1. First
-    mentions are always kept.
+    Landmark noun phrases are found by rule-based chunking and embedded
+    as bags of words; any phrase whose similarity to an earlier phrase
+    exceeds the threshold is replaced by a pronoun. Identical phrases
+    count as similarity exactly 1, so they merge even at threshold 1.
+    First mentions are always kept.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must lie in (0, 1]")
     phrases = extract_landmark_phrases(instruction.text)
     if len(phrases) < 2:
         return instruction
-    vectors = [embedder(p.text) for p in phrases]
+    vectors = [bag_of_words_embedding(p.text) for p in phrases]
     pieces: list[str] = []
     cursor = 0
     for i, phrase in enumerate(phrases):
@@ -228,7 +224,6 @@ def build_instruction(
     vlm: VlmClient,
     image_refs: Sequence[str] | None = None,
     visibility: Mapping[int, set[int]] | None = None,
-    refine: bool = True,
     threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
 ) -> Instruction:
     """Full trajectory-to-instruction pipeline for one trajectory."""
@@ -244,7 +239,4 @@ def build_instruction(
         return captions_by_landmark.get(lm)
 
     clauses = [generate_sub_instruction(sub, caption_for(sub), vlm) for sub in subs]
-    instruction = fuse_instruction(clauses, vlm)
-    if refine:
-        instruction = refine_coreference(instruction, threshold=threshold)
-    return instruction
+    return refine_coreference(fuse_instruction(clauses, vlm), threshold=threshold)

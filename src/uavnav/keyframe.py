@@ -335,11 +335,11 @@ def save_tokens(matrix: TokenMatrix, path: str | Path) -> None:
 def load_tokens(path: str | Path, frame_index: int = 0) -> TokenMatrix:
     raw = Path(path).read_bytes()
     if len(raw) < _TOKENS_HEADER.size:
-        raise ValueError(f"{path}: truncated token file")
+        raise ValueError("truncated token file")
     n, d = _TOKENS_HEADER.unpack_from(raw)
     expected = _TOKENS_HEADER.size + 4 * n * d
     if len(raw) < expected:
-        raise ValueError(f"{path}: token payload too short")
+        raise ValueError("token payload too short")
     tokens = np.frombuffer(raw, dtype="<f4", count=n * d,
                            offset=_TOKENS_HEADER.size).reshape(n, d)
     return TokenMatrix(tokens=tokens.astype(np.float64), frame_index=frame_index)

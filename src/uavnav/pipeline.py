@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -55,7 +55,6 @@ class PipelineConfig:
     vlm_cache_dir: str | None = None
     coref_threshold: float = instr.DEFAULT_SIMILARITY_THRESHOLD
     stamp_outputs: bool = False  # real timestamps break byte-identical runs
-    schema_version: int = ds.SCHEMA_VERSION
 
     def validate(self) -> None:
         if self.voxel_size <= 0 or self.margin < 0:
@@ -86,8 +85,9 @@ def pipeline_config_from_dict(doc: Mapping) -> PipelineConfig:
     doc = dict(doc)
     trajgen_doc = doc.pop("trajgen", {})
     vlm_doc = doc.pop("vlm", {})
+    doc.pop("schema_version", None)  # accepted for old documents, unused
     known = {f.name for f in PipelineConfig.__dataclass_fields__.values()}
-    unknown = set(doc) - known - {"schema_version"}
+    unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -300,18 +300,9 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
     episode_id = f"{bundle.scene_id}-{index:06d}"
     for _ in range(attempts):
         try:
-            if cfg.segments == 1:
-                start, goal, target = tg.sample_endpoints(
-                    bundle.landmarks, bundle.bev, bundle.nav_grid, cfg.trajgen, rng)
-                trajectory = replace(
-                    tg.astar_search(start, goal, bundle.nav_grid, cfg.trajgen,
-                                    outcome.search),
-                    target_landmark_id=target)
-            else:
-                trajectory = tg.chain_trajectories(
-                    cfg.segments, bundle.landmarks, bundle.bev, bundle.nav_grid,
-                    cfg.trajgen, rng, outcome.search)
-                goal = trajectory.poses[-1].position
+            trajectory, goal = tg.chain_trajectories(
+                cfg.segments, bundle.landmarks, bundle.bev, bundle.nav_grid,
+                cfg.trajgen, rng, outcome.search)
         except tg.SamplingError:
             outcome.sampling_failures += 1
             continue

@@ -3,8 +3,8 @@
 Actions: Forward (3, 6, or 9 m along the current heading), TurnLeft /
 TurnRight (30 degrees), MoveUp / MoveDown (3 m), Stop. Headings are
 quantized to 12 bins, which makes every reachable horizontal offset an
-exact element of the lattice 1.5 * (a + b * sqrt(3)); the searches below
-exploit that to keep states integer-valued and edge costs exact (tenths
+exact element of the lattice 1.5 * (a + b * sqrt(3)); the search below
+exploits that to keep states integer-valued and edge costs exact (tenths
 of a meter, with turns costing one unit to discourage free spinning).
 """
 
@@ -188,7 +188,6 @@ class TrajGenConfig:
     goal_offset: float = DEFAULT_GOAL_OFFSET
     max_expansions: int = 2_000_000
     max_sample_attempts: int = 200
-    seed: int = 0
 
     def validate(self) -> None:
         lo, hi = self.start_distance_range
@@ -512,18 +511,20 @@ def chain_trajectories(
     cfg: TrajGenConfig,
     rng: np.random.Generator,
     stats: SearchStats | None = None,
-) -> Trajectory:
+) -> tuple[Trajectory, Point3]:
     """Chain A* segments, each starting where the previous one stopped.
 
-    Intermediate Stops are dropped; the result carries the last
-    segment's target landmark. Every segment's search adds to ``stats``.
+    Returns the trajectory and the goal point given to the last segment's
+    search. Intermediate Stops are dropped; the trajectory carries the
+    last segment's target landmark. Every segment's search adds to
+    ``stats``.
     """
     if segments < 1:
         raise ValueError("segments must be >= 1")
     start, goal, target = sample_endpoints(landmarks, bev, grid, cfg, rng)
     first = astar_search(start, goal, grid, cfg, stats)
     if segments == 1:
-        return replace(first, target_landmark_id=target)
+        return replace(first, target_landmark_id=target), goal
     actions = [a for a in first.actions if a.kind is not ActionKind.STOP]
     current = first.poses[-1]
     lo, hi = cfg.start_distance_range
@@ -550,94 +551,4 @@ def chain_trajectories(
         actions.extend(a for a in part.actions if a.kind is not ActionKind.STOP)
         current = part.poses[-1]
     actions.append(STOP)
-    return Trajectory.from_actions(start, actions, target_landmark_id=target)
-
-
-@dataclass(frozen=True, eq=False)
-class GridLattice:
-    """Axis-aligned pose lattice for scenes with pre-rasterized imagery."""
-
-    origin: tuple[float, float]
-    spacing: float  # must be a legal forward magnitude
-    dims: tuple[int, int]
-    altitude: float
-    available: np.ndarray  # bool (nx, ny)
-
-    def __post_init__(self) -> None:
-        if self.spacing not in FORWARD_MAGNITUDES:
-            raise ValueError(f"lattice spacing must be one of {FORWARD_MAGNITUDES}")
-        if self.available.shape != tuple(self.dims):
-            raise ValueError("availability shape does not match dims")
-
-    def pose(self, i: int, j: int, yaw: float) -> Pose:
-        return Pose(
-            Point3(self.origin[0] + i * self.spacing,
-                   self.origin[1] + j * self.spacing, self.altitude),
-            yaw,
-        )
-
-
-# Heading bins that line up with the four lattice directions.
-_AXIS_STEPS = {0: (1, 0), 3: (0, 1), 6: (-1, 0), 9: (0, -1)}
-
-
-def grid_search(lattice: GridLattice, start: tuple[int, int, float],
-                goal: tuple[int, int]) -> Trajectory:
-    """Cheapest lattice path between grid points, same action vocabulary.
-
-    Forward moves step to 4-connected available neighbors; turning is
-    allowed everywhere and costs one tie-break unit, so the result uses
-    the fewest forward moves first and the fewest turns second.
-    """
-    si, sj, syaw = start
-    gi, gj = goal
-    if not (0 <= si < lattice.dims[0] and 0 <= sj < lattice.dims[1]):
-        raise NoPathError("start lies outside the lattice")
-    if not (0 <= gi < lattice.dims[0] and 0 <= gj < lattice.dims[1]):
-        raise NoPathError("goal lies outside the lattice")
-    if not lattice.available[si, sj]:
-        raise NoPathError("start grid point is unavailable")
-    if not lattice.available[gi, gj]:
-        raise NoPathError("goal grid point is unavailable")
-
-    start_node = (si, sj, yaw_index(syaw))
-    move_units = int(round(lattice.spacing * UNITS_PER_METER))
-    best: dict[tuple[int, int, int], int] = {start_node: 0}
-    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], Action]] = {}
-    heap: list[tuple[int, int, tuple[int, int, int]]] = [(0, 0, start_node)]
-    seq = 0
-    done: set[tuple[int, int, int]] = set()
-    while heap:
-        cost, _, node = heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        i, j, yaw = node
-        if (i, j) == (gi, gj):
-            actions: list[Action] = []
-            k = node
-            while k in parents:
-                k, action = parents[k]
-                actions.append(action)
-            actions.reverse()
-            actions.append(STOP)
-            return Trajectory.from_actions(lattice.pose(si, sj, syaw), actions)
-        successors: list[tuple[tuple[int, int, int], Action, int]] = []
-        if yaw in _AXIS_STEPS:
-            di, dj = _AXIS_STEPS[yaw]
-            ni, nj = i + di, j + dj
-            if (0 <= ni < lattice.dims[0] and 0 <= nj < lattice.dims[1]
-                    and lattice.available[ni, nj]):
-                successors.append(((ni, nj, yaw), forward(lattice.spacing), move_units))
-        successors.append(((i, j, (yaw + 1) % 12), TURN_LEFT, TURN_COST_UNITS))
-        successors.append(((i, j, (yaw - 1) % 12), TURN_RIGHT, TURN_COST_UNITS))
-        for nnode, action, units in successors:
-            if nnode in done:
-                continue
-            ncost = cost + units
-            if ncost < best.get(nnode, 1 << 62):
-                best[nnode] = ncost
-                parents[nnode] = (node, action)
-                seq += 1
-                heappush(heap, (ncost, seq, nnode))
-    raise NoPathError("no lattice path from start to goal")
+    return Trajectory.from_actions(start, actions, target_landmark_id=target), goal

@@ -189,28 +189,6 @@ def dijkstra_units(start: Pose, goal: Point3, grid: VoxelGrid,
     return None
 
 
-def bfs_hops(available: np.ndarray, start: tuple[int, int],
-             goal: tuple[int, int]) -> int | None:
-    """4-connected breadth-first hop count over available lattice points."""
-    from collections import deque
-
-    if not available[start] or not available[goal]:
-        return None
-    nx, ny = available.shape
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        i, j = queue.popleft()
-        if (i, j) == goal:
-            return dist[(i, j)]
-        for ni, nj in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if 0 <= ni < nx and 0 <= nj < ny and available[ni, nj] \
-                    and (ni, nj) not in dist:
-                dist[(ni, nj)] = dist[(i, j)] + 1
-                queue.append((ni, nj))
-    return None
-
-
 def split_runs_oracle(kinds: list[str]) -> list[list[str]]:
     """Independent grouping enumeration for the slight-turn merge rule.
 

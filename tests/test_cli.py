@@ -342,6 +342,26 @@ def test_malformed_visibility_exit_2(tmp_path, capsys, visibility):
     assert "vis.json" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("actions, frames, culprit", [
+    ([{"kind": "stop"}], [b"\x01\x00"], "frame_00000.bin"),
+    ([{"kind": "stop"}], [np.ones((4, 2)), np.ones((4, 2))], ""),
+    ([{"kind": "forward", "magnitude": 3.0}, {"kind": "move_up", "magnitude": 3.0},
+      {"kind": "stop"}],
+     [np.ones((4, 2)), np.ones((4, 3)), np.ones((4, 2)), np.ones((256, 2))], ""),
+], ids=["truncated", "row_count", "dim_mismatch"])
+def test_malformed_tokens_exit_2(tmp_path, capsys, actions, frames, culprit):
+    (tmp_path / "actions.json").write_text(json.dumps(actions))
+    for k, frame in enumerate(frames):
+        path = tmp_path / f"frame_{k:05d}.bin"
+        if isinstance(frame, bytes):
+            path.write_bytes(frame)
+        else:
+            save_tokens(TokenMatrix(frame, frame_index=k), path)
+    assert main(["keyframe", "--actions", str(tmp_path / "actions.json"),
+                 "--tokens", str(tmp_path), "--out", str(tmp_path / "obs.bin")]) == 2
+    assert str(tmp_path / culprit) in one_line_error(capsys)
+
+
 def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
     episodes = tmp_path / "empty.jsonl"
     episodes.write_text("")

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import desk_trajgen_config
 from uavnav import pipeline as pl
+from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
 from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
@@ -29,6 +30,15 @@ class TestPipelineConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(pl.ConfigError, match="unknown"):
             pl.pipeline_config_from_dict({"velocity": 9})
+
+    def test_trajgen_seed_rejected(self):
+        # Episode RNGs derive from the top-level seed only.
+        with pytest.raises(pl.ConfigError, match="seed"):
+            pl.pipeline_config_from_dict({"trajgen": {"seed": 3}})
+
+    def test_schema_version_key_ignored(self):
+        cfg = pl.pipeline_config_from_dict({"schema_version": 1, "seed": 4})
+        assert cfg == pl.PipelineConfig(seed=4)
 
     def test_invalid_nested_values_rejected(self):
         with pytest.raises(pl.ConfigError):
@@ -132,6 +142,27 @@ class TestRunValidate:
             validation = pl.run_validate(out, cfg, demo_bundle)
             assert validation.ok, validation.to_dict()
             assert validation.episodes_checked == 8
+
+    def test_chained_episode_goal_is_last_searched_goal(self, demo_bundle, desk_cfg,
+                                                        tmp_path, monkeypatch):
+        goals = []
+        search = tg.astar_search
+
+        def recording_search(start, goal, *args, **kwargs):
+            goals.append(goal)
+            return search(start, goal, *args, **kwargs)
+
+        monkeypatch.setattr(tg, "astar_search", recording_search)
+        cfg = replace(desk_cfg, segments=2, workers=1)
+        out = tmp_path / "chained.jsonl"
+        assert pl.run_generate(demo_bundle, cfg, 1, out).ok
+        [episode] = read_episodes(out)
+        goal = goals[-1]
+        assert episode.meta["goal"] == pytest.approx([goal.x, goal.y, goal.z])
+        final = episode.trajectory.poses[-1].position
+        assert final.distance_to(goal) <= cfg.trajgen.goal_tolerance + 1e-6
+        validation = pl.run_validate(out, cfg, demo_bundle)
+        assert validation.ok, validation.to_dict()
 
     def test_goal_violation_detected(self, demo_bundle, desk_cfg, tmp_path):
         out = tmp_path / "g.jsonl"

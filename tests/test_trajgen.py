@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
-from oracles import bfs_hops, dijkstra_units, point_blocked
+from oracles import dijkstra_units, point_blocked
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
 from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES,
                             MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
-                            EligibilityError, GridLattice, NoPathError, Pose,
+                            EligibilityError, NoPathError, Pose,
                             SamplingExhaustedError, SearchStats, Trajectory,
                             TrajGenConfig, astar_search, chain_trajectories,
-                            forward, grid_search, lattice_heuristic,
+                            forward, lattice_heuristic,
                             path_cost_units, rollout, sample_endpoints, step)
 
 
@@ -389,26 +389,28 @@ class TestChain:
         bundle, cfg = demo_bundle_small
         rng1 = np.random.default_rng(5)
         rng2 = np.random.default_rng(5)
-        chained = chain_trajectories(1, bundle.landmarks, bundle.bev,
-                                     bundle.nav_grid, cfg.trajgen, rng1)
+        chained, chained_goal = chain_trajectories(1, bundle.landmarks, bundle.bev,
+                                                   bundle.nav_grid, cfg.trajgen, rng1)
         start, goal, target = sample_endpoints(
             bundle.landmarks, bundle.bev, bundle.nav_grid, cfg.trajgen, rng2)
         direct = astar_search(start, goal, bundle.nav_grid, cfg.trajgen)
         assert chained.actions == direct.actions
         assert chained.start == direct.start
         assert chained.target_landmark_id == target
+        assert chained_goal == goal
 
     def test_multi_segment_continuity_and_single_stop(self, demo_bundle_small):
         bundle, cfg = demo_bundle_small
         rng = np.random.default_rng(6)
-        traj = chain_trajectories(3, bundle.landmarks, bundle.bev,
-                                  bundle.nav_grid, cfg.trajgen, rng)
+        traj, goal = chain_trajectories(3, bundle.landmarks, bundle.bev,
+                                        bundle.nav_grid, cfg.trajgen, rng)
         stops = [a for a in traj.actions if a.kind is ActionKind.STOP]
         assert len(stops) == 1
         assert traj.actions[-1].kind is ActionKind.STOP
         assert traj.poses == rollout(traj.start, traj.actions)
         for a, b in zip(traj.poses, traj.poses[1:]):
             assert segment_free(bundle.nav_grid, a.position, b.position)
+        assert traj.poses[-1].position.distance_to(goal) <= cfg.trajgen.goal_tolerance
 
     def test_invalid_segment_count(self, demo_bundle_small):
         bundle, cfg = demo_bundle_small
@@ -416,56 +418,6 @@ class TestChain:
             chain_trajectories(0, bundle.landmarks, bundle.bev,
                                bundle.nav_grid, cfg.trajgen,
                                np.random.default_rng(0))
-
-
-class TestGridSearch:
-    def lattice(self, dims=(20, 20), blocked=()):
-        available = np.ones(dims, dtype=bool)
-        for c in blocked:
-            available[c] = False
-        return GridLattice(origin=(0.0, 0.0), spacing=9.0, dims=dims,
-                           altitude=30.0, available=available)
-
-    def test_start_equals_goal(self):
-        traj = grid_search(self.lattice(), (3, 3, 0.0), (3, 3))
-        assert traj.actions == [STOP]
-
-    def test_adjacent_point_single_forward(self):
-        traj = grid_search(self.lattice(), (3, 3, 0.0), (4, 3))
-        assert traj.actions == [forward(9.0), STOP]
-        assert traj.poses[-1].position.x == pytest.approx(9.0 * 4)
-
-    def test_turn_then_forward_when_facing_away(self):
-        traj = grid_search(self.lattice(), (3, 3, 180.0), (4, 3))
-        forwards = [a for a in traj.actions if a.kind is ActionKind.FORWARD]
-        assert len(forwards) == 1
-        assert len(traj.actions) == 8  # six 30-degree turns + forward + stop
-
-    def test_wall_path_length_matches_bfs(self):
-        blocked = [(10, j) for j in range(0, 19)]
-        lat = self.lattice(blocked=blocked)
-        traj = grid_search(lat, (5, 5, 0.0), (15, 5))
-        hops = bfs_hops(lat.available, (5, 5), (15, 5))
-        forwards = [a for a in traj.actions if a.kind is ActionKind.FORWARD]
-        assert len(forwards) == hops
-
-    def test_no_path_raises(self):
-        blocked = [(10, j) for j in range(20)]
-        lat = self.lattice(blocked=blocked)
-        with pytest.raises(NoPathError):
-            grid_search(lat, (5, 5, 0.0), (15, 5))
-
-    def test_unavailable_endpoints_raise(self):
-        lat = self.lattice(blocked=[(3, 3)])
-        with pytest.raises(NoPathError):
-            grid_search(lat, (3, 3, 0.0), (5, 5))
-        with pytest.raises(NoPathError):
-            grid_search(lat, (5, 5, 0.0), (3, 3))
-
-    def test_spacing_must_be_legal_forward_magnitude(self):
-        with pytest.raises(ValueError):
-            GridLattice(origin=(0.0, 0.0), spacing=5.0, dims=(4, 4),
-                        altitude=10.0, available=np.ones((4, 4), dtype=bool))
 
 
 class TestTrajectoryType:

@@ -202,6 +202,9 @@ def cmd_eval(args) -> int:
         gt_length = float(episode.meta.get("gt_length")
                           or episode.trajectory.path_length())
         results.append(ev.score(result, goal_point, gt_length, args.radius))
+    if not results:
+        raise ConfigError(f"{args.predictions}: no prediction names an episode "
+                          f"of {args.episodes}")
     summary = ev.aggregate(results).to_dict()
     summary["missing_predictions"] = missing
     report = json.dumps(summary, indent=1)

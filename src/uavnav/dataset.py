@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import UavnavError, atomic_open
-from .geometry import Point3
+from .geometry import Point3, round_sig
 from .instructions import Instruction
 from .occupancy import BevGrid
 from .textproc import alnum_tokens, noun_verb_tables
@@ -64,13 +64,6 @@ class Episode:
                 f"episode {self.episode_id}: {len(self.image_refs)} image refs "
                 f"for {len(self.trajectory.poses)} poses"
             )
-
-
-def round_sig(value: float, digits: int = 9) -> float:
-    """Round to a fixed number of significant digits (canonical float form)."""
-    if value == 0 or not math.isfinite(value):
-        return float(value)
-    return float(round(value, digits - 1 - math.floor(math.log10(abs(value)))))
 
 
 def _canonical(value):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .geometry import Point3
 from .occupancy import VoxelGrid, segment_free
-from .trajgen import Action, ActionKind, Pose, step
+from .trajgen import Action, ActionKind, Pose, advance, initial_state, lattice_pose
 
 SUCCESS_RADIUS = 20.0
 STEP_CAP = 500  # bounds runaway agents; generated trajectories max out at 150
@@ -56,34 +56,33 @@ class EvalSummary:
 
 def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid,
            step_cap: int = STEP_CAP) -> ReplayResult:
-    """Roll the kinematics; colliding moves are no-ops (agent halts in place).
+    """Walk the lattice states of ``trajgen.rollout``; a move whose swept
+    segment is blocked keeps the state (the agent halts in place).
 
     Consumption ends at the first Stop or at the step cap. The executed
     length sums the translations that actually happened.
     """
+    state = initial_state(start)
     pose = start
     path = [start]
     executed = 0.0
-    collided = False
     first_collision: int | None = None
     for index, action in enumerate(actions[:step_cap]):
         if action.kind is ActionKind.STOP:
             path.append(pose)
             break
-        nxt = step(pose, action)
-        if action.kind in _TRANSLATING:
-            if segment_free(grid, pose.position, nxt.position):
-                executed += pose.position.distance_to(nxt.position)
-                pose = nxt
-            else:
-                if not collided:
-                    collided = True
-                    first_collision = index
+        nstate = advance(state, action)
+        nxt = lattice_pose(start.position, nstate)
+        if action.kind in _TRANSLATING and not segment_free(grid, pose.position, nxt.position):
+            if first_collision is None:
+                first_collision = index
         else:
-            pose = nxt
+            executed += pose.position.distance_to(nxt.position)  # 0 for turns
+            state, pose = nstate, nxt
         path.append(pose)
     return ReplayResult(final=pose, path=path, executed_length=executed,
-                        collided=collided, first_collision_index=first_collision)
+                        collided=first_collision is not None,
+                        first_collision_index=first_collision)
 
 
 def score(result: ReplayResult, goal: Point3, gt_length: float,

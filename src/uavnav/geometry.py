@@ -30,6 +30,13 @@ class Point3:
         return (self.x, self.y, self.z)
 
 
+def round_sig(value: float, digits: int = 9) -> float:
+    """Round to a fixed number of significant digits (canonical float form)."""
+    if value == 0 or not math.isfinite(value):
+        return float(value)
+    return float(round(value, digits - 1 - math.floor(math.log10(abs(value)))))
+
+
 def polygon_area(vertices: list[tuple[float, float]]) -> float:
     """Signed shoelace area (positive for counter-clockwise winding)."""
     n = len(vertices)

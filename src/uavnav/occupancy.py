@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 from scipy import ndimage
 
+from . import ConfigError
 from .geometry import Point3
 from .scene import PointCloud
 
@@ -109,9 +110,9 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     min corner explicitly (it must not exceed the cloud minimum).
     """
     if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+        raise ConfigError(f"voxel_size must be positive, got {voxel_size}")
     if margin < 0:
-        raise ValueError("margin must be non-negative")
+        raise ConfigError(f"margin must be non-negative, got {margin}")
     if len(cloud) == 0:
         return VoxelGrid(
             origin=np.zeros(3) if origin is None else np.asarray(origin, dtype=float),

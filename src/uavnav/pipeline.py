@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -344,15 +345,10 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     write them as canonical JSONL; ``narrate=False`` leaves instructions
     out and needs no VLM."""
     cfg.validate()
+    if count < 0:
+        raise ConfigError(f"count must be non-negative, got {count}")
     vlm = (vlm or cfg.make_vlm()) if narrate else None
     started = time.monotonic()
-    rejections: dict[str, int] = {}
-    sampling_failures = 0
-    search_failures = 0
-    vlm_failures = 0
-    search = tg.SearchStats()
-    episodes: list[ds.Episode] = []
-    failed = 0
 
     def job(index: int) -> _EpisodeOutcome:
         t0 = time.monotonic()
@@ -365,27 +361,19 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
         }))
         return outcome
 
-    if count > 0:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(job, range(count)))
-    else:
-        outcomes = []
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        outcomes = list(pool.map(job, range(count)))
+    search = tg.SearchStats()
     for outcome in outcomes:
-        sampling_failures += outcome.sampling_failures
-        search_failures += outcome.search_failures
-        vlm_failures += outcome.vlm_failures
         search.add(outcome.search)
-        for reason in outcome.rejections:
-            rejections[reason] = rejections.get(reason, 0) + 1
-        if outcome.episode is None:
-            failed += 1
-        else:
-            episodes.append(outcome.episode)
+    episodes = [o.episode for o in outcomes if o.episode is not None]
     ds.write_episodes(episodes, out_path)
     return GenerationReport(
-        requested=count, accepted=len(episodes), failed_episodes=failed,
-        rejections=rejections, sampling_failures=sampling_failures,
-        search_failures=search_failures, vlm_failures=vlm_failures,
+        requested=count, accepted=len(episodes), failed_episodes=count - len(episodes),
+        rejections=dict(Counter(r for o in outcomes for r in o.rejections)),
+        sampling_failures=sum(o.sampling_failures for o in outcomes),
+        search_failures=sum(o.search_failures for o in outcomes),
+        vlm_failures=sum(o.vlm_failures for o in outcomes),
         search=search, wall_time_s=time.monotonic() - started,
     )
 
@@ -423,6 +411,8 @@ def run_validate(path: str | Path, cfg: PipelineConfig,
                  bundle: SceneBundle | None = None) -> ValidationReport:
     """Re-check every episode invariant in a dataset file.
 
+    Collision and goal checks run on ``trajgen.rollout`` from the file's
+    start, which the file's poses must match within ``_POSE_TOLERANCE``.
     Collision and vegetation checks need the scene bundle; without one,
     schema, kinematics, and filter-rule checks still run.
     """
@@ -470,10 +460,8 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
                              f"pose count {len(t.poses)} != {len(rolled)}"))
     else:
         for k, (a, b) in enumerate(zip(rolled, t.poses)):
-            if (abs(a.position.x - b.position.x) > _POSE_TOLERANCE
-                    or abs(a.position.y - b.position.y) > _POSE_TOLERANCE
-                    or abs(a.position.z - b.position.z) > _POSE_TOLERANCE
-                    or a.yaw != b.yaw):
+            if a.yaw != b.yaw or any(abs(u - v) > _POSE_TOLERANCE for u, v in
+                                     zip(a.position.as_tuple(), b.position.as_tuple())):
                 out.append(Violation(episode.episode_id, "kinematics",
                                      f"pose {k} deviates from the action rollout"))
                 break
@@ -483,17 +471,16 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
         out.append(Violation(episode.episode_id, "filter", verdict.reason or ""))
     if episode.instruction is not None and not episode.instruction.text:
         out.append(Violation(episode.episode_id, "instruction", "empty text"))
-    if bundle is not None:
-        for k in range(len(t.poses) - 1):
-            if not segment_free(bundle.nav_grid, t.poses[k].position,
-                                t.poses[k + 1].position):
+    if bundle is not None:  # on the rollout: the poses the search checked
+        for k in range(len(rolled) - 1):
+            if not segment_free(bundle.nav_grid, rolled[k].position,
+                                rolled[k + 1].position):
                 out.append(Violation(episode.episode_id, "collision",
                                      f"segment {k} crosses occupied space"))
                 break
         goal = episode.meta.get("goal")
         if goal is not None:
-            final = t.poses[-1].position
-            d = final.distance_to(Point3(*goal))
+            d = rolled[-1].position.distance_to(Point3(*goal))
             if d > cfg.trajgen.goal_tolerance + 1e-6:
                 out.append(Violation(episode.episode_id, "goal",
                                      f"final pose {d:.2f} m from goal"))

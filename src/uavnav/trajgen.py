@@ -3,9 +3,11 @@
 Actions: Forward (3, 6, or 9 m along the current heading), TurnLeft /
 TurnRight (30 degrees), MoveUp / MoveDown (3 m), Stop. Headings are
 quantized to 12 bins, which makes every reachable horizontal offset an
-exact element of the lattice 1.5 * (a + b * sqrt(3)); the search below
-exploits that to keep states integer-valued and edge costs exact (tenths
-of a meter, with turns costing one unit to discourage free spinning).
+exact element of the lattice 1.5 * (a + b * sqrt(3)). That lattice is
+the one kinematics: the search, ``rollout`` and ``evaluation.replay`` all
+move integer states with ``advance`` and place them with ``lattice_pose``.
+Edge costs are exact (tenths of a meter, with turns costing one unit to
+discourage free spinning).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from . import UavnavError
-from .geometry import Point3
+from .geometry import Point3, round_sig
 from .occupancy import BevGrid, VoxelGrid, is_free, segment_free_coords
 from .segmentation import LandmarkInstance
 
@@ -131,38 +133,6 @@ class Pose:
             raise ValueError(f"yaw {self.yaw} outside [0, 360)")
 
 
-def yaw_index(yaw: float) -> int:
-    return int(round(yaw / TURN_DEGREES)) % 12
-
-
-def step(pose: Pose, action: Action) -> Pose:
-    """Discrete kinematics; Stop is the identity."""
-    p = pose.position
-    if action.kind is ActionKind.FORWARD:
-        rad = math.radians(pose.yaw)
-        return Pose(
-            Point3(p.x + action.magnitude * math.cos(rad),
-                   p.y + action.magnitude * math.sin(rad), p.z),
-            pose.yaw,
-        )
-    if action.kind is ActionKind.TURN_LEFT:
-        return Pose(p, (pose.yaw + TURN_DEGREES) % 360.0)
-    if action.kind is ActionKind.TURN_RIGHT:
-        return Pose(p, (pose.yaw - TURN_DEGREES) % 360.0)
-    if action.kind is ActionKind.MOVE_UP:
-        return Pose(Point3(p.x, p.y, p.z + VERTICAL_STEP), pose.yaw)
-    if action.kind is ActionKind.MOVE_DOWN:
-        return Pose(Point3(p.x, p.y, p.z - VERTICAL_STEP), pose.yaw)
-    return pose
-
-
-def rollout(start: Pose, actions: list[Action]) -> list[Pose]:
-    poses = [start]
-    for action in actions:
-        poses.append(step(poses[-1], action))
-    return poses
-
-
 def action_cost_units(action: Action) -> int:
     """Edge cost in tenths of a meter; turns cost one unit, Stop is free."""
     if action.kind is ActionKind.FORWARD:
@@ -176,6 +146,83 @@ def action_cost_units(action: Action) -> int:
 
 def path_cost_units(actions: list[Action]) -> int:
     return sum(action_cost_units(a) for a in actions)
+
+
+# Per-heading decomposition of cos/sin(30k degrees) as (p + q*sqrt(3)) / 2.
+_COS_PQ = ((2, 0), (0, 1), (1, 0), (0, 0), (-1, 0), (0, -1),
+           (-2, 0), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))
+_SIN_PQ = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 1), (1, 0),
+           (0, 0), (-1, 0), (0, -1), (-2, 0), (0, -1), (-1, 0))
+
+# Search state: (a, b, c, d, kz, yaw_idx) with
+#   x = x0 + 1.5 * (a + b * sqrt(3)),  y = y0 + 1.5 * (c + d * sqrt(3)),
+#   z = z0 + 3 * kz.
+SearchState = tuple[int, int, int, int, int, int]
+
+_FORWARD, _TURN, _VERTICAL = range(3)
+
+
+def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
+    """Per heading, the moves in canonical order (forward by magnitude,
+    left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
+    move kind, action)."""
+    vertical_units = action_cost_units(MOVE_UP)
+    table = []
+    for yaw in range(12):
+        (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
+        moves = []
+        for g in sorted(granularities):
+            n = int(round(g / 3.0))
+            action = forward(g)
+            moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
+                          action_cost_units(action), _FORWARD, action))
+        moves += [
+            (0, 0, 0, 0, 0, (yaw + 1) % 12, TURN_COST_UNITS, _TURN, TURN_LEFT),
+            (0, 0, 0, 0, 0, (yaw - 1) % 12, TURN_COST_UNITS, _TURN, TURN_RIGHT),
+            (0, 0, 0, 0, 1, yaw, vertical_units, _VERTICAL, MOVE_UP),
+            (0, 0, 0, 0, -1, yaw, vertical_units, _VERTICAL, MOVE_DOWN),
+        ]
+        table.append(moves)
+    return table
+
+
+# (heading, action) -> state delta and next heading, for every action but Stop.
+_MOVES = {(yaw, move[8]): move[:6]
+          for yaw, moves in enumerate(_successor_table(FORWARD_MAGNITUDES))
+          for move in moves}
+
+
+def initial_state(start: Pose) -> SearchState:
+    return (0, 0, 0, 0, 0, int(round(start.yaw / TURN_DEGREES)) % 12)
+
+
+def advance(state: SearchState, action: Action) -> SearchState:
+    """The lattice state after one action; Stop is the identity."""
+    if action.kind is ActionKind.STOP:
+        return state
+    a, b, c, d, kz, yaw = state
+    da, db, dc, dd, dkz, nyaw = _MOVES[yaw, action]
+    return (a + da, b + db, c + dc, d + dd, kz + dkz, nyaw)
+
+
+def lattice_pose(origin: Point3, state: SearchState) -> Pose:
+    """The pose of a lattice state; ``astar_search`` inlines the same
+    expressions, so both give bit-identical coordinates."""
+    a, b, c, d, kz, yaw = state
+    return Pose(Point3(origin.x + 1.5 * (a + b * SQRT3),
+                       origin.y + 1.5 * (c + d * SQRT3),
+                       origin.z + VERTICAL_STEP * kz), TURN_DEGREES * yaw)
+
+
+def rollout(start: Pose, actions: list[Action]) -> list[Pose]:
+    """``start``, then the ``lattice_pose`` of each state ``advance``
+    reaches from it; ``evaluation.replay`` adds blocked moves."""
+    state = initial_state(start)
+    poses = [start]
+    for action in actions:
+        state = advance(state, action)
+        poses.append(lattice_pose(start.position, state))
+    return poses
 
 
 @dataclass(frozen=True)
@@ -227,17 +274,6 @@ class Trajectory:
         )
 
 
-# Per-heading decomposition of cos/sin(30k degrees) as (p + q*sqrt(3)) / 2.
-_COS_PQ = ((2, 0), (0, 1), (1, 0), (0, 0), (-1, 0), (0, -1),
-           (-2, 0), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))
-_SIN_PQ = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 1), (1, 0),
-           (0, 0), (-1, 0), (0, -1), (-2, 0), (0, -1), (-1, 0))
-
-# Search state: (a, b, c, d, kz, yaw_idx) with
-#   x = x0 + 1.5 * (a + b * sqrt(3)),  y = y0 + 1.5 * (c + d * sqrt(3)),
-#   z = z0 + 3 * kz.
-SearchState = tuple[int, int, int, int, int, int]
-
 # The 12 headings are the vertices of a regular 12-gon whose edge normals
 # n_k point at 15 + 30k degrees, cos 15 degrees from the centre. Its gauge
 # max_k |v . n_k| / cos 15 is 1 on every heading, so a forward move of L m
@@ -268,33 +304,6 @@ def lattice_heuristic(dx: float, dy: float, dz: float, tolerance: float) -> floa
     if bound <= 0.0:
         return 0.0
     return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
-
-
-_FORWARD, _TURN, _VERTICAL = range(3)
-
-
-def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
-    """Per heading, the moves in canonical order (forward by magnitude,
-    left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
-    move kind, action)."""
-    vertical_units = action_cost_units(MOVE_UP)
-    table = []
-    for yaw in range(12):
-        (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
-        moves = []
-        for g in sorted(granularities):
-            n = int(round(g / 3.0))
-            action = forward(g)
-            moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
-                          action_cost_units(action), _FORWARD, action))
-        moves += [
-            (0, 0, 0, 0, 0, (yaw + 1) % 12, TURN_COST_UNITS, _TURN, TURN_LEFT),
-            (0, 0, 0, 0, 0, (yaw - 1) % 12, TURN_COST_UNITS, _TURN, TURN_RIGHT),
-            (0, 0, 0, 0, 1, yaw, vertical_units, _VERTICAL, MOVE_UP),
-            (0, 0, 0, 0, -1, yaw, vertical_units, _VERTICAL, MOVE_DOWN),
-        ]
-        table.append(moves)
-    return table
 
 
 @dataclass
@@ -351,7 +360,6 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     goal_xyz = gx, gy, gz = (goal.x, goal.y, goal.z)
     tolerance = cfg.goal_tolerance
     table = _successor_table(cfg.forward_granularities)
-    start_state: SearchState = (0, 0, 0, 0, 0, yaw_index(start.yaw))
     # Parent links are recorded when a state is settled, so the
     # reconstructed action chain is exactly the one whose swept segments
     # were collision-checked.
@@ -360,7 +368,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     h0 = lattice_heuristic(ox - gx, oy - gy, oz - gz, tolerance)
     heap: list[tuple[float, float, int, int, SearchState,
                      SearchState | None, Action | None, int]] = [
-        (h0, h0, 0, 0, start_state, None, None, _TURN)  # no edge to check
+        (h0, h0, 0, 0, initial_state(start), None, None, _TURN)  # no edge to check
     ]
     seq = 0
     expansions = checks = 0
@@ -439,7 +447,8 @@ def _goal_on_line(from_xy: tuple[float, float], landmark: LandmarkInstance,
                   altitude: float, bev: BevGrid, grid: VoxelGrid,
                   cfg: TrajGenConfig) -> Point3 | None:
     """First point on the centroid->start line, at least goal_offset out,
-    that is unoccupied in the BEV map and free in the voxel grid."""
+    that is unoccupied in the BEV map and free in the voxel grid, with
+    coordinates rounded as the JSONL stores them."""
     cx, cy = landmark.centroid
     vx, vy = from_xy[0] - cx, from_xy[1] - cy
     span = math.hypot(vx, vy)
@@ -448,10 +457,10 @@ def _goal_on_line(from_xy: tuple[float, float], landmark: LandmarkInstance,
     ux, uy = vx / span, vy / span
     t = cfg.goal_offset
     while t < span:
-        gx, gy = cx + ux * t, cy + uy * t
+        gx, gy = round_sig(cx + ux * t), round_sig(cy + uy * t)
         cell = bev.cell_of(gx, gy)
         bev_clear = bev.in_bounds(cell) and not bev.occupancy[cell]
-        candidate = Point3(gx, gy, altitude)
+        candidate = Point3(gx, gy, round_sig(altitude))
         if bev_clear and is_free(grid, candidate):
             return candidate
         t += 1.0
@@ -472,7 +481,8 @@ def sample_endpoints(
     ring of its centroid, free in both maps at a uniformly drawn
     altitude; the goal sits on the start->centroid line just outside the
     landmark; the start heading is the 30-degree bin nearest the bearing
-    to the goal.
+    to the goal. Coordinates are rounded to the JSONL's 9 digits before
+    any check, so the search starts from the floats that get serialized.
     """
     cfg.validate()
     eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
@@ -483,11 +493,11 @@ def sample_endpoints(
     lo, hi = cfg.start_distance_range
     for _ in range(cfg.max_sample_attempts):
         lm = eligible[int(rng.integers(len(eligible)))]
-        altitude = float(rng.uniform(*cfg.height_range))
+        altitude = round_sig(rng.uniform(*cfg.height_range))
         radius = float(rng.uniform(lo, hi))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        sx = float(lm.centroid[0] + radius * math.cos(theta))
-        sy = float(lm.centroid[1] + radius * math.sin(theta))
+        sx = round_sig(lm.centroid[0] + radius * math.cos(theta))
+        sy = round_sig(lm.centroid[1] + radius * math.sin(theta))
         start_pos = Point3(sx, sy, altitude)
         if not is_free(grid, start_pos):
             continue

@@ -371,3 +371,45 @@ def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
                  "--assignment", str(assignment),
                  "--out-dir", str(tmp_path / "splits")]) == 2
     assert "assignment.json" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("lines", [
+    [],
+    [json.dumps({"episode_id": "no-such-episode", "actions": [{"kind": "stop"}]})],
+], ids=["empty", "no_match"])
+def test_eval_without_scorable_prediction_exits_2(workdir, tmp_path, capsys, lines):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(line + "\n" for line in lines))
+    assert main(["eval", *scene_args(workdir), "--episodes",
+                 str(workdir / "generated.jsonl"), "--predictions", str(preds)]) == 2
+    assert "preds.jsonl" in one_line_error(capsys)
+
+
+def test_eval_with_some_predictions_missing_exits_1(workdir, tmp_path):
+    first = read_episodes(workdir / "generated.jsonl")[0]
+    actions = [a.to_dict() for a in first.trajectory.actions]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"episode_id": episode_id, "actions": actions}) + "\n"
+                             for episode_id in (first.episode_id, "no-such-episode")))
+    report = tmp_path / "eval.json"
+    assert main(["eval", *scene_args(workdir), "--episodes", str(workdir / "generated.jsonl"),
+                 "--predictions", str(preds), "--out", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert (doc["count"], doc["missing_predictions"]) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["generate", "trajgen"])
+def test_negative_count_exits_2(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out.jsonl"
+    assert main([command, *scene_args(workdir), "--count", "-1",
+                 "--out", str(out)]) == 2
+    assert "count" in one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--voxel-size", "0"), ("--margin", "-1")],
+                         ids=["zero_voxel_size", "negative_margin"])
+def test_bad_voxelize_arguments_exit_2(workdir, tmp_path, capsys, flag, value):
+    assert main(["voxelize", "--scene", str(workdir / "scene"), flag, value,
+                 "--out", str(tmp_path / "grid.bin")]) == 2
+    assert flag.lstrip("-").replace("-", "_") in one_line_error(capsys)

@@ -19,7 +19,7 @@ from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES,
                             SamplingExhaustedError, SearchStats, Trajectory,
                             TrajGenConfig, astar_search, chain_trajectories,
                             forward, lattice_heuristic,
-                            path_cost_units, rollout, sample_endpoints, step)
+                            path_cost_units, rollout, sample_endpoints)
 
 
 class TestActions:
@@ -40,6 +40,10 @@ class TestActions:
     def test_dict_round_trip(self):
         for action in (forward(6.0), TURN_RIGHT, MOVE_UP, STOP):
             assert Action.from_dict(action.to_dict()) == action
+
+
+def step(pose: Pose, action: Action) -> Pose:
+    return rollout(pose, [action])[-1]
 
 
 class TestStep:
@@ -70,6 +74,21 @@ class TestStep:
     def test_stop_is_identity(self):
         pose = Pose(Point3(1, 2, 3), 90.0)
         assert step(pose, STOP) == pose
+
+    def test_every_move_matches_trigonometry(self):
+        start = Pose(Point3(123.456789, -45.6789012, 30.0), 0.0)
+        for k in range(12):
+            pose = Pose(start.position, 30.0 * k)
+            rad = math.radians(pose.yaw)
+            for m in FORWARD_MAGNITUDES:
+                after = step(pose, forward(m))
+                assert after.position.x == pytest.approx(123.456789 + m * math.cos(rad),
+                                                         abs=1e-12)
+                assert after.position.y == pytest.approx(-45.6789012 + m * math.sin(rad),
+                                                         abs=1e-12)
+                assert (after.position.z, after.yaw) == (30.0, pose.yaw)
+            assert step(pose, TURN_LEFT).yaw == 30.0 * ((k + 1) % 12)
+            assert step(pose, TURN_RIGHT).yaw == 30.0 * ((k - 1) % 12)
 
     def test_yaw_quantization_enforced(self):
         with pytest.raises(ValueError):
@@ -338,7 +357,9 @@ class TestSampleEndpoints:
             lm = next(l for l in bundle.landmarks if l.id == target)
             d = math.hypot(start.position.x - lm.centroid[0],
                            start.position.y - lm.centroid[1])
-            assert d == pytest.approx(50.0, abs=1e-9)
+            # each coordinate is snapped to 9 significant digits: under
+            # 5e-7 m off for coordinates below 1000 m
+            assert d == pytest.approx(50.0, abs=1e-6)
 
     def test_500_samples_in_range_and_free(self, demo_bundle_small):
         bundle, cfg = demo_bundle_small

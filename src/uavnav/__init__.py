@@ -1,6 +1,8 @@
 """uavnav: toolchain for generating, validating, and evaluating aerial
 vision-language navigation episodes at desk scale."""
 
+import math
+import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -15,6 +17,22 @@ class UavnavError(Exception):
 
 class ConfigError(UavnavError, ValueError):
     """Bad configuration or malformed input files (CLI exit code 2)."""
+
+
+def check_kinds(obj, prefix: str, kinds: dict[str, tuple[str, ...]]) -> None:
+    """Raise ConfigError naming the first listed field of ``obj`` that is
+    not of its kind: "an integer", "a number" (finite) or "two numbers" (a
+    tuple). A bool is none of them."""
+    def number(v) -> bool:
+        return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+    tests = {"an integer": lambda v: number(v) and isinstance(v, numbers.Integral),
+             "a number": number,
+             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(number, v))}
+    for kind, names in kinds.items():
+        for name in names:
+            if not tests[kind](value := getattr(obj, name)):
+                raise ConfigError(f"{prefix}{name} must be {kind}, got {value!r}")
 
 
 @contextmanager

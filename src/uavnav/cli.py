@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import ConfigError, UavnavError
@@ -30,20 +31,10 @@ log = logging.getLogger("uavnav")
 def _load_config(args) -> pl.PipelineConfig:
     cfg = (pl.load_pipeline_config(args.config)
            if getattr(args, "config", None) else pl.PipelineConfig())
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None):
-        overrides["vlm_mode"] = args.mode
-    if getattr(args, "cache_dir", None):
-        overrides["vlm_cache_dir"] = args.cache_dir
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-        cfg.validate()
-    return cfg
+    flags = {"seed": "seed", "mode": "vlm_mode", "cache_dir": "vlm_cache_dir",
+             "workers": "workers"}
+    return replace(cfg, **{name: getattr(args, flag) for flag, name in flags.items()
+                           if getattr(args, flag, None) is not None})
 
 
 def _read_json(path: str | Path, kind: type) -> dict | list:
@@ -186,11 +177,15 @@ def cmd_dataset_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    bundle = _bundle(args, cfg)
     gt = {e.episode_id: e for e in ds.read_episodes(args.episodes)}
+    predictions = _read_predictions(args.predictions)
+    if not any(episode_id in gt for episode_id, _ in predictions):
+        raise ConfigError(f"{args.predictions}: no prediction names an episode "
+                          f"of {args.episodes}")
+    bundle = _bundle(args, cfg)
     results = []
     missing = 0
-    for episode_id, actions in _read_predictions(args.predictions):
+    for episode_id, actions in predictions:
         episode = gt.get(episode_id)
         if episode is None:
             missing += 1
@@ -202,9 +197,6 @@ def cmd_eval(args) -> int:
         gt_length = float(episode.meta.get("gt_length")
                           or episode.trajectory.path_length())
         results.append(ev.score(result, goal_point, gt_length, args.radius))
-    if not results:
-        raise ConfigError(f"{args.predictions}: no prediction names an episode "
-                          f"of {args.episodes}")
     summary = ev.aggregate(results).to_dict()
     summary["missing_predictions"] = missing
     report = json.dumps(summary, indent=1)
@@ -224,7 +216,7 @@ def cmd_keyframe(args) -> int:
         raise ConfigError(f"{args.actions}: bad action ({exc!r})") from exc
     doc = _read_json(args.config, dict) if args.config else {}
     try:
-        window = int(doc.pop("window", kf.DEFAULT_WINDOW))
+        candidates = kf.select_candidates(actions, int(doc.pop("window", kf.DEFAULT_WINDOW)))
         cfg = kf.MemoryBankConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
@@ -241,7 +233,6 @@ def cmd_keyframe(args) -> int:
         visibility = _read_visibility(args.visibility)
     else:
         visibility = {k: {-1} for k in frames}  # no map: every frame counts
-    candidates = kf.select_candidates(actions, window)
     sets = kf.confirm_keyframes(
         [c for c in candidates if all(i in frames for i in c.frame_indices)],
         visibility, frames)
@@ -337,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instruct", help="generate instructions for episodes")
     add_common(p)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--mode", choices=["mock", "live", "replay"], default="mock")
+    p.add_argument("--mode", choices=["mock", "live", "replay"])
     p.add_argument("--cache-dir")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_instruct)

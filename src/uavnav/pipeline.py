@@ -16,23 +16,23 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, check_kinds
 from . import dataset as ds
 from . import instructions as instr
 from . import segmentation as seg
 from . import trajgen as tg
-from .geometry import Point3
+from .geometry import Point3, point_in_polygon
 from .keyframe import landmark_visibility
 from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, segment_free, voxelize
-from .scene import (PointCloud, SceneSpec, load_point_cloud, load_scene_spec,
-                    save_point_cloud, scene_spec_to_dict, synthesize_scene)
-from .vlm import VlmClient, VlmError
+from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
+                    load_scene_spec, save_point_cloud, scene_spec_to_dict, synthesize_scene)
+from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
 
 log = logging.getLogger("uavnav")
 
@@ -41,6 +41,9 @@ RETRY_BUDGET_FACTOR = 5
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One run's settings. Construction, ``dataclasses.replace`` included,
+    checks them and raises ConfigError naming the field."""
+
     seed: int = 0
     voxel_size: float = 1.0
     margin: float = 2.0
@@ -57,23 +60,23 @@ class PipelineConfig:
     coref_threshold: float = instr.DEFAULT_SIMILARITY_THRESHOLD
     stamp_outputs: bool = False  # real timestamps break byte-identical runs
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_kinds(self, "", {
+            "an integer": ("seed", "segments", "workers"),
+            "a number": ("voxel_size", "margin", "bev_min_height", "min_area",
+                         "tree_height", "coref_threshold")})
+        if self.seed < 0 or not (0.0 < self.coref_threshold <= 1.0):
+            raise ConfigError("seed must be non-negative and coref_threshold in (0, 1]")
         if self.voxel_size <= 0 or self.margin < 0:
             raise ConfigError("voxel_size must be positive and margin non-negative")
         if self.segments < 1:
             raise ConfigError("segments must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        try:
-            self.trajgen.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def make_vlm(self) -> VlmClient:
         """Build the client; endpoint and key env vars override the config,
         so secrets stay out of the JSON document."""
-        from .vlm import API_KEY_ENV, ENDPOINT_ENV
-
         cache = Path(self.vlm_cache_dir) if self.vlm_cache_dir else None
         return VlmClient(
             mode=self.vlm_mode,
@@ -83,30 +86,27 @@ class PipelineConfig:
 
 
 def pipeline_config_from_dict(doc: Mapping) -> PipelineConfig:
+    """The config of a JSON object of fields, with ``trajgen`` and ``vlm``
+    sections; a malformed one is a ConfigError naming the key or section."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError("a pipeline config must be a JSON object")
     doc = dict(doc)
-    trajgen_doc = doc.pop("trajgen", {})
-    vlm_doc = doc.pop("vlm", {})
     doc.pop("schema_version", None)  # accepted for old documents, unused
-    known = {f.name for f in PipelineConfig.__dataclass_fields__.values()}
-    unknown = set(doc) - known
+    sections = {name: doc.pop(name, {}) for name in ("trajgen", "vlm")}
+    for name, section in sections.items():
+        if not isinstance(section, Mapping):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+    names = {f.name for f in fields(PipelineConfig)}
+    unknown = ([k for k in doc if k not in names or k.startswith("vlm_")]
+               + [f"trajgen.{k}" for k in sections["trajgen"]
+                  if k not in {f.name for f in fields(tg.TrajGenConfig)}]
+               + [f"vlm.{k}" for k in sections["vlm"] if f"vlm_{k}" not in names])
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        tg_cfg = tg.TrajGenConfig(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in trajgen_doc.items()
-        })
-        cfg = PipelineConfig(
-            trajgen=tg_cfg,
-            vlm_mode=vlm_doc.get("mode", "mock"),
-            vlm_endpoint=vlm_doc.get("endpoint", ""),
-            vlm_model=vlm_doc.get("model", "gpt-4o"),
-            vlm_cache_dir=vlm_doc.get("cache_dir"),
-            **doc,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pipeline config: {exc}") from exc
-    cfg.validate()
-    return cfg
+    trajgen = tg.TrajGenConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in sections["trajgen"].items()})
+    return PipelineConfig(trajgen=trajgen, **doc,
+                          **{f"vlm_{k}": v for k, v in sections["vlm"].items()})
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -139,8 +139,6 @@ class SceneBundle:
 
 def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
     """Ground-truth label for an extracted instance, by footprint centroid."""
-    from .geometry import point_in_polygon
-
     for b in spec.buildings:
         if point_in_polygon(inst.centroid, b.footprint):
             return b.label
@@ -160,7 +158,6 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                        landmarks: list[seg.LandmarkInstance] | None = None,
                        ) -> SceneBundle:
     """Synthesize (or reuse) the cloud, build both grids, segment, caption."""
-    cfg.validate()
     if cloud is None:
         cloud, _ = synthesize_scene(spec)
     nav_grid = voxelize(cloud, cfg.voxel_size, cfg.margin)
@@ -211,8 +208,6 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
 
 def demo_scene_spec(seed: int = 7, scene_id: str = "demo") -> SceneSpec:
     """A compact mixed-height scene used by tests, docs, and quickstarts."""
-    from .scene import BuildingSpec, TreeSpec
-
     def box(x: float, y: float, w: float, h: float) -> list[tuple[float, float]]:
         return [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
 
@@ -344,7 +339,6 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     """Produce ``count`` accepted episodes (resampling rejected ones) and
     write them as canonical JSONL; ``narrate=False`` leaves instructions
     out and needs no VLM."""
-    cfg.validate()
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
     vlm = (vlm or cfg.make_vlm()) if narrate else None

@@ -79,13 +79,17 @@ class TreeSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """A procedural scene. Construction, ``dataclasses.replace`` included,
+    checks it and raises SceneSpecError; footprints may not overlap, so the
+    landmark count is well-defined."""
+
     extent: tuple[float, float]  # ground size in meters (x, y), origin at (0, 0)
     buildings: list[BuildingSpec] = field(default_factory=list)
     trees: list[TreeSpec] = field(default_factory=list)
     seed: int = 0
     scene_id: str = "scene"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         ex, ey = self.extent
         if ex <= 0 or ey <= 0:
             raise SceneSpecError("ground extent must be positive")
@@ -101,6 +105,11 @@ class SceneSpec:
                     raise SceneSpecError(
                         f"building {b.label!r} footprint leaves the ground extent"
                     )
+        for i, a in enumerate(self.buildings):
+            for b in self.buildings[i + 1:]:
+                if polygons_overlap(a.footprint, b.footprint):
+                    raise SceneSpecError(
+                        f"building footprints overlap: {a.label!r} and {b.label!r}")
         for t in self.trees:
             if t.canopy_height <= 0:
                 raise SceneSpecError("tree canopy height must be positive")
@@ -160,7 +169,7 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
 
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
     try:
-        spec = SceneSpec(
+        return SceneSpec(
             extent=tuple(doc["extent"]),
             buildings=[
                 BuildingSpec(
@@ -183,8 +192,6 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneSpecError(f"bad scene spec: {exc}") from exc
-    spec.validate()
-    return spec
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:
@@ -244,17 +251,8 @@ def synthesize_scene(spec: SceneSpec) -> tuple[PointCloud, list[GroundTruthLandm
 
     Buildings become wall + roof points at <= SURFACE_SAMPLE_SPACING
     spacing; each building also yields a ground-truth landmark with the
-    exact footprint, height, and label from the spec. Overlapping
-    footprints are rejected so the landmark count stays well-defined.
+    exact footprint, height, and label from the spec.
     """
-    spec.validate()
-    for i, a in enumerate(spec.buildings):
-        for b in spec.buildings[i + 1 :]:
-            if polygons_overlap(a.footprint, b.footprint):
-                raise SceneSpecError(
-                    f"building footprints overlap: {a.label!r} and {b.label!r}"
-                )
-
     spacing = SURFACE_SAMPLE_SPACING
     chunks: list[np.ndarray] = []
 

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from . import UavnavError
+from . import ConfigError, UavnavError, check_kinds
 from .geometry import Point3, round_sig
 from .occupancy import BevGrid, VoxelGrid, is_free, segment_free_coords
 from .segmentation import LandmarkInstance
@@ -162,7 +162,7 @@ SearchState = tuple[int, int, int, int, int, int]
 _FORWARD, _TURN, _VERTICAL = range(3)
 
 
-def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
+def _successor_table() -> list[list[tuple]]:
     """Per heading, the moves in canonical order (forward by magnitude,
     left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
     move kind, action)."""
@@ -171,7 +171,7 @@ def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
     for yaw in range(12):
         (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
         moves = []
-        for g in sorted(granularities):
+        for g in FORWARD_MAGNITUDES:
             n = int(round(g / 3.0))
             action = forward(g)
             moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
@@ -186,10 +186,9 @@ def _successor_table(granularities: tuple[float, ...]) -> list[list[tuple]]:
     return table
 
 
+_SUCCESSORS = _successor_table()
 # (heading, action) -> state delta and next heading, for every action but Stop.
-_MOVES = {(yaw, move[8]): move[:6]
-          for yaw, moves in enumerate(_successor_table(FORWARD_MAGNITUDES))
-          for move in moves}
+_MOVES = {(yaw, move[8]): move[:6] for yaw, moves in enumerate(_SUCCESSORS) for move in moves}
 
 
 def initial_state(start: Pose) -> SearchState:
@@ -227,28 +226,29 @@ def rollout(start: Pose, actions: list[Action]) -> list[Pose]:
 
 @dataclass(frozen=True)
 class TrajGenConfig:
+    """A pipeline config's ``trajgen`` section. Construction,
+    ``dataclasses.replace`` included, checks it and raises ConfigError."""
+
     height_range: tuple[float, float] = (20.0, 120.0)
     min_landmark_height: float = 20.0
     start_distance_range: tuple[float, float] = (60.0, 250.0)
-    forward_granularities: tuple[float, ...] = FORWARD_MAGNITUDES
     goal_tolerance: float = DEFAULT_GOAL_TOLERANCE
     goal_offset: float = DEFAULT_GOAL_OFFSET
     max_expansions: int = 2_000_000
     max_sample_attempts: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_kinds(self, "trajgen.", {
+            "two numbers": ("height_range", "start_distance_range"),
+            "a number": ("min_landmark_height", "goal_tolerance", "goal_offset"),
+            "an integer": ("max_expansions", "max_sample_attempts")})
         lo, hi = self.start_distance_range
         if not (0 < lo <= hi):
-            raise ValueError("start distance range must satisfy 0 < min <= max")
+            raise ConfigError("trajgen.start_distance_range must satisfy 0 < min <= max")
         if self.height_range[0] > self.height_range[1]:
-            raise ValueError("height range min must not exceed max")
-        if not self.forward_granularities:
-            raise ValueError("at least one forward granularity is required")
-        for g in self.forward_granularities:
-            if g not in FORWARD_MAGNITUDES:
-                raise ValueError(f"unsupported forward granularity {g}")
+            raise ConfigError("trajgen.height_range min must not exceed max")
         if self.goal_tolerance <= 0 or self.goal_offset < 0:
-            raise ValueError("goal tolerance must be positive, offset non-negative")
+            raise ConfigError("trajgen.goal_tolerance must be > 0 and goal_offset >= 0")
 
 
 @dataclass(frozen=True)
@@ -353,13 +353,11 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     ``stats``, when given, gains this search's settled expansions and
     collision checks, also when the search fails.
     """
-    cfg.validate()
     if not is_free(grid, start.position):
         raise NoPathError("start pose is occupied or out of bounds")
     ox, oy, oz = start.position.as_tuple()
     goal_xyz = gx, gy, gz = (goal.x, goal.y, goal.z)
     tolerance = cfg.goal_tolerance
-    table = _successor_table(cfg.forward_granularities)
     # Parent links are recorded when a state is settled, so the
     # reconstructed action chain is exactly the one whose swept segments
     # were collision-checked.
@@ -409,7 +407,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                 continue  # a much cheaper same-bin state already settled
             if best is None or g_here < best:
                 bin_best[key] = g_here
-            for da, db, dc, dd, dkz, nyaw, cost, kind, action in table[yaw]:
+            for da, db, dc, dd, dkz, nyaw, cost, kind, action in _SUCCESSORS[yaw]:
                 na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
                 nstate = (na, nb, nc, nd, nkz, nyaw)
                 if nstate in parents:
@@ -484,7 +482,6 @@ def sample_endpoints(
     to the goal. Coordinates are rounded to the JSONL's 9 digits before
     any check, so the search starts from the floats that get serialized.
     """
-    cfg.validate()
     eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
     if not eligible:
         raise EligibilityError(

@@ -15,7 +15,7 @@ import numpy as np
 
 from uavnav.geometry import Point3
 from uavnav.occupancy import VoxelGrid, segment_free
-from uavnav.trajgen import TrajGenConfig, Pose
+from uavnav.trajgen import FORWARD_MAGNITUDES, TrajGenConfig, Pose
 
 SQRT3 = math.sqrt(3.0)
 
@@ -129,7 +129,7 @@ def dijkstra_units(start: Pose, goal: Point3, grid: VoxelGrid,
     z_lo, z_hi = cfg.height_range
 
     moves = []
-    for mag in sorted(cfg.forward_granularities):
+    for mag in FORWARD_MAGNITUDES:
         moves.append(("f", int(round(mag / 3.0)), int(round(mag * 10))))
     moves.append(("l", 0, 1))
     moves.append(("r", 0, 1))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uavnav import pipeline as pl
 from uavnav.cli import main
 from uavnav.dataset import read_episodes
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
@@ -265,6 +267,19 @@ def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys):
     assert len(read_episodes(out)) == 5
 
 
+def test_instruct_mode_defaults_to_the_config(workdir, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    doc = json.loads((workdir / "config.json").read_text())
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({**doc, "vlm": {"mode": "replay", "cache_dir": str(cache)}}))
+    instruct = ["instruct", *scene_args(workdir, config), "--episodes",
+                str(workdir / "trajs.jsonl"), "--out", str(tmp_path / "x.jsonl")]
+    assert main(instruct) == 1
+    assert "no recorded reply" in one_line_error(capsys)
+    assert main([*instruct, "--mode", "mock"]) == 0
+
+
 def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -283,15 +298,41 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     ("scene.json", lambda spec: "{not json", "scene.json"),
     ("landmarks.json", lambda spec: json.dumps([{"id": 0, "height": 30.0}]),
      "landmarks.json"),
+    ("scene.json", lambda spec: json.dumps(
+        {**json.loads(spec), "buildings": json.loads(spec)["buildings"] * 2}),
+     "footprints overlap"),
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
-        "landmark_without_contour"])
+        "landmark_without_contour", "overlapping_footprints"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
     spec = (workdir / "scene" / "scene.json").read_text()
     (scene / "scene.json").write_text(spec)
+    shutil.copy(workdir / "scene" / "cloud.txt", scene)
     (scene / name).write_text(edit(spec))
     assert main(["trajgen", "--scene", str(scene), "--count", "1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "must be a JSON object"),
+    ({"trajgen": 5}, "'trajgen' must be a JSON object"),
+    ({"vlm": 5}, "'vlm' must be a JSON object"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"segments": 1.5}, "segments must be an integer"),
+    ({"workers": "2"}, "workers must be an integer"),
+    ({"trajgen": {"height_range": 5}}, "trajgen.height_range must be two numbers"),
+    ({"trajgen": {"start_distance_range": [1, 2, 3]}}, "trajgen.start_distance_range"),
+    ({"vlm": {"modle": "live"}}, "vlm.modle"),
+], ids=["list", "trajgen_not_object", "vlm_not_object", "string_seed", "bool_seed",
+        "float_segments", "string_workers", "scalar_range", "three_field_range",
+        "unknown_vlm_key"])
+def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["trajgen", *scene_args(workdir, config), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     assert message in one_line_error(capsys)
 
@@ -318,7 +359,8 @@ def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
 @pytest.mark.parametrize("actions, config, culprit", [
     ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"bogus": 1}, "kf.json"),
     ([{"kind": "fly"}], {}, "actions.json"),
-], ids=["unknown_config_key", "bad_action"])
+    ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"window": -1}, "kf.json"),
+], ids=["unknown_config_key", "bad_action", "negative_window"])
 def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, culprit):
     (tmp_path / "actions.json").write_text(json.dumps(actions))
     (tmp_path / "kf.json").write_text(json.dumps(config))
@@ -377,7 +419,10 @@ def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
     [],
     [json.dumps({"episode_id": "no-such-episode", "actions": [{"kind": "stop"}]})],
 ], ids=["empty", "no_match"])
-def test_eval_without_scorable_prediction_exits_2(workdir, tmp_path, capsys, lines):
+def test_eval_without_scorable_prediction_exits_2(workdir, tmp_path, capsys, monkeypatch,
+                                                  lines):
+    # Checked before the scene is loaded.
+    monkeypatch.setattr(pl, "load_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
     preds = tmp_path / "preds.jsonl"
     preds.write_text("".join(line + "\n" for line in lines))
     assert main(["eval", *scene_args(workdir), "--episodes",

@@ -32,13 +32,21 @@ class TestPipelineConfig:
             pl.pipeline_config_from_dict({"velocity": 9})
 
     def test_trajgen_seed_rejected(self):
-        # Episode RNGs derive from the top-level seed only.
-        with pytest.raises(pl.ConfigError, match="seed"):
-            pl.pipeline_config_from_dict({"trajgen": {"seed": 3}})
+        # Episode RNGs derive from the top-level seed only, and every
+        # search uses all of FORWARD_MAGNITUDES.
+        for key in ("seed", "forward_granularities"):
+            with pytest.raises(pl.ConfigError, match=f"trajgen.{key}"):
+                pl.pipeline_config_from_dict({"trajgen": {key: 3}})
 
     def test_schema_version_key_ignored(self):
         cfg = pl.pipeline_config_from_dict({"schema_version": 1, "seed": 4})
         assert cfg == pl.PipelineConfig(seed=4)
+
+    def test_replace_rechecks(self, desk_cfg):
+        with pytest.raises(pl.ConfigError, match="workers"):
+            replace(desk_cfg, workers=0)
+        with pytest.raises(pl.ConfigError, match="trajgen.height_range"):
+            replace(desk_cfg.trajgen, height_range=(40.0, 15.0))
 
     def test_invalid_nested_values_rejected(self):
         with pytest.raises(pl.ConfigError):

@@ -124,12 +124,11 @@ class TestSynthesize:
         assert np.array_equal(a.points, b.points)
 
     def test_overlapping_footprints_rejected(self):
-        spec = SceneSpec(extent=(40.0, 40.0), buildings=[
-            BuildingSpec(box(5, 5, 10, 10), 10.0, "a"),
-            BuildingSpec(box(10, 10, 10, 10), 10.0, "b"),
-        ])
         with pytest.raises(SceneSpecError, match="overlap"):
-            synthesize_scene(spec)
+            SceneSpec(extent=(40.0, 40.0), buildings=[
+                BuildingSpec(box(5, 5, 10, 10), 10.0, "a"),
+                BuildingSpec(box(10, 10, 10, 10), 10.0, "b"),
+            ])
 
     def test_point_count_linear_in_surface_area(self):
         # Doubling every surface should double the point count within 10%.
@@ -153,10 +152,9 @@ class TestSynthesize:
         assert cloud.points[:, 1].max() <= 80.0 + 1e-9
 
     def test_footprint_outside_extent_rejected(self):
-        spec = SceneSpec(extent=(20.0, 20.0),
-                         buildings=[BuildingSpec(box(15, 15, 10, 10), 5.0, "a")])
         with pytest.raises(SceneSpecError):
-            spec.validate()
+            SceneSpec(extent=(20.0, 20.0),
+                      buildings=[BuildingSpec(box(15, 15, 10, 10), 5.0, "a")])
 
     def test_spec_json_round_trip(self):
         spec = SceneSpec(extent=(30.0, 40.0),

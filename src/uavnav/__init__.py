@@ -21,14 +21,18 @@ class ConfigError(UavnavError, ValueError):
 
 def check_kinds(obj, prefix: str, kinds: dict[str, tuple[str, ...]]) -> None:
     """Raise ConfigError naming the first listed field of ``obj`` that is
-    not of its kind: "an integer", "a number" (finite) or "two numbers" (a
-    tuple). A bool is none of them."""
+    not of its kind: "an integer", "a number" (finite), "two numbers" (a
+    tuple), "a string", "a string or null" or "a bool". A bool is no
+    number."""
     def number(v) -> bool:
         return (isinstance(v, numbers.Real) and not isinstance(v, bool)
                 and (isinstance(v, numbers.Integral) or math.isfinite(v)))
     tests = {"an integer": lambda v: number(v) and isinstance(v, numbers.Integral),
              "a number": number,
-             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(number, v))}
+             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(number, v)),
+             "a string": lambda v: isinstance(v, str),
+             "a string or null": lambda v: v is None or isinstance(v, str),
+             "a bool": lambda v: isinstance(v, bool)}
     for kind, names in kinds.items():
         for name in names:
             if not tests[kind](value := getattr(obj, name)):

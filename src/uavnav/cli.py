@@ -261,6 +261,8 @@ def cmd_keyframe(args) -> int:
 def cmd_generate(args) -> int:
     """``generate``, and ``trajgen`` (the same run without narration)."""
     cfg = _load_config(args)
+    if args.count < 0:  # run_generate checks too, but only after the scene loads
+        raise ConfigError(f"count must be non-negative, got {args.count}")
     bundle = _bundle(args, cfg)
     report = pl.run_generate(bundle, cfg, args.count, args.out, narrate=args.narrate)
     if args.report:

@@ -64,7 +64,10 @@ class PipelineConfig:
         check_kinds(self, "", {
             "an integer": ("seed", "segments", "workers"),
             "a number": ("voxel_size", "margin", "bev_min_height", "min_area",
-                         "tree_height", "coref_threshold")})
+                         "tree_height", "coref_threshold"),
+            "a string": ("vlm_mode", "vlm_endpoint", "vlm_model"),
+            "a string or null": ("vlm_cache_dir",),
+            "a bool": ("stamp_outputs",)})
         if self.seed < 0 or not (0.0 < self.coref_threshold <= 1.0):
             raise ConfigError("seed must be non-negative and coref_threshold in (0, 1]")
         if self.voxel_size <= 0 or self.margin < 0:

@@ -10,8 +10,10 @@ bit-identical for a fixed spec.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,11 +118,31 @@ class SceneSpec:
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
-    """Parse an ASCII point cloud file. An empty file yields an empty cloud."""
+    """Parse an ASCII point cloud file. An empty file yields an empty cloud.
+
+    A file with no '#' anywhere is parsed in one NumPy call; if that fails,
+    or yields other than 3 or 6 columns or a non-finite value, the line loop
+    parses the same bytes and raises PointCloudParseError with the line
+    number. Files with '#' take the loop, with the same result.
+    """
     path = Path(path)
+    data = path.read_bytes()
+
+    def text() -> io.TextIOWrapper:  # what path.open("r") reads, without a second read
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+    if b"#" not in data:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # "input contained no data"
+                a = np.loadtxt(text(), dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            a = None
+        if a is not None and a.shape[1] in (3, 6) and np.isfinite(a).all():
+            return PointCloud(points=a[:, :3], colors=a[:, 3:] if a.shape[1] == 6 else None)
     pts: list[tuple[float, float, float]] = []
     colors: list[tuple[float, float, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with text() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -3,18 +3,22 @@
 Everything here is deliberately written from scratch with different
 algorithms or data layouts than the code under test: brute-force set
 computations, dense sampling, union-find labeling, textbook Dijkstra,
-and exhaustive matching.
+and exhaustive matching. The exception is ``parse_point_cloud_lines``, a
+copy of the line loop ``load_point_cloud`` falls back to, kept as the
+reference for its NumPy path.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from pathlib import Path
 
 import numpy as np
 
 from uavnav.geometry import Point3
 from uavnav.occupancy import VoxelGrid, segment_free
+from uavnav.scene import PointCloudParseError
 from uavnav.trajgen import FORWARD_MAGNITUDES, TrajGenConfig, Pose
 
 SQRT3 = math.sqrt(3.0)
@@ -257,3 +261,33 @@ def exhaustive_greedy_merge(reference: np.ndarray, frame: np.ndarray,
         counts[i] += 1
         used_i.add(i)
         used_j.add(j)
+
+
+def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, colors or None) of a point cloud file, one text-mode line at
+    a time with ``str.split`` and ``float``: the reference for
+    ``load_point_cloud``, raising PointCloudParseError with the 1-based
+    line number."""
+    pts, colors = [], []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) not in (3, 6):
+                raise PointCloudParseError(path, lineno,
+                                           f"expected 3 or 6 fields, got {len(fields)}")
+            try:
+                values = [float(f) for f in fields]
+            except ValueError as exc:
+                raise PointCloudParseError(path, lineno, str(exc)) from None
+            if not all(math.isfinite(v) for v in values):
+                raise PointCloudParseError(path, lineno, "non-finite value")
+            pts.append(values[:3])
+            if len(values) == 6:
+                colors.append(values[3:])
+    if colors and len(colors) != len(pts):
+        raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
+    return (np.array(pts, dtype=np.float64).reshape(-1, 3),
+            np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None)

@@ -326,9 +326,11 @@ def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, mes
     ({"trajgen": {"height_range": 5}}, "trajgen.height_range must be two numbers"),
     ({"trajgen": {"start_distance_range": [1, 2, 3]}}, "trajgen.start_distance_range"),
     ({"vlm": {"modle": "live"}}, "vlm.modle"),
+    ({"vlm": {"cache_dir": 5}}, "vlm_cache_dir must be a string or null"),
+    ({"stamp_outputs": "no"}, "stamp_outputs must be a bool"),
 ], ids=["list", "trajgen_not_object", "vlm_not_object", "string_seed", "bool_seed",
         "float_segments", "string_workers", "scalar_range", "three_field_range",
-        "unknown_vlm_key"])
+        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs"])
 def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -444,7 +446,9 @@ def test_eval_with_some_predictions_missing_exits_1(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["generate", "trajgen"])
-def test_negative_count_exits_2(workdir, tmp_path, capsys, command):
+def test_negative_count_exits_2(workdir, tmp_path, capsys, monkeypatch, command):
+    # Checked before the scene is loaded.
+    monkeypatch.setattr(pl, "load_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
     out = tmp_path / "out.jsonl"
     assert main([command, *scene_args(workdir), "--count", "-1",
                  "--out", str(out)]) == 2

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import parse_point_cloud_lines
 from uavnav.scene import (BuildingSpec, PointCloud, PointCloudParseError,
                           SceneSpec, SceneSpecError, TreeSpec,
                           load_point_cloud, save_point_cloud,
@@ -75,6 +78,73 @@ class TestLoadPointCloud:
         path.write_text("3 0 0\n1 0 0\n2 0 0\n")
         cloud = load_point_cloud(path)
         assert list(cloud.points[:, 0]) == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("text, line_number", [
+        ("1 2 3\n4 5 6\nnan 1 2\n", 3),
+        ("1 2 3 0 0 0\n4 5 6 1 1 1\n7 8 9\n", 3),
+    ], ids=["nan_on_line_3", "three_fields_in_six_field_file"])
+    def test_numpy_accepted_or_rejected_line_numbered_by_loop(self, tmp_path, text,
+                                                              line_number):
+        # NumPy parses the first and rejects the second; the loop must name the line.
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(PointCloudParseError) as err:
+            load_point_cloud(path)
+        assert err.value.line_number == line_number
+
+
+NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.integers(-999, 999).map(str))
+ODD_FIELDS = ["nan", "-inf", "inf", "1e400", "1_0", "0x1p3", "+1.", "spam", "1#2", "#"]
+
+
+@st.composite
+def cloud_texts(draw) -> str:
+    """Point cloud text: half the files only points and blank lines, the
+    rest also comments, odd fields and lines of the wrong width."""
+    clean = draw(st.booleans())
+    width = draw(st.sampled_from([3, 6]))
+    sep = st.sampled_from([" ", "\t", "\x0c", "\x1c", "\x85", " \t "])
+    kinds = ["point"] * 4 + ["blank"] + ([] if clean else ["comment", "odd", "width"])
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\x0c"])))
+            continue
+        n = draw(st.sampled_from([2, 3, 4, 5, 6])) if kind == "width" else width
+        fields = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+        if kind == "odd":
+            fields[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        line = draw(sep).join(fields)
+        if kind == "comment":
+            line = draw(st.sampled_from(["# " + line, line + " # note", "#"]))
+        lines.append(draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def cloud_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "cloud.txt"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=cloud_texts())
+def test_load_point_cloud_matches_line_loop(cloud_path, text):
+    cloud_path.write_bytes(text.encode("utf-8"))
+    try:
+        points, colors = parse_point_cloud_lines(cloud_path)
+    except PointCloudParseError as expected:
+        with pytest.raises(PointCloudParseError) as err:
+            load_point_cloud(cloud_path)
+        assert (err.value.line_number, str(err.value)) == (expected.line_number, str(expected))
+        return
+    cloud = load_point_cloud(cloud_path)
+    assert cloud.points.shape == points.shape
+    assert cloud.points.tobytes() == points.tobytes()
+    assert (cloud.colors is None) == (colors is None)
+    if colors is not None:
+        assert cloud.colors.tobytes() == colors.tobytes()
 
 
 class TestRoundTrip:

@@ -13,10 +13,11 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import ConfigError
 from .geometry import Point3
 from .occupancy import VoxelGrid, traverse_segment
 from .segmentation import LandmarkInstance
@@ -278,49 +279,67 @@ def aim_cell(grid: VoxelGrid, cells: Sequence[tuple[int, int]],
     return cells[int(np.argmin(dx * dx + dy * dy))]
 
 
+class SightTarget(NamedTuple):
+    """What sight lines to one landmark aim at and stop on."""
+
+    id: int
+    cells: set[tuple[int, int]]  # BEV footprint
+    aim: tuple[float, float, float]  # aim cell centre (x, y) and the top voxel's centre z
+
+
+def sight_targets(grid: VoxelGrid,
+                  landmarks: Sequence[LandmarkInstance]) -> list[SightTarget]:
+    """One target per landmark, in order; a landmark with no footprint
+    cells is a ConfigError naming its id."""
+    size = grid.voxel_size
+    targets = []
+    for lm in landmarks:
+        if not lm.cells:
+            raise ConfigError(f"landmark {lm.id} has no footprint cells")
+        cells = set(lm.cells)
+        best = aim_cell(grid, list(cells), lm.centroid)
+        targets.append(SightTarget(lm.id, cells, (
+            grid.origin[0] + (best[0] + 0.5) * size,
+            grid.origin[1] + (best[1] + 0.5) * size,
+            lm.height - 0.5 * size)))
+    return targets
+
+
 def landmark_visibility(
     poses: Sequence[Pose],
-    landmarks: Sequence[LandmarkInstance],
+    targets: Sequence[SightTarget],
     grid: VoxelGrid,
     fov_half_angle: float = DEFAULT_FOV_HALF_ANGLE,
 ) -> dict[int, set[int]]:
     """Ground-truth visibility: which landmarks each pose frame can see.
 
-    A landmark is visible when its aim cell lies within the heading's
+    A landmark is visible when its aim point lies within the heading's
     field of view and the sight line reaches the landmark's own BEV
-    footprint before crossing any other occupied voxel. Use an
-    uninflated grid here; safety margins would shadow the target.
+    footprint before crossing any other occupied voxel. ``targets`` come
+    from ``sight_targets`` on the same grid. Use an uninflated grid here;
+    safety margins would shadow the target.
     """
-    size = grid.voxel_size
-    lm_cells: list[set[tuple[int, int]]] = []
-    aims: list[tuple[float, float, float]] = []
-    for lm in landmarks:
-        cells = set(lm.cells)
-        lm_cells.append(cells)
-        best = aim_cell(grid, list(cells), lm.centroid)
-        aims.append((grid.origin[0] + (best[0] + 0.5) * size,
-                     grid.origin[1] + (best[1] + 0.5) * size,
-                     lm.height - 0.5 * size))
+    nx, ny, nz = grid.dims
+    occupancy = grid.occupancy
+    z_floor = grid.origin[2] + 0.5 * grid.voxel_size
     visibility: dict[int, set[int]] = {}
     for frame, pose in enumerate(poses):
         seen: set[int] = set()
         p = pose.position
-        for lm, cells, aim in zip(landmarks, lm_cells, aims):
-            ax, ay, top = aim
-            bearing = math.degrees(math.atan2(ay - p.y, ax - p.x))
-            diff = (bearing - pose.yaw + 180.0) % 360.0 - 180.0
-            if abs(diff) > fov_half_angle:
+        px, py, pz, yaw = p.x, p.y, p.z, pose.yaw
+        for lm_id, cells, (ax, ay, top) in targets:
+            bearing = math.degrees(math.atan2(ay - py, ax - px))
+            if abs((bearing - yaw + 180.0) % 360.0 - 180.0) > fov_half_angle:
                 continue
-            target = Point3(ax, ay, min(max(p.z, grid.origin[2] + 0.5 * size), top))
-            blocked = False
-            for cell in traverse_segment(grid, p, target):
-                if (cell[0], cell[1]) in cells:
-                    break  # reached the landmark's own footprint
-                if not grid.in_bounds(cell) or grid.occupancy[cell]:
-                    blocked = True
+            target = Point3(ax, ay, min(max(pz, z_floor), top))
+            for i, j, k in traverse_segment(grid, p, target):
+                if (i, j) in cells:
+                    seen.add(lm_id)  # reached the landmark's own footprint
                     break
-            if not blocked:
-                seen.add(lm.id)
+                if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz) or occupancy[i, j, k]:
+                    break
+            else:
+                seen.add(lm_id)
         visibility[frame] = seen
     return visibility
 

@@ -28,7 +28,7 @@ from . import instructions as instr
 from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3, point_in_polygon
-from .keyframe import landmark_visibility
+from .keyframe import SightTarget, landmark_visibility, sight_targets
 from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, segment_free, voxelize
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
                     load_scene_spec, save_point_cloud, scene_spec_to_dict, synthesize_scene)
@@ -130,6 +130,7 @@ class SceneBundle:
     raw_grid: VoxelGrid  # uninflated, for segmentation and visibility
     bev: BevGrid
     landmarks: list[seg.LandmarkInstance]
+    sight_targets: list[SightTarget]  # of the landmarks, on raw_grid
 
     @property
     def scene_id(self) -> str:
@@ -160,7 +161,8 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                        cloud: PointCloud | None = None,
                        landmarks: list[seg.LandmarkInstance] | None = None,
                        ) -> SceneBundle:
-    """Synthesize (or reuse) the cloud, build both grids, segment, caption."""
+    """Synthesize (or reuse) the cloud, build both grids, segment, caption,
+    and aim sight lines at the landmarks."""
     if cloud is None:
         cloud, _ = synthesize_scene(spec)
     nav_grid = voxelize(cloud, cfg.voxel_size, cfg.margin)
@@ -179,7 +181,8 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                 inst, refs, vlm, hint_label=_match_label(inst, spec)))
         landmarks = captioned
     return SceneBundle(spec=spec, cloud=cloud, nav_grid=nav_grid,
-                       raw_grid=raw_grid, bev=bev, landmarks=landmarks)
+                       raw_grid=raw_grid, bev=bev, landmarks=landmarks,
+                       sight_targets=sight_targets(raw_grid, landmarks))
 
 
 def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig,
@@ -279,7 +282,7 @@ class _EpisodeOutcome:
 def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
             trajectory: tg.Trajectory, image_refs: list[str]) -> instr.Instruction:
     """Instruction for one trajectory, hinted by the landmarks in view."""
-    visibility = landmark_visibility(trajectory.poses, bundle.landmarks,
+    visibility = landmark_visibility(trajectory.poses, bundle.sight_targets,
                                      bundle.raw_grid)
     return instr.build_instruction(
         trajectory, bundle.captions(), vlm, image_refs=image_refs,

@@ -123,10 +123,17 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     A file with no '#' anywhere is parsed in one NumPy call; if that fails,
     or yields other than 3 or 6 columns or a non-finite value, the line loop
     parses the same bytes and raises PointCloudParseError with the line
-    number. Files with '#' take the loop, with the same result.
+    number. Files with '#' take the loop, with the same result. A file that
+    is not UTF-8 raises PointCloudParseError at the line of its first bad byte.
     """
     path = Path(path)
     data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]  # lines end as the loop's: \n, \r\n or \r
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise PointCloudParseError(path, line, f"not UTF-8 text: {exc.reason}") from None
 
     def text() -> io.TextIOWrapper:  # what path.open("r") reads, without a second read
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")

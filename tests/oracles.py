@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch with different
 algorithms or data layouts than the code under test: brute-force set
 computations, dense sampling, union-find labeling, textbook Dijkstra,
-and exhaustive matching. The exception is ``parse_point_cloud_lines``, a
-copy of the line loop ``load_point_cloud`` falls back to, kept as the
-reference for its NumPy path.
+and exhaustive matching. The exceptions are ``parse_point_cloud_lines``,
+a copy of the line loop ``load_point_cloud`` falls back to, kept as the
+reference for its NumPy path, and ``visibility_per_call``, the
+``landmark_visibility`` that aimed at the landmarks on every call.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from uavnav.geometry import Point3
-from uavnav.occupancy import VoxelGrid, segment_free
+from uavnav.keyframe import aim_cell
+from uavnav.occupancy import VoxelGrid, segment_free, traverse_segment
 from uavnav.scene import PointCloudParseError
+from uavnav.segmentation import LandmarkInstance
 from uavnav.trajgen import FORWARD_MAGNITUDES, TrajGenConfig, Pose
 
 SQRT3 = math.sqrt(3.0)
@@ -291,3 +294,43 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
         raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
     return (np.array(pts, dtype=np.float64).reshape(-1, 3),
             np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None)
+
+
+def visibility_per_call(poses: list[Pose], landmarks: list[LandmarkInstance],
+                        grid: VoxelGrid, fov_half_angle: float = 60.0,
+                        ) -> dict[int, set[int]]:
+    """Which landmarks each pose frame sees, aiming at every landmark on
+    each call and bounding sight lines through ``grid.in_bounds``: the
+    reference for ``landmark_visibility`` over ``sight_targets``."""
+    size = grid.voxel_size
+    lm_cells: list[set[tuple[int, int]]] = []
+    aims: list[tuple[float, float, float]] = []
+    for lm in landmarks:
+        cells = set(lm.cells)
+        lm_cells.append(cells)
+        best = aim_cell(grid, list(cells), lm.centroid)
+        aims.append((grid.origin[0] + (best[0] + 0.5) * size,
+                     grid.origin[1] + (best[1] + 0.5) * size,
+                     lm.height - 0.5 * size))
+    visibility: dict[int, set[int]] = {}
+    for frame, pose in enumerate(poses):
+        seen: set[int] = set()
+        p = pose.position
+        for lm, cells, aim in zip(landmarks, lm_cells, aims):
+            ax, ay, top = aim
+            bearing = math.degrees(math.atan2(ay - p.y, ax - p.x))
+            diff = (bearing - pose.yaw + 180.0) % 360.0 - 180.0
+            if abs(diff) > fov_half_angle:
+                continue
+            target = Point3(ax, ay, min(max(p.z, grid.origin[2] + 0.5 * size), top))
+            blocked = False
+            for cell in traverse_segment(grid, p, target):
+                if (cell[0], cell[1]) in cells:
+                    break  # reached the landmark's own footprint
+                if not grid.in_bounds(cell) or grid.occupancy[cell]:
+                    blocked = True
+                    break
+            if not blocked:
+                seen.add(lm.id)
+        visibility[frame] = seen
+    return visibility

@@ -301,15 +301,20 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     ("scene.json", lambda spec: json.dumps(
         {**json.loads(spec), "buildings": json.loads(spec)["buildings"] * 2}),
      "footprints overlap"),
+    ("landmarks.json", lambda spec: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
+        "height": 32.0, "area": 324.0}]), "landmark 3 has no footprint cells"),
+    ("cloud.txt", lambda spec: "1 2 3\n\udcff 5 6\n", "cloud.txt:2: not UTF-8"),
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
-        "landmark_without_contour", "overlapping_footprints"])
+        "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
+        "cloud_not_utf8"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
     spec = (workdir / "scene" / "scene.json").read_text()
     (scene / "scene.json").write_text(spec)
     shutil.copy(workdir / "scene" / "cloud.txt", scene)
-    (scene / name).write_text(edit(spec))
+    (scene / name).write_bytes(edit(spec).encode("utf-8", "surrogateescape"))  # \udcff: 0xff
     assert main(["trajgen", "--scene", str(scene), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     assert message in one_line_error(capsys)

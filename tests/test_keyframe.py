@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exhaustive_greedy_merge, split_runs_oracle
+from oracles import exhaustive_greedy_merge, split_runs_oracle, visibility_per_call
 from uavnav.geometry import Point3
 from uavnav.keyframe import (KeyframeCandidate, KeyframeSet, MemoryBank,
                              MemoryBankConfig, MergeEvent, TokenMatrix,
                              aim_cell, assemble_observation, confirm_keyframes,
                              grid_pool, landmark_visibility, load_tokens,
                              memory_push, merge_tokens, save_tokens,
-                             select_candidates)
+                             select_candidates, sight_targets)
 from uavnav.occupancy import VoxelGrid
 from uavnav.segmentation import LandmarkInstance
 from uavnav.trajgen import (MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT, Pose,
@@ -340,25 +342,25 @@ class TestLandmarkVisibility:
     def test_facing_pose_sees_landmark(self, scene):
         grid, landmark = scene
         poses = [Pose(Point3(45.0, 30.5, 10.0), 180.0)]
-        vis = landmark_visibility(poses, [landmark], grid)
+        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
         assert vis[0] == {0}
 
     def test_pose_facing_away_sees_nothing(self, scene):
         grid, landmark = scene
         poses = [Pose(Point3(45.0, 30.5, 10.0), 0.0)]
-        vis = landmark_visibility(poses, [landmark], grid)
+        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
         assert vis[0] == set()
 
     def test_wall_blocks_sight_line(self, scene):
         grid, landmark = scene
         poses = [Pose(Point3(10.0, 30.5, 10.0), 0.0)]  # wall between
-        vis = landmark_visibility(poses, [landmark], grid)
+        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
         assert vis[0] == set()
 
     def test_flying_above_wall_restores_sight(self, scene):
         grid, landmark = scene
         poses = [Pose(Point3(10.0, 30.5, 28.0), 0.0)]
-        vis = landmark_visibility(poses, [landmark], grid)
+        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
         assert vis[0] == {0}
 
     def test_aim_cell_matches_nearest_by_loop(self):
@@ -385,3 +387,48 @@ class TestLandmarkVisibility:
             cells = square[first:] + square[:first]
             assert aim_cell(grid, cells, (6.0, 6.0)) == reference(grid, cells, (6.0, 6.0)) \
                 == cells[0]
+
+
+@st.composite
+def visibility_cases(draw):
+    """A small random grid, landmarks on it and poses around it. Centroids
+    and pose coordinates are often whole or half voxels from the origin,
+    so aim cells tie and poses sit on voxel faces; footprints often touch
+    the grid edge, and some poses lie outside the grid or above its top."""
+    nx, ny, nz = (draw(st.integers(2, 9)) for _ in range(3))
+    size = draw(st.sampled_from([1.0, 0.5, 2.0, 1.5]))
+    origin = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (-3.25, 1.5, -2.0)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupancy = rng.random((nx, ny, nz)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grid = VoxelGrid(origin=origin, voxel_size=size, dims=(nx, ny, nz), occupancy=occupancy)
+
+    def coordinate(axis: int, below: int, above: int) -> float:
+        """Within ``below`` voxels under the grid to ``above`` over it."""
+        n = grid.dims[axis]
+        face = st.integers(-2 * below, 2 * (n + above)).map(
+            lambda h: float(origin[axis] + 0.5 * h * size))
+        return draw(face | st.floats(origin[axis] - below * size,
+                                     origin[axis] + (n + above) * size))
+
+    cell = st.tuples(st.sampled_from([0, nx - 1]) | st.integers(0, nx - 1),
+                     st.sampled_from([0, ny - 1]) | st.integers(0, ny - 1))
+    landmarks = []
+    for lm_id in range(draw(st.integers(1, 3))):
+        cells = draw(st.lists(cell, min_size=1, max_size=6))
+        landmarks.append(LandmarkInstance(
+            id=lm_id, contour=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+            centroid=(coordinate(0, 0, 0), coordinate(1, 0, 0)),
+            height=coordinate(2, 0, 1), area=1.0, cells=cells))
+    poses = [Pose(Point3(coordinate(0, 1, 1), coordinate(1, 1, 1), coordinate(2, 1, 3)),
+                  30.0 * draw(st.integers(0, 11)))
+             for _ in range(draw(st.integers(1, 5)))]
+    return grid, landmarks, poses, draw(st.sampled_from([30.0, 60.0, 90.0, 180.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=visibility_cases())
+def test_visibility_over_sight_targets_matches_per_call_aims(case):
+    grid, landmarks, poses, fov = case
+    assert (landmark_visibility(poses, sight_targets(grid, landmarks), grid, fov)
+            == visibility_per_call(poses, landmarks, grid, fov))
+

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 from conftest import desk_trajgen_config
+from oracles import visibility_per_call
+from uavnav import keyframe as kf
 from uavnav import pipeline as pl
 from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
+from uavnav.occupancy import VoxelGrid
 from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
 
@@ -89,6 +92,25 @@ class TestRunGenerate:
         pl.run_generate(demo_bundle, single, 12, a)
         pl.run_generate(demo_bundle, many, 12, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_episodes_aim_with_the_bundles_sight_targets(self, demo_bundle, tmp_path,
+                                                        monkeypatch):
+        # The benchmark's gen_desk config. Episodes must not aim sight lines
+        # themselves, and must match the oracle that aims on every call.
+        cfg = pl.PipelineConfig(seed=7, workers=1, trajgen=desk_trajgen_config())
+        lean, oracle = tmp_path / "lean.jsonl", tmp_path / "oracle.jsonl"
+
+        def per_episode_setup(*args, **kwargs):
+            raise AssertionError("sight targets rebuilt per episode")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kf, "aim_cell", per_episode_setup)
+            patch.setattr(VoxelGrid, "in_bounds", per_episode_setup)
+            assert pl.run_generate(demo_bundle, cfg, 20, lean).accepted == 20
+        monkeypatch.setattr(pl, "landmark_visibility", lambda poses, targets, grid:
+                            visibility_per_call(poses, demo_bundle.landmarks, grid))
+        assert pl.run_generate(demo_bundle, cfg, 20, oracle).accepted == 20
+        assert lean.read_bytes() == oracle.read_bytes()
 
     def test_throughput_smoke_with_more_workers(self, demo_bundle, desk_cfg,
                                                 tmp_path):
@@ -201,6 +223,7 @@ class TestSceneBundle:
         assert bundle.scene_id == "rt"
         assert len(bundle.landmarks) == 6
         assert all(lm.caption is not None for lm in bundle.landmarks)
+        assert [t.id for t in bundle.sight_targets] == [lm.id for lm in bundle.landmarks]
 
     def test_captions_reflect_ground_truth_labels(self, demo_bundle):
         colors = {lm.caption.color for lm in demo_bundle.landmarks}

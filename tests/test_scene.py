@@ -92,6 +92,17 @@ class TestLoadPointCloud:
             load_point_cloud(path)
         assert err.value.line_number == line_number
 
+    @pytest.mark.parametrize("data, line_number", [
+        (b"1 2 3\n\xff 5 6\n7 8 9\n", 2),
+        (b"# header\r\n1 2 3\r4 5 \xc3(\n", 3),
+    ], ids=["numpy_path", "line_loop_path"])
+    def test_not_utf8_names_line_of_first_bad_byte(self, tmp_path, data, line_number):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(PointCloudParseError, match="not UTF-8") as err:
+            load_point_cloud(path)
+        assert err.value.line_number == line_number
+
 
 NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
            | st.integers(-999, 999).map(str))

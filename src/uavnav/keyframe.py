@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, check_kinds
 from .geometry import Point3
 from .occupancy import VoxelGrid, traverse_segment
 from .segmentation import LandmarkInstance
@@ -81,8 +81,11 @@ class MemoryBankConfig:
     current_tokens: int = 256
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        sizes = ("capacity", "pooled_tokens", "current_tokens")
+        check_kinds(self, "", {"an integer": sizes, "a number": ("similarity_threshold",)})
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not (0.0 < self.similarity_threshold <= 1.0):
             raise ValueError("similarity threshold must lie in (0, 1]")
 
@@ -170,11 +173,14 @@ def merge_tokens(keyframe_set: KeyframeSet, threshold: float,
     """Fold a keyframe set into a single matrix the size of its reference.
 
     The running matrix starts as the reference tokens. For each later
-    frame, reference/frame token pairs are greedily matched in order of
-    decreasing cosine similarity (each token used at most once) while the
-    similarity strictly exceeds the threshold; matched running tokens
-    become the running average of everything merged into them, and the
-    frame's unmatched tokens are discarded.
+    frame, the running/frame token pairs whose cosine similarity strictly
+    exceeds the threshold are taken in order of decreasing similarity,
+    ties in row-major (running token, frame token) order, and greedily
+    matched, each token used at most once. Matched running tokens become
+    the running average of everything merged into them, and the frame's
+    unmatched tokens are discarded. Merge events are logged in match
+    order. A NaN similarity (only overflowing float64 tokens give one)
+    never merges.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must lie in (0, 1]")
@@ -187,24 +193,24 @@ def merge_tokens(keyframe_set: KeyframeSet, threshold: float,
                 f"token dimension mismatch: {frame.dim} vs {reference.dim}"
             )
         sims = _cosine_matrix(running, frame.tokens.astype(np.float64))
-        order = np.argsort(-sims, axis=None, kind="stable")
-        used_ref = np.zeros(sims.shape[0], dtype=bool)
-        used_frame = np.zeros(sims.shape[1], dtype=bool)
-        for flat in order:
-            i, j = divmod(int(flat), sims.shape[1])
-            sim = float(sims[i, j])
-            if sim <= threshold:
-                break
-            if used_ref[i] or used_frame[j]:
-                continue
-            used_ref[i] = True
-            used_frame[j] = True
-            running[i] = (running[i] * counts[i] + frame.tokens[j]) / (counts[i] + 1)
-            counts[i] += 1
-            if log is not None:
-                log.append(MergeEvent(frame_index=frame.frame_index,
-                                      reference_token=i, frame_token=j,
-                                      similarity=sim))
+        flat = np.flatnonzero(sims > threshold)  # ascending, so the sort keeps ties row-major
+        flat = flat[np.argsort(-sims.ravel()[flat], kind="stable")]
+        match: dict[int, int] = {}  # running token -> frame token, in match order
+        used: set[int] = set()
+        for f in flat.tolist():
+            i, j = divmod(f, sims.shape[1])
+            if i not in match and j not in used:
+                match[i] = j
+                used.add(j)
+        rows, cols = list(match), list(match.values())
+        # each row merges at most once per frame: one step, the same float ops per element
+        c = counts[rows]
+        running[rows] = (running[rows] * c[:, None] + frame.tokens[cols]) / (c + 1)[:, None]
+        counts[rows] += 1
+        if log is not None:
+            log.extend(MergeEvent(frame_index=frame.frame_index, reference_token=i,
+                                  frame_token=j, similarity=sim)
+                       for i, j, sim in zip(rows, cols, sims[rows, cols].tolist()))
     return TokenMatrix(tokens=running, frame_index=reference.frame_index)
 
 

@@ -149,6 +149,7 @@ def load_point_cloud(path: str | Path) -> PointCloud:
             return PointCloud(points=a[:, :3], colors=a[:, 3:] if a.shape[1] == 6 else None)
     pts: list[tuple[float, float, float]] = []
     colors: list[tuple[float, float, float]] = []
+    width = 0
     with text() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -159,6 +160,9 @@ def load_point_cloud(path: str | Path) -> PointCloud:
                 raise PointCloudParseError(
                     path, lineno, f"expected 3 or 6 fields, got {len(fields)}"
                 )
+            width = width or len(fields)  # the first data line's
+            if len(fields) != width:
+                raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
             try:
                 values = [float(f) for f in fields]
             except ValueError as exc:
@@ -168,8 +172,6 @@ def load_point_cloud(path: str | Path) -> PointCloud:
             pts.append((values[0], values[1], values[2]))
             if len(values) == 6:
                 colors.append((values[3], values[4], values[5]))
-    if colors and len(colors) != len(pts):
-        raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
     return PointCloud(
         points=np.array(pts, dtype=np.float64).reshape(-1, 3),
         colors=np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None,

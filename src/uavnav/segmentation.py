@@ -233,7 +233,15 @@ def instances_to_json(instances: list[LandmarkInstance]) -> str:
     return json.dumps(docs, indent=1)
 
 
+def _cell(doc) -> tuple[int, int]:
+    if not (isinstance(doc, list) and len(doc) == 2 and all(type(v) is int for v in doc)):
+        raise ValueError(f"cell must be two integers, got {doc!r}")
+    return doc[0], doc[1]
+
+
 def instances_from_json(text: str) -> list[LandmarkInstance]:
+    """Landmarks from a landmarks.json document; a cell that is not two
+    integers is a ValueError."""
     docs = json.loads(text)
     out = []
     for doc in docs:
@@ -244,7 +252,7 @@ def instances_from_json(text: str) -> list[LandmarkInstance]:
             centroid=tuple(doc["centroid"]),
             height=float(doc["height"]),
             area=float(doc["area"]),
-            cells=[tuple(c) for c in doc.get("cells", [])],
+            cells=[_cell(c) for c in doc.get("cells", [])],
             caption=caption,
         ))
     return out

@@ -5,8 +5,9 @@ algorithms or data layouts than the code under test: brute-force set
 computations, dense sampling, union-find labeling, textbook Dijkstra,
 and exhaustive matching. The exceptions are ``parse_point_cloud_lines``,
 a copy of the line loop ``load_point_cloud`` falls back to, kept as the
-reference for its NumPy path, and ``visibility_per_call``, the
-``landmark_visibility`` that aimed at the landmarks on every call.
+reference for its NumPy path, ``visibility_per_call``, the
+``landmark_visibility`` that aimed at the landmarks on every call, and
+``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from uavnav.geometry import Point3
-from uavnav.keyframe import aim_cell
+from uavnav.keyframe import (KeyframeSet, MergeEvent, TokenMatrix, _cosine_matrix,
+                             aim_cell)
 from uavnav.occupancy import VoxelGrid, segment_free, traverse_segment
 from uavnav.scene import PointCloudParseError
 from uavnav.segmentation import LandmarkInstance
@@ -266,6 +268,43 @@ def exhaustive_greedy_merge(reference: np.ndarray, frame: np.ndarray,
         used_j.add(j)
 
 
+def merge_tokens_full_sort(keyframe_set: KeyframeSet, threshold: float,
+                           log: list[MergeEvent] | None = None) -> TokenMatrix:
+    """``merge_tokens`` walking a stable sort of every pair's similarity
+    until one is not above the threshold, and averaging one row at a
+    time: the reference for the candidate-only sort."""
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError("threshold must lie in (0, 1]")
+    reference = keyframe_set.reference
+    running = reference.tokens.astype(np.float64).copy()
+    counts = np.ones(reference.count, dtype=np.int64)
+    for frame in keyframe_set.frames[1:]:
+        if frame.dim != reference.dim:
+            raise ValueError(
+                f"token dimension mismatch: {frame.dim} vs {reference.dim}"
+            )
+        sims = _cosine_matrix(running, frame.tokens.astype(np.float64))
+        order = np.argsort(-sims, axis=None, kind="stable")
+        used_ref = np.zeros(sims.shape[0], dtype=bool)
+        used_frame = np.zeros(sims.shape[1], dtype=bool)
+        for flat in order:
+            i, j = divmod(int(flat), sims.shape[1])
+            sim = float(sims[i, j])
+            if sim <= threshold:
+                break
+            if used_ref[i] or used_frame[j]:
+                continue
+            used_ref[i] = True
+            used_frame[j] = True
+            running[i] = (running[i] * counts[i] + frame.tokens[j]) / (counts[i] + 1)
+            counts[i] += 1
+            if log is not None:
+                log.append(MergeEvent(frame_index=frame.frame_index,
+                                      reference_token=i, frame_token=j,
+                                      similarity=sim))
+    return TokenMatrix(tokens=running, frame_index=reference.frame_index)
+
+
 def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     """(points, colors or None) of a point cloud file, one text-mode line at
     a time with ``str.split`` and ``float``: the reference for
@@ -281,6 +320,8 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             if len(fields) not in (3, 6):
                 raise PointCloudParseError(path, lineno,
                                            f"expected 3 or 6 fields, got {len(fields)}")
+            if pts and len(fields) != (6 if colors else 3):
+                raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
             try:
                 values = [float(f) for f in fields]
             except ValueError as exc:
@@ -290,8 +331,6 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             pts.append(values[:3])
             if len(values) == 6:
                 colors.append(values[3:])
-    if colors and len(colors) != len(pts):
-        raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
     return (np.array(pts, dtype=np.float64).reshape(-1, 3),
             np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None)
 

@@ -305,9 +305,15 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
         "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
         "height": 32.0, "area": 324.0}]), "landmark 3 has no footprint cells"),
     ("cloud.txt", lambda spec: "1 2 3\n\udcff 5 6\n", "cloud.txt:2: not UTF-8"),
+    ("landmarks.json", lambda spec: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
+        "height": 32.0, "area": 324.0, "cells": [[1]]}]), "cell must be two integers"),
+    ("landmarks.json", lambda spec: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
+        "height": 32.0, "area": 324.0, "cells": [[1, 2, 3]]}]), "cell must be two integers"),
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
         "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
-        "cloud_not_utf8"])
+        "cloud_not_utf8", "one_index_cell", "three_index_cell"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -367,7 +373,12 @@ def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
     ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"bogus": 1}, "kf.json"),
     ([{"kind": "fly"}], {}, "actions.json"),
     ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"window": -1}, "kf.json"),
-], ids=["unknown_config_key", "bad_action", "negative_window"])
+    ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"pooled_tokens": 4.0},
+     "kf.json: pooled_tokens must be an integer"),
+    ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"capacity": 2.5},
+     "kf.json: capacity must be an integer"),
+], ids=["unknown_config_key", "bad_action", "negative_window", "float_pooled_tokens",
+        "fractional_capacity"])
 def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, culprit):
     (tmp_path / "actions.json").write_text(json.dumps(actions))
     (tmp_path / "kf.json").write_text(json.dumps(config))

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_greedy_merge, split_runs_oracle, visibility_per_call
+from oracles import (exhaustive_greedy_merge, merge_tokens_full_sort, split_runs_oracle,
+                     visibility_per_call)
 from uavnav.geometry import Point3
 from uavnav.keyframe import (KeyframeCandidate, KeyframeSet, MemoryBank,
                              MemoryBankConfig, MergeEvent, TokenMatrix,
-                             aim_cell, assemble_observation, confirm_keyframes,
-                             grid_pool, landmark_visibility, load_tokens,
-                             memory_push, merge_tokens, save_tokens,
+                             _cosine_matrix, aim_cell, assemble_observation,
+                             confirm_keyframes, grid_pool, landmark_visibility,
+                             load_tokens, memory_push, merge_tokens, save_tokens,
                              select_candidates, sight_targets)
 from uavnav.occupancy import VoxelGrid
 from uavnav.segmentation import LandmarkInstance
@@ -189,6 +190,68 @@ class TestMergeTokens:
             merge_tokens(KeyframeSet(0, [0, 1],
                                      [tm([[1.0, 0.0]]), tm([[1.0, 0.0, 0.0]], 1)]),
                          0.9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nan_similarity_never_merges(self):
+        # 1e200 squared overflows, so the norms and the dot product are inf
+        # and the similarity is inf / inf = NaN; the average stays finite.
+        ref = tm([[1e200, 1e200]])
+        frame = tm([[1e200, 1e200]], frame_index=1)
+        keyframe_set = KeyframeSet(0, [0, 1], [ref, frame])
+        assert np.isnan(_cosine_matrix(ref.tokens, frame.tokens)).all()
+        log: list[MergeEvent] = []
+        out = merge_tokens(keyframe_set, 0.5, log=log)
+        assert np.array_equal(out.tokens, ref.tokens)
+        assert log == []
+        # the full sort put the lone NaN last and, with nothing before it, merged it
+        full_log: list[MergeEvent] = []
+        merge_tokens_full_sort(keyframe_set, 0.5, log=full_log)
+        assert [(e.reference_token, e.frame_token) for e in full_log] == [(0, 0)]
+        assert math.isnan(full_log[0].similarity)
+
+
+@st.composite
+def merge_cases(draw):
+    """A keyframe set and a threshold, with many tied similarities.
+
+    Rows come from a small pool of vectors rounded to 0 or 1 decimals, so
+    rows repeat within and across frames, and some rows are zero. The 1-4
+    later frames have their own token counts. The threshold is drawn from
+    (0, 1], is 1.0, or is a similarity the reference and first later
+    frame attain.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    pool = np.round(rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 8)), dim)),
+                    draw(st.sampled_from([0, 1])))
+    zero_share = draw(st.sampled_from([0.0, 0.2]))
+
+    def frame(n: int, k: int) -> TokenMatrix:
+        rows = pool[rng.integers(0, len(pool), size=n)]
+        rows[rng.random(n) < zero_share] = 0.0
+        return TokenMatrix(rows, frame_index=k)
+
+    frames = [frame(draw(st.integers(1, 12)), k) for k in range(draw(st.integers(2, 5)))]
+    sims = _cosine_matrix(frames[0].tokens, frames[1].tokens).ravel()
+    attained = sorted(set(sims[(sims > 0.0) & (sims <= 1.0)].tolist()))
+    choices = [st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)]
+    if attained:
+        choices.append(st.sampled_from(attained))
+    threshold = draw(st.one_of(choices))
+    return KeyframeSet(0, list(range(len(frames))), frames), threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=merge_cases())
+def test_merge_matches_full_sort(case):
+    keyframe_set, threshold = case
+    log: list[MergeEvent] = []
+    out = merge_tokens(keyframe_set, threshold, log=log)
+    full_log: list[MergeEvent] = []
+    expected = merge_tokens_full_sort(keyframe_set, threshold, log=full_log)
+    assert np.array_equal(out.tokens, expected.tokens)
+    assert out.tokens.tobytes() == expected.tokens.tobytes()  # bit for bit
+    assert log == full_log
 
 
 class TestGridPool:

@@ -82,10 +82,12 @@ class TestLoadPointCloud:
     @pytest.mark.parametrize("text, line_number", [
         ("1 2 3\n4 5 6\nnan 1 2\n", 3),
         ("1 2 3 0 0 0\n4 5 6 1 1 1\n7 8 9\n", 3),
-    ], ids=["nan_on_line_3", "three_fields_in_six_field_file"])
+        ("1 2 3 0 0 0\n7 8 9\n4 5 6 1 1 1\n", 2),
+    ], ids=["nan_on_line_3", "three_fields_in_six_field_file",
+            "three_fields_mid_six_field_file"])
     def test_numpy_accepted_or_rejected_line_numbered_by_loop(self, tmp_path, text,
                                                               line_number):
-        # NumPy parses the first and rejects the second; the loop must name the line.
+        # NumPy parses the first and rejects the others; the loop must name the line.
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(PointCloudParseError) as err:

@@ -19,17 +19,25 @@ class ConfigError(UavnavError, ValueError):
     """Bad configuration or malformed input files (CLI exit code 2)."""
 
 
+def is_number(v) -> bool:
+    """A finite real number; a bool is no number."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+
+
+def is_integer(v) -> bool:
+    """An integral number; a bool is no integer."""
+    return is_number(v) and isinstance(v, numbers.Integral)
+
+
 def check_kinds(obj, prefix: str, kinds: dict[str, tuple[str, ...]]) -> None:
     """Raise ConfigError naming the first listed field of ``obj`` that is
     not of its kind: "an integer", "a number" (finite), "two numbers" (a
     tuple), "a string", "a string or null" or "a bool". A bool is no
     number."""
-    def number(v) -> bool:
-        return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and (isinstance(v, numbers.Integral) or math.isfinite(v)))
-    tests = {"an integer": lambda v: number(v) and isinstance(v, numbers.Integral),
-             "a number": number,
-             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(number, v)),
+    tests = {"an integer": is_integer,
+             "a number": is_number,
+             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(is_number, v)),
              "a string": lambda v: isinstance(v, str),
              "a string or null": lambda v: v is None or isinstance(v, str),
              "a bool": lambda v: isinstance(v, bool)}

@@ -216,7 +216,7 @@ def cmd_keyframe(args) -> int:
         raise ConfigError(f"{args.actions}: bad action ({exc!r})") from exc
     doc = _read_json(args.config, dict) if args.config else {}
     try:
-        candidates = kf.select_candidates(actions, int(doc.pop("window", kf.DEFAULT_WINDOW)))
+        candidates = kf.select_candidates(actions, doc.pop("window", kf.DEFAULT_WINDOW))
         cfg = kf.MemoryBankConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .textproc import (alnum_tokens, bag_of_words_embedding, embedding_dot,
-                       extract_landmark_phrases)
+from .textproc import bag_of_words_embedding, embedding_dot, extract_landmark_phrases
 from .trajgen import Action, ActionKind, Trajectory
 from .vlm import VlmClient
 
@@ -71,10 +70,6 @@ class SubTrajectory:
 class Instruction:
     text: str
     sub_instructions: list[str]
-
-    @property
-    def vocab_tokens(self) -> list[str]:
-        return alnum_tokens(self.text)
 
 
 _TURN_KINDS = (ActionKind.TURN_LEFT, ActionKind.TURN_RIGHT)

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import ConfigError, check_kinds
+from . import ConfigError, check_kinds, is_integer
 from .geometry import Point3
 from .occupancy import VoxelGrid, traverse_segment
 from .segmentation import LandmarkInstance
@@ -108,6 +108,8 @@ def select_candidates(actions: Sequence[Action], window: int = DEFAULT_WINDOW,
     forward motion does not produce a transition. Frame i is the pose
     after action i-1; windows clip to [0, len(actions)].
     """
+    if not is_integer(window):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 0:
         raise ValueError("window must be non-negative")
     from .instructions import group_action_runs

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy import ndimage
 
 from . import ConfigError
 from .geometry import Point3
@@ -105,7 +104,8 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
 
     A voxel is occupied iff at least one point falls inside it; the
     occupied set is then dilated by ceil(margin / voxel_size) cells using
-    the 6-neighborhood (face) structuring element. The grid covers the
+    the 6-neighborhood (face) structuring element, with cells outside the
+    grid counted as free. The grid covers the
     cloud bounds plus the margin; pass ``origin`` to anchor the grid's
     min corner explicitly (it must not exceed the cloud minimum).
     """
@@ -134,11 +134,15 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     occ = np.zeros(dims, dtype=bool)
     idx = np.floor((cloud.points - origin) / voxel_size).astype(np.int64)
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    if margin_cells > 0:
-        occ = ndimage.binary_dilation(
-            occ, structure=ndimage.generate_binary_structure(3, 1),
-            iterations=margin_cells,
-        )
+    for _ in range(margin_cells):  # one face-neighbour ring; cells past the edge are free
+        grown = occ.copy()
+        grown[1:] |= occ[:-1]
+        grown[:-1] |= occ[1:]
+        grown[:, 1:] |= occ[:, :-1]
+        grown[:, :-1] |= occ[:, 1:]
+        grown[:, :, 1:] |= occ[:, :, :-1]
+        grown[:, :, :-1] |= occ[:, :, 1:]
+        occ = grown
     return VoxelGrid(origin=origin, voxel_size=voxel_size, dims=dims, occupancy=occ)
 
 
@@ -286,6 +290,7 @@ def save_grid(grid: VoxelGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> VoxelGrid:
+    """Read a grid that ``save_grid`` (``uavnav voxelize --out``) wrote."""
     raw = Path(path).read_bytes()
     if len(raw) < _GRID_HEADER.size:
         raise ValueError(f"{path}: truncated grid file")
@@ -310,12 +315,3 @@ def grid_debug_dump(grid: VoxelGrid) -> str:
     }
     return json.dumps(doc, separators=(",", ":"))
 
-
-def grid_from_debug_dump(text: str) -> VoxelGrid:
-    doc = json.loads(text)
-    dims = tuple(doc["dims"])
-    occ = np.zeros(dims, dtype=bool)
-    for i, j, k in doc["occupied_cells"]:
-        occ[i, j, k] = True
-    return VoxelGrid(origin=np.array(doc["origin"], dtype=np.float64),
-                     voxel_size=float(doc["voxel_size"]), dims=dims, occupancy=occ)

@@ -15,6 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,10 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned (min_corner, max_corner); degenerate zeros when empty."""
+        """Axis-aligned (min_corner, max_corner); degenerate zeros when empty.
+        Computed on first use: ``points`` must not change after construction."""
         if len(self.points) == 0:
             zero = np.zeros(3)
             return zero, zero.copy()

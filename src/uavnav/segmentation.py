@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, UavnavError
+from . import ConfigError, UavnavError, is_number
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -65,9 +65,6 @@ class LandmarkInstance:
     area: float
     cells: list[tuple[int, int]]  # BEV cells of the component
     caption: Caption | None = None
-
-    def closed_contour(self) -> list[tuple[float, float]]:
-        return self.contour + [self.contour[0]]
 
 
 # Moore neighborhood ring, clockwise: W, NW, N, NE, E, SE, S, SW.
@@ -239,9 +236,15 @@ def _cell(doc) -> tuple[int, int]:
     return doc[0], doc[1]
 
 
+def _centroid(doc) -> tuple[float, float]:
+    if not (isinstance(doc, list) and len(doc) == 2 and all(map(is_number, doc))):
+        raise ValueError(f"centroid must be two finite numbers, got {doc!r}")
+    return doc[0], doc[1]
+
+
 def instances_from_json(text: str) -> list[LandmarkInstance]:
     """Landmarks from a landmarks.json document; a cell that is not two
-    integers is a ValueError."""
+    integers, or a centroid that is not two finite numbers, is a ValueError."""
     docs = json.loads(text)
     out = []
     for doc in docs:
@@ -249,7 +252,7 @@ def instances_from_json(text: str) -> list[LandmarkInstance]:
         out.append(LandmarkInstance(
             id=int(doc["id"]),
             contour=[tuple(v) for v in doc["contour"]],
-            centroid=tuple(doc["centroid"]),
+            centroid=_centroid(doc["centroid"]),
             height=float(doc["height"]),
             area=float(doc["area"]),
             cells=[_cell(c) for c in doc.get("cells", [])],

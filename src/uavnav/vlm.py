@@ -18,13 +18,14 @@ identically for the same inputs.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from . import ConfigError, UavnavError, atomic_open
 
@@ -214,27 +215,35 @@ class VlmClient:
     def _live_reply(self, request: dict) -> str:
         if not self.endpoint:
             raise VlmTransportError("live mode requires an endpoint URL")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(request, allow_nan=False).encode("utf-8")
+        try:
+            post = urllib.request.Request(self.endpoint, data=body, method="POST",
+                                          headers={"Content-Type": "application/json"})
+        except ValueError as exc:  # no scheme, so not a URL urllib can open
+            raise VlmTransportError(f"bad endpoint URL: {exc}") from exc
+        if self.api_key:  # unredirected: a redirect must not carry the key elsewhere
+            post.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt and self.retry_backoff_s:
                 time.sleep(self.retry_backoff_s * attempt)
             try:
-                resp = requests.post(
-                    self.endpoint, json=request, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # a status urllib treats as failure
+                exc.close()
+                last_error = VlmTransportError(f"endpoint returned HTTP {exc.code}")
+                continue
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                # URLError and timeouts are OSErrors; a bad header value is a ValueError
                 last_error = exc
                 continue
-            if resp.status_code != 200:
-                last_error = VlmTransportError(
-                    f"endpoint returned HTTP {resp.status_code}"
-                )
+            if status != 200:
+                last_error = VlmTransportError(f"endpoint returned HTTP {status}")
                 continue
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                return json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise VlmReplyError(f"malformed completion body: {exc}", resp.text)
+                raise VlmReplyError(f"malformed completion body: {exc}",
+                                    raw.decode("utf-8", "replace")) from exc
         raise VlmTransportError(f"request failed after {self.max_retries + 1} attempts: {last_error}")

@@ -8,10 +8,14 @@ a copy of the line loop ``load_point_cloud`` falls back to, kept as the
 reference for its NumPy path, ``visibility_per_call``, the
 ``landmark_visibility`` that aimed at the landmarks on every call, and
 ``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair.
+``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back, which
+only tests need.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from heapq import heappop, heappush
 from pathlib import Path
@@ -37,6 +41,29 @@ def brute_force_cells(points: np.ndarray, origin: np.ndarray, size: float) -> se
                    math.floor((p[1] - origin[1]) / size),
                    math.floor((p[2] - origin[2]) / size)))
     return cells
+
+
+def dilate_l1(occ: np.ndarray, k: int) -> np.ndarray:
+    """The OR of ``occ`` shifted by every offset within L1 distance ``k``,
+    with cells past the grid edge free: the face-neighbour dilation
+    repeated ``k`` times, computed in one pass over all offsets."""
+    nx, ny, nz = occ.shape
+    padded = np.pad(occ, k)
+    out = np.zeros_like(occ)
+    for di, dj, dk in itertools.product(range(-k, k + 1), repeat=3):
+        if abs(di) + abs(dj) + abs(dk) <= k:
+            out |= padded[k + di:k + di + nx, k + dj:k + dj + ny, k + dk:k + dk + nz]
+    return out
+
+
+def grid_from_debug_dump(text: str) -> VoxelGrid:
+    doc = json.loads(text)
+    dims = tuple(doc["dims"])
+    occ = np.zeros(dims, dtype=bool)
+    for i, j, k in doc["occupied_cells"]:
+        occ[i, j, k] = True
+    return VoxelGrid(origin=np.array(doc["origin"], dtype=np.float64),
+                     voxel_size=float(doc["voxel_size"]), dims=dims, occupancy=occ)
 
 
 def point_blocked(grid: VoxelGrid, x: float, y: float, z: float) -> bool:

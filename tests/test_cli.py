@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,15 @@ from uavnav.dataset import read_episodes
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
 from uavnav.occupancy import load_grid
 from uavnav.scene import BuildingSpec, SceneSpec, TreeSpec, scene_spec_to_dict
+
+
+def test_cli_imports_neither_scipy_nor_requests():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import sys, uavnav.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'requests'}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def small_spec() -> SceneSpec:
@@ -311,9 +323,15 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     ("landmarks.json", lambda spec: json.dumps([{
         "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
         "height": 32.0, "area": 324.0, "cells": [[1, 2, 3]]}]), "cell must be two integers"),
+    *[("landmarks.json", lambda spec, centroid=centroid: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": centroid,
+        "height": 32.0, "area": 324.0, "cells": [[20, 20]]}]),
+       "centroid must be two finite numbers")
+      for centroid in ([29], [1, 2, 3], [float("inf"), 29], ["a", 1])],
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
         "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
-        "cloud_not_utf8", "one_index_cell", "three_index_cell"])
+        "cloud_not_utf8", "one_index_cell", "three_index_cell", "one_number_centroid",
+        "three_number_centroid", "infinite_centroid", "string_centroid"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -377,8 +395,10 @@ def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
      "kf.json: pooled_tokens must be an integer"),
     ([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"capacity": 2.5},
      "kf.json: capacity must be an integer"),
+    *[([{"kind": "forward", "magnitude": 3.0}, {"kind": "stop"}], {"window": window},
+       "kf.json: window must be an integer") for window in (2.5, "1", True)],
 ], ids=["unknown_config_key", "bad_action", "negative_window", "float_pooled_tokens",
-        "fractional_capacity"])
+        "fractional_capacity", "fractional_window", "string_window", "bool_window"])
 def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, culprit):
     (tmp_path / "actions.json").write_text(json.dumps(actions))
     (tmp_path / "kf.json").write_text(json.dumps(config))

@@ -14,7 +14,7 @@ from uavnav.instructions import (DEFAULT_SIMILARITY_THRESHOLD, Instruction,
                                  generate_sub_instruction, group_action_runs,
                                  refine_coreference, split_subtrajectories,
                                  SubTrajectory)
-from uavnav.textproc import (bag_of_words_embedding, embedding_dot,
+from uavnav.textproc import (alnum_tokens, bag_of_words_embedding, embedding_dot,
                              extract_landmark_phrases)
 from uavnav.trajgen import (MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             ActionKind, Pose, Trajectory, forward)
@@ -165,9 +165,9 @@ class TestFuseInstruction:
         assert instr.text == fused
         assert instr.sub_instructions == clauses
 
-    def test_vocab_tokens_lazy(self):
+    def test_alnum_tokens_of_instruction_text(self):
         instr = Instruction(text="Go to the Tower.", sub_instructions=["x"])
-        assert instr.vocab_tokens == ["go", "to", "the", "tower"]
+        assert alnum_tokens(instr.text) == ["go", "to", "the", "tower"]
 
 
 REDUNDANT = (

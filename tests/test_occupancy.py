@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (bev_columns, brute_force_cells, dense_segment_free,
-                     point_blocked)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (bev_columns, brute_force_cells, dense_segment_free, dilate_l1,
+                     grid_from_debug_dump, point_blocked)
 from uavnav.geometry import Point3
 from uavnav.occupancy import (BevGrid, VoxelGrid, bev_project, grid_debug_dump,
-                              grid_from_debug_dump, is_free, load_grid,
-                              mark_vegetation, save_grid, segment_free,
-                              traverse_segment, voxelize)
+                              is_free, load_grid, mark_vegetation, save_grid,
+                              segment_free, traverse_segment, voxelize)
 from uavnav.scene import PointCloud
 
 
@@ -68,6 +70,35 @@ class TestVoxelize:
             voxelize(cloud_of([[0, 0, 0]]), 0.0, 0.0)
         with pytest.raises(ValueError):
             voxelize(cloud_of([[0, 0, 0]]), 1.0, -1.0)
+
+
+@st.composite
+def dilation_cases(draw):
+    """Points on a half-metre lattice (many on voxel faces), a voxel size, a
+    margin that is often not a multiple of it and, half the time, an
+    explicit origin at or just below the cloud minimum, which leaves
+    occupied cells on the grid's low faces before dilation."""
+    size = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    coord = st.integers(0, 16).map(lambda v: v * 0.5)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)))
+    margin = draw(st.sampled_from([0.0, 0.5, 1.0, 1.9, 2.0, 3.5]))
+    origin = None
+    if draw(st.booleans()):
+        origin = tuple(pts.min(axis=0) - draw(st.sampled_from([0.0, 0.25 * size])))
+    return pts, size, margin, origin
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dilation_cases())
+def test_dilation_matches_l1_oracle(case):
+    pts, size, margin, origin = case
+    grid = voxelize(cloud_of(pts), size, margin, origin=origin)
+    seeds = np.zeros(grid.dims, dtype=bool)
+    for cell in brute_force_cells(pts, grid.origin, size):
+        seeds[cell] = True
+    if origin is not None:  # the case reaches the grid border on every axis
+        assert seeds[0].any() and seeds[:, 0].any() and seeds[:, :, 0].any()
+    assert np.array_equal(grid.occupancy, dilate_l1(seeds, math.ceil(margin / size)))
 
 
 class TestBevProject:

@@ -1,13 +1,108 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
-from uavnav.vlm import (VlmClient, VlmReplayMissError, VlmTransportError,
-                        size_bucket)
+from uavnav.vlm import (VlmClient, VlmReplayMissError, VlmReplyError,
+                        VlmTransportError, size_bucket)
+
+
+def completion(content: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+
+
+class Endpoint:
+    """A chat-completion endpoint on 127.0.0.1 that answers each POST with
+    the next scripted reply: ``(status, body bytes)``, ``"drop"`` to close
+    the connection unanswered, or ``("stall", seconds)`` to stay silent.
+    Once the script runs out it answers 200 with ``default``."""
+
+    def __init__(self, port: int) -> None:
+        self.url = f"http://127.0.0.1:{port}/v1/chat"
+        self.script: list = []
+        self.default = completion("ok")
+        self.delay = 0.0
+        self.seen: list[tuple[str, dict, bytes]] = []  # path, headers, body
+        self.active = 0
+        self.peak = 0
+        self.lock = threading.Lock()
+        self.released = threading.Event()
+
+    def next_reply(self, path: str, headers: dict, body: bytes):
+        with self.lock:
+            self.seen.append((path, headers, body))
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            reply = self.script.pop(0) if self.script else (200, self.default)
+        time.sleep(self.delay)
+        with self.lock:
+            self.active -= 1
+        return reply
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self._answer(self.rfile.read(int(self.headers["Content-Length"])))
+
+    def do_GET(self):  # urllib follows a 302 to a POST with a GET
+        self._answer(b"")
+
+    def _answer(self, body: bytes) -> None:
+        endpoint = self.server.endpoint
+        reply = endpoint.next_reply(self.path, dict(self.headers), body)
+        if reply == "drop":
+            return
+        if reply[0] == "stall":
+            endpoint.released.wait(reply[1])
+            return
+        status, payload, *extra = reply  # extra: a dict of response headers
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serving():
+    """An Endpoint served on 127.0.0.1 for the duration of the block."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.endpoint = Endpoint(server.server_address[1])
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server.endpoint
+    finally:
+        server.endpoint.released.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy in the environment must not see these
+    with serving() as ep:
+        yield ep
+
+
+def live(url: str, **kwargs) -> VlmClient:
+    return VlmClient(mode="live", endpoint=url, retry_backoff_s=0.0, **kwargs)
+
+
+FUSE = {"task": "fuse", "clauses": ["x"]}
 
 
 class TestSizeBucket:
@@ -87,31 +182,17 @@ class TestMockMode:
 
 
 class TestReplayMode:
-    def test_replay_round_trip_via_recording(self, tmp_path, monkeypatch):
-        replies = iter(["recorded reply"])
-
-        class FakeResponse:
-            status_code = 200
-            text = "ok"
-
-            def json(self):
-                return {"choices": [{"message": {"content": next(replies)}}]}
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        live = VlmClient(mode="live", endpoint="http://example.invalid/v1/chat",
-                         cache_dir=tmp_path)
+    def test_replay_round_trip_via_recording(self, tmp_path, endpoint):
+        endpoint.script = [(200, completion("recorded reply"))]
+        recorder = live(endpoint.url, cache_dir=tmp_path)
         payload = {"task": "fuse", "clauses": ["hello"]}
-        assert live.complete("p", payload) == "recorded reply"
+        assert recorder.complete("p", payload) == "recorded reply"
         # The reply is written through a temp file that is renamed into place.
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
-        def explode(*a, **k):
-            raise AssertionError("replay mode must not touch the network")
-
-        monkeypatch.setattr(requests, "post", explode)
-        replay = VlmClient(mode="replay", endpoint="http://example.invalid/v1/chat",
-                           cache_dir=tmp_path)
+        replay = VlmClient(mode="replay", endpoint=endpoint.url, cache_dir=tmp_path)
         assert replay.complete("p", payload) == "recorded reply"
+        assert len(endpoint.seen) == 1  # replay mode must not touch the network
 
     def test_replay_miss_raises(self, tmp_path):
         replay = VlmClient(mode="replay", cache_dir=tmp_path)
@@ -124,104 +205,110 @@ class TestReplayMode:
 
 
 class TestLiveMode:
-    def test_posts_chat_completion_shape(self, monkeypatch):
-        seen = {}
-
-        class FakeResponse:
-            status_code = 200
-            text = "ok"
-
-            def json(self):
-                return {"choices": [{"message": {"content": "fine"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["url"] = url
-            seen["json"] = json
-            seen["headers"] = headers
-            return FakeResponse()
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        vlm = VlmClient(mode="live", endpoint="http://example.invalid/v1/chat",
-                        model="test-model", api_key="secret")
-        out = vlm.complete("system text", {"task": "fuse", "clauses": ["x"]})
-        assert out == "fine"
-        assert seen["url"] == "http://example.invalid/v1/chat"
-        assert seen["json"]["model"] == "test-model"
-        roles = [m["role"] for m in seen["json"]["messages"]]
+    def test_posts_chat_completion_shape(self, endpoint):
+        endpoint.default = completion("fine")
+        vlm = live(endpoint.url, model="test-model", api_key="secret")
+        payload = {"task": "fuse", "clauses": ["x", "caf\u00e9"]}
+        assert vlm.complete("system text", payload) == "fine"
+        [(path, headers, body)] = endpoint.seen
+        assert path == "/v1/chat"
+        sent = json.loads(body)
+        assert sent["model"] == "test-model"
+        roles = [m["role"] for m in sent["messages"]]
         assert roles == ["system", "user"]
-        assert json.loads(seen["json"]["messages"][1]["content"])["task"] == "fuse"
-        assert seen["headers"]["Authorization"] == "Bearer secret"
+        assert json.loads(sent["messages"][1]["content"])["task"] == "fuse"
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        # The bytes a requests.post(json=...) call sent for the same request.
+        assert body == json.dumps({"model": "test-model", "messages": [
+            {"role": "system", "content": "system text"},
+            {"role": "user", "content": json.dumps(payload, sort_keys=True)},
+        ]}, allow_nan=False).encode("utf-8")
 
-    def test_retries_then_transport_error(self, monkeypatch):
-        calls = {"n": 0}
+    def test_no_authorization_header_without_key(self, endpoint):
+        live(endpoint.url).complete("p", FUSE)
+        assert "Authorization" not in endpoint.seen[0][1]
 
-        def flaky_post(*a, **k):
-            calls["n"] += 1
-            raise requests.ConnectionError("down")
+    def test_redirect_does_not_carry_api_key(self, endpoint):
+        with serving() as elsewhere:
+            endpoint.script = [(302, b"", {"Location": elsewhere.url})]
+            elsewhere.default = completion("moved")
+            assert live(endpoint.url, api_key="secret").complete("p", FUSE) == "moved"
+            [(_, first, _)] = endpoint.seen
+            [(_, second, _)] = elsewhere.seen
+        assert first["Authorization"] == "Bearer secret"
+        assert "Authorization" not in second
 
-        monkeypatch.setattr(requests, "post", flaky_post)
-        vlm = VlmClient(mode="live", endpoint="http://example.invalid",
-                        max_retries=2, retry_backoff_s=0.0)
+    def test_retries_then_transport_error(self, endpoint):
+        endpoint.script = ["drop"] * 3
+        vlm = live(endpoint.url, max_retries=2)
         with pytest.raises(VlmTransportError):
-            vlm.complete("p", {"task": "fuse", "clauses": ["x"]})
-        assert calls["n"] == 3
+            vlm.complete("p", FUSE)
+        assert len(endpoint.seen) == 3
 
-    def test_bad_status_retried(self, monkeypatch):
-        calls = {"n": 0}
+    def test_bad_status_retried(self, endpoint):
+        endpoint.script = [(503, b"busy")]
+        endpoint.default = completion("later")
+        vlm = live(endpoint.url, max_retries=2)
+        assert vlm.complete("p", FUSE) == "later"
+        assert len(endpoint.seen) == 2
 
-        class Resp:
-            def __init__(self, code, content="later"):
-                self.status_code = code
-                self.text = "body"
-                self._content = content
+    @pytest.mark.parametrize("status", [503, 201, 307])
+    def test_persistent_bad_status_names_it(self, endpoint, status):
+        endpoint.script = [(status, completion("no"))] * 2
+        vlm = live(endpoint.url, max_retries=1)
+        with pytest.raises(VlmTransportError, match=f"HTTP {status}"):
+            vlm.complete("p", FUSE)
+        assert len(endpoint.seen) == 2
 
-            def json(self):
-                return {"choices": [{"message": {"content": self._content}}]}
+    @pytest.mark.parametrize("body", [
+        b"{not json", b"\xff\xfe{}", json.dumps({"choices": []}).encode(),
+        json.dumps({"choices": [{"text": "old style"}]}).encode(),
+    ], ids=["not_json", "not_utf8", "no_choice", "no_message"])
+    def test_malformed_body_is_reply_error(self, endpoint, body):
+        endpoint.script = [(200, body)]
+        with pytest.raises(VlmReplyError) as info:
+            live(endpoint.url, max_retries=2).complete("p", FUSE)
+        assert info.value.raw_reply == body.decode("utf-8", "replace")
+        assert len(endpoint.seen) == 1  # a usable status is not retried
 
-        def post(*a, **k):
-            calls["n"] += 1
-            return Resp(503) if calls["n"] == 1 else Resp(200)
+    def test_slow_endpoint_times_out(self, endpoint):
+        endpoint.script = [("stall", 5.0)] * 2
+        vlm = live(endpoint.url, max_retries=1, timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(VlmTransportError, match="timed out"):
+            vlm.complete("p", FUSE)
+        assert time.monotonic() - start < 2.0
+        assert len(endpoint.seen) == 2
 
-        monkeypatch.setattr(requests, "post", post)
-        vlm = VlmClient(mode="live", endpoint="http://example.invalid",
-                        max_retries=2, retry_backoff_s=0.0)
-        assert vlm.complete("p", {"task": "fuse", "clauses": ["x"]}) == "later"
-        assert calls["n"] == 2
+    def test_refused_port_is_transport_error(self):
+        with socket.socket() as sock:  # a port nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(VlmTransportError, match="refused"):
+            live(f"http://127.0.0.1:{port}/v1/chat", max_retries=1).complete("p", FUSE)
+
+    def test_scheme_less_endpoint_is_transport_error(self):
+        vlm = live("example.invalid/v1/chat")
+        with pytest.raises(VlmTransportError, match="bad endpoint URL"):
+            vlm.complete("p", FUSE)
 
     def test_live_requires_endpoint(self):
         vlm = VlmClient(mode="live")
         with pytest.raises(VlmTransportError):
             vlm.complete("p", {"task": "fuse", "clauses": ["x"]})
 
-    def test_in_flight_bound_respected(self, monkeypatch):
-        active = {"now": 0, "peak": 0}
-        lock = threading.Lock()
-
-        class Resp:
-            status_code = 200
-            text = "ok"
-
-            def json(self):
-                return {"choices": [{"message": {"content": "done"}}]}
-
-        def slow_post(*a, **k):
-            with lock:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            import time
-            time.sleep(0.02)
-            with lock:
-                active["now"] -= 1
-            return Resp()
-
-        monkeypatch.setattr(requests, "post", slow_post)
-        vlm = VlmClient(mode="live", endpoint="http://example.invalid",
-                        max_in_flight=2)
+    def test_in_flight_bound_respected(self, endpoint):
+        endpoint.delay = 0.05
+        endpoint.default = completion("done")
+        vlm = live(endpoint.url, max_in_flight=2)
         threads = [threading.Thread(target=vlm.complete,
                                     args=("p", {"task": "fuse", "clauses": [str(i)]}))
                    for i in range(6)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert active["peak"] <= 2
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(endpoint.seen) == 6
+        assert 1 <= endpoint.peak <= 2

@@ -90,7 +90,7 @@ def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
 
 def cmd_scene_synth(args) -> int:
     spec = (load_scene_spec(args.spec) if args.spec
-            else pl.demo_scene_spec(seed=args.seed or 7))
+            else pl.demo_scene_spec(seed=args.seed))
     cloud, landmarks = synthesize_scene(spec)
     pl.write_scene_dir(spec, args.out, cloud=cloud)
     print(f"wrote scene {spec.scene_id!r}: {len(cloud)} points, "
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     scene_sub = p.add_subparsers(dest="scene_command", required=True)
     p_synth = scene_sub.add_parser("synth", help="synthesize a procedural scene")
     p_synth.add_argument("--spec", help="scene spec JSON (omit for the demo scene)")
-    p_synth.add_argument("--seed", type=int, default=None)
+    p_synth.add_argument("--seed", type=int, default=7, help="demo scene seed")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_scene_synth)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import UavnavError, atomic_open
+from . import UavnavError, atomic_open, is_number
 from .geometry import Point3, round_sig
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -130,6 +130,13 @@ def episode_from_dict(doc: dict) -> Episode:
     if instr_doc is not None:
         instruction = Instruction(text=instr_doc["text"],
                                   sub_instructions=list(instr_doc["sub_instructions"]))
+    meta = dict(doc.get("meta", {}))
+    goal, gt_length = meta.get("goal"), meta.get("gt_length")
+    if goal is not None and not (isinstance(goal, list) and len(goal) == 3
+                                 and all(map(is_number, goal))):
+        raise ValueError(f"meta.goal must be three finite numbers, got {goal!r}")
+    if gt_length is not None and not (is_number(gt_length) and gt_length > 0):
+        raise ValueError(f"meta.gt_length must be a finite number > 0, got {gt_length!r}")
     extra = {k: doc[k] for k in doc if k not in _KNOWN_KEYS}
     return Episode(
         episode_id=str(doc["episode_id"]),
@@ -137,7 +144,7 @@ def episode_from_dict(doc: dict) -> Episode:
         trajectory=trajectory,
         instruction=instruction,
         image_refs=[str(r) for r in doc["image_refs"]],
-        meta=dict(doc.get("meta", {})),
+        meta=meta,
         extra=extra,
     )
 

@@ -290,8 +290,7 @@ def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
 
 
 def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
-                     vlm: VlmClient | None, index: int,
-                     attempts: int = RETRY_BUDGET_FACTOR) -> _EpisodeOutcome:
+                     vlm: VlmClient | None, index: int) -> _EpisodeOutcome:
     """Sample, search, narrate, and filter one episode; retry within budget.
 
     Without a VLM client the episode carries no instruction. A failed VLM
@@ -300,7 +299,7 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
     rng = _episode_rng(cfg.seed, index)
     outcome = _EpisodeOutcome(episode=None, rejections=[])
     episode_id = f"{bundle.scene_id}-{index:06d}"
-    for _ in range(attempts):
+    for _ in range(RETRY_BUDGET_FACTOR):
         try:
             trajectory, goal = tg.chain_trajectories(
                 cfg.segments, bundle.landmarks, bundle.bev, bundle.nav_grid,

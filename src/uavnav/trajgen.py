@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
@@ -323,7 +324,8 @@ class SearchStats:
 
 
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
-                 cfg: TrajGenConfig, stats: SearchStats | None = None) -> Trajectory:
+                 cfg: TrajGenConfig, stats: SearchStats | None = None,
+                 flown: Sequence[Action] = ()) -> Trajectory:
     """A* over exact (position, heading) states.
 
     Edge costs are meters moved in 0.1 m units plus one unit per turn.
@@ -350,10 +352,18 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     so it settles at its cheapest collision-free cost, and no edge into
     a settled state is ever checked.
 
+    ``flown`` are actions already flown from ``start``: the search begins
+    where they end, and the trajectory it returns, from ``start``, opens
+    with them.
+
     ``stats``, when given, gains this search's settled expansions and
     collision checks, also when the search fails.
     """
-    if not is_free(grid, start.position):
+    first = initial_state(start)
+    for action in flown:
+        first = advance(first, action)
+    here = lattice_pose(start.position, first).position
+    if not is_free(grid, here):
         raise NoPathError("start pose is occupied or out of bounds")
     ox, oy, oz = start.position.as_tuple()
     goal_xyz = gx, gy, gz = (goal.x, goal.y, goal.z)
@@ -363,10 +373,10 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     # were collision-checked.
     parents: dict[SearchState, tuple[SearchState, Action] | None] = {}
     bin_best: dict[tuple, int] = {}
-    h0 = lattice_heuristic(ox - gx, oy - gy, oz - gz, tolerance)
+    h0 = lattice_heuristic(here.x - gx, here.y - gy, here.z - gz, tolerance)
     heap: list[tuple[float, float, int, int, SearchState,
                      SearchState | None, Action | None, int]] = [
-        (h0, h0, 0, 0, initial_state(start), None, None, _TURN)  # no edge to check
+        (h0, h0, 0, 0, first, None, None, _TURN)  # no edge to check
     ]
     seq = 0
     expansions = checks = 0
@@ -399,8 +409,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                     s, action = parents[s]  # type: ignore[misc]
                     actions.append(action)
                 actions.reverse()
-                actions.append(STOP)
-                return Trajectory.from_actions(start, actions)
+                return Trajectory.from_actions(start, [*flown, *actions, STOP])
             key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
             best = bin_best.get(key)
             if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
@@ -519,43 +528,33 @@ def chain_trajectories(
     rng: np.random.Generator,
     stats: SearchStats | None = None,
 ) -> tuple[Trajectory, Point3]:
-    """Chain A* segments, each starting where the previous one stopped.
+    """Chain A* segments, each starting where the previous one stopped,
+    all searched from the episode's start with ``flown`` (see astar_search).
 
-    Returns the trajectory and the goal point given to the last segment's
-    search. Intermediate Stops are dropped; the trajectory carries the
-    last segment's target landmark. Every segment's search adds to
-    ``stats``.
+    Returns the trajectory, which carries the last segment's target
+    landmark and no intermediate Stop, and the goal point given to the
+    last segment's search. Every segment's search adds to ``stats``.
     """
     if segments < 1:
         raise ValueError("segments must be >= 1")
     start, goal, target = sample_endpoints(landmarks, bev, grid, cfg, rng)
-    first = astar_search(start, goal, grid, cfg, stats)
-    if segments == 1:
-        return replace(first, target_landmark_id=target), goal
-    actions = [a for a in first.actions if a.kind is not ActionKind.STOP]
-    current = first.poses[-1]
+    trajectory = astar_search(start, goal, grid, cfg, stats)
+    eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
     lo, hi = cfg.start_distance_range
     for index in range(2, segments + 1):
-        eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
+        here = trajectory.poses[-1].position
         in_range = [
             lm for lm in eligible
-            if lo <= math.hypot(lm.centroid[0] - current.position.x,
-                                lm.centroid[1] - current.position.y) <= hi
+            if lo <= math.hypot(lm.centroid[0] - here.x, lm.centroid[1] - here.y) <= hi
         ]
         candidates = in_range or [lm for lm in eligible if lm.id != target] or eligible
         try:
             lm = candidates[int(rng.integers(len(candidates)))]
-            goal = _goal_on_line(
-                (current.position.x, current.position.y), lm,
-                current.position.z, bev, grid, cfg,
-            )
+            goal = _goal_on_line((here.x, here.y), lm, here.z, bev, grid, cfg)
             if goal is None:
                 raise SamplingExhaustedError("no clear goal on the connecting line")
-            part = astar_search(current, goal, grid, cfg, stats)
+            trajectory = astar_search(start, goal, grid, cfg, stats, trajectory.actions[:-1])
         except TrajGenError as exc:
             raise NoPathError(f"segment {index} of {segments} failed: {exc}") from exc
         target = lm.id
-        actions.extend(a for a in part.actions if a.kind is not ActionKind.STOP)
-        current = part.poses[-1]
-    actions.append(STOP)
-    return Trajectory.from_actions(start, actions, target_landmark_id=target), goal
+    return replace(trajectory, target_landmark_id=target), goal

@@ -18,12 +18,9 @@ identically for the same inputs.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,6 +210,11 @@ class VlmClient:
             fh.write(json.dumps(doc, sort_keys=True, indent=1))
 
     def _live_reply(self, request: dict) -> str:
+        # Imported here: they pull in ssl and email, which only live mode needs.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         if not self.endpoint:
             raise VlmTransportError("live mode requires an endpoint URL")
         body = json.dumps(request, allow_nan=False).encode("utf-8")

@@ -19,9 +19,11 @@ from uavnav.scene import BuildingSpec, SceneSpec, TreeSpec, scene_spec_to_dict
 
 
 def test_cli_imports_neither_scipy_nor_requests():
+    # Nor the HTTP transport, which only live VLM mode uses.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = ("import sys, uavnav.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'requests'}))")
+            "print(sorted(({m.split('.')[0] for m in sys.modules} & {'scipy', 'requests'})"
+            " | (set(sys.modules) & {'urllib.request', 'http.client', 'ssl'})))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
@@ -76,6 +78,13 @@ def test_scene_synth_demo_scene(tmp_path):
     out = tmp_path / "demo"
     assert main(["scene", "synth", "--out", str(out)]) == 0
     assert (out / "cloud.txt").exists()
+    assert json.loads((out / "scene.json").read_text())["seed"] == 7
+
+
+def test_scene_synth_seed_zero_is_kept(tmp_path):
+    out = tmp_path / "demo0"
+    assert main(["scene", "synth", "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "scene.json").read_text())["seed"] == 0
 
 
 def test_voxelize_roundtrip(workdir):
@@ -385,6 +394,26 @@ def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
     assert main(["eval", *scene_args(workdir), "--episodes", str(src),
                  "--predictions", str(preds)]) == 2
     assert "preds.jsonl" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"goal": [1.0, 2.0]}, "meta.goal must be three finite numbers"),
+    ({"gt_length": "abc"}, "meta.gt_length must be a finite number > 0"),
+    ({"gt_length": -1.0}, "meta.gt_length must be a finite number > 0"),
+], ids=["two_field_goal", "string_gt_length", "negative_gt_length"])
+def test_malformed_episode_meta_is_one_line_error(workdir, tmp_path, capsys, meta, message):
+    src = workdir / "generated.jsonl"
+    first = read_episodes(src)[0]
+    doc = json.loads(src.read_text().splitlines()[0])
+    doc["meta"].update(meta)
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(doc) + "\n")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"episode_id": first.episode_id,
+                                 "actions": [a.to_dict() for a in first.trajectory.actions]}))
+    assert main(["eval", *scene_args(workdir), "--episodes", str(episodes),
+                 "--predictions", str(preds)]) == 1
+    assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("actions, config, culprit", [

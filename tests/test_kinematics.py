@@ -98,9 +98,9 @@ def test_sampled_episode_validates_on_its_serialized_start(desk_bundle, monkeypa
     assert not ev.replay(t.start, t.actions, grid).collided
 
 
-def test_search_edges_are_rollout_segments_bit_for_bit(monkeypatch):
-    # astar_search inlines lattice_pose's expressions; every edge of the
-    # returned path was checked on exactly the floats rollout gives.
+def record_free_edges(monkeypatch) -> set[tuple[str, ...]]:
+    """The set that every free ``segment_free_coords`` call of the search
+    adds its coordinates to, as float hex strings."""
     free_edges: set[tuple[str, ...]] = set()
     check = tg.segment_free_coords
 
@@ -111,6 +111,25 @@ def test_search_edges_are_rollout_segments_bit_for_bit(monkeypatch):
         return free
 
     monkeypatch.setattr(tg, "segment_free_coords", recording_check)
+    return free_edges
+
+
+def assert_rollout_edges_checked(traj: tg.Trajectory, free_edges: set) -> None:
+    poses = tg.rollout(traj.start, traj.actions)
+    assert poses == traj.poses
+    moved = [(a, b) for a, b, action in zip(poses, poses[1:], traj.actions)
+             if action.kind not in (tg.ActionKind.TURN_LEFT, tg.ActionKind.TURN_RIGHT,
+                                    tg.ActionKind.STOP)]
+    assert moved
+    for a, b in moved:
+        coords = (*a.position.as_tuple(), *b.position.as_tuple())
+        assert tuple(float.hex(c) for c in coords) in free_edges
+
+
+def test_search_edges_are_rollout_segments_bit_for_bit(monkeypatch):
+    # astar_search inlines lattice_pose's expressions; every edge of the
+    # returned path was checked on exactly the floats rollout gives.
+    free_edges = record_free_edges(monkeypatch)
     cfg = tg.TrajGenConfig(height_range=(3.0, 27.0))
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -122,15 +141,28 @@ def test_search_edges_are_rollout_segments_bit_for_bit(monkeypatch):
             traj = tg.astar_search(start, Point3(80.0, 85.0, 15.0), grid, cfg)
         except tg.NoPathError:
             continue
-        poses = tg.rollout(traj.start, traj.actions)
-        assert poses == traj.poses
-        moved = [(a, b) for a, b, action in zip(poses, poses[1:], traj.actions)
-                 if action.kind not in (tg.ActionKind.TURN_LEFT, tg.ActionKind.TURN_RIGHT,
-                                        tg.ActionKind.STOP)]
-        assert moved
-        for a, b in moved:
-            coords = (*a.position.as_tuple(), *b.position.as_tuple())
-            assert tuple(float.hex(c) for c in coords) in free_edges
+        assert_rollout_edges_checked(traj, free_edges)
+
+
+@pytest.mark.parametrize("segments", [2, 3])
+def test_chained_search_edges_are_rollout_segments_bit_for_bit(desk_bundle, monkeypatch,
+                                                               segments):
+    # Every segment is searched from the episode's start, so its edges
+    # were checked on the floats that rollout, validate and eval replay give.
+    bundle, cfg = desk_bundle
+    free_edges = record_free_edges(monkeypatch)
+    chained = 0
+    for seed in range(30):
+        free_edges.clear()
+        try:
+            traj, _ = tg.chain_trajectories(segments, bundle.landmarks, bundle.bev,
+                                            bundle.nav_grid, cfg.trajgen,
+                                            np.random.default_rng(seed))
+        except tg.TrajGenError:
+            continue
+        chained += 1
+        assert_rollout_edges_checked(traj, free_edges)
+    assert chained >= 20
 
 
 @settings(max_examples=100, deadline=None,

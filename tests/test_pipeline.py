@@ -214,6 +214,22 @@ class TestRunValidate:
         report = pl.run_validate(bad, desk_cfg, demo_bundle)
         assert any(v.kind == "schema" for v in report.violations)
 
+    @pytest.mark.parametrize("meta", [{"goal": [1.0, 2.0]}, {"gt_length": "abc"},
+                                      {"gt_length": -1.0}],
+                             ids=["two_field_goal", "string_gt_length", "negative_gt_length"])
+    def test_malformed_meta_is_schema_violation(self, demo_bundle, desk_cfg, tmp_path,
+                                                meta):
+        out = tmp_path / "m.jsonl"
+        pl.run_generate(demo_bundle, desk_cfg, 1, out)
+        good = out.read_text().splitlines()[0]
+        doc = json.loads(good)
+        doc["meta"].update(meta)
+        bad = tmp_path / "badm.jsonl"
+        bad.write_text(json.dumps(doc) + "\n" + good + "\n")
+        report = pl.run_validate(bad, desk_cfg, demo_bundle)
+        assert report.episodes_checked == 2
+        assert [(v.episode_id, v.kind) for v in report.violations] == [("line 1", "schema")]
+
 
 class TestSceneBundle:
     def test_round_trip_through_scene_dir(self, desk_cfg, tmp_path):

@@ -155,7 +155,10 @@ def cmd_dataset_filter(args) -> int:
 def cmd_dataset_split(args) -> int:
     episodes = ds.read_episodes(args.episodes)
     assignment = _read_json(args.assignment, dict)
-    train, seen, unseen = ds.split_dataset(episodes, assignment)
+    try:
+        train, seen, unseen = ds.split_dataset(episodes, assignment)
+    except ds.SplitConfigError as exc:
+        raise ConfigError(f"{args.assignment}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in (train, seen, unseen):

@@ -13,9 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import UavnavError, atomic_open, is_number
+from . import ConfigError, UavnavError, atomic_open, is_number
 from .geometry import Point3, round_sig
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -41,10 +41,12 @@ class DatasetReadError(DatasetError):
 
 
 class IntegrityError(DatasetError):
-    pass
+    def __init__(self, episode_id: str, where: str = "") -> None:
+        super().__init__(f"{where}duplicate episode_id {episode_id!r}")
+        self.episode_id = episode_id
 
 
-class SplitConfigError(DatasetError):
+class SplitConfigError(ConfigError):
     pass
 
 
@@ -119,6 +121,15 @@ def episode_to_dict(episode: Episode) -> dict:
 
 
 def episode_from_dict(doc: dict) -> Episode:
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    meta = dict(doc.get("meta", {}))
+    goal, gt_length = meta.get("goal"), meta.get("gt_length")
+    if goal is not None and not (isinstance(goal, list) and len(goal) == 3
+                                 and all(map(is_number, goal))):
+        raise ValueError(f"meta.goal must be three finite numbers, got {goal!r}")
+    if gt_length is not None and not (is_number(gt_length) and gt_length > 0):
+        raise ValueError(f"meta.gt_length must be a finite number > 0, got {gt_length!r}")
     trajectory = Trajectory(
         start=_pose_from_doc(doc["start"]),
         actions=[Action.from_dict(a) for a in doc["actions"]],
@@ -130,13 +141,6 @@ def episode_from_dict(doc: dict) -> Episode:
     if instr_doc is not None:
         instruction = Instruction(text=instr_doc["text"],
                                   sub_instructions=list(instr_doc["sub_instructions"]))
-    meta = dict(doc.get("meta", {}))
-    goal, gt_length = meta.get("goal"), meta.get("gt_length")
-    if goal is not None and not (isinstance(goal, list) and len(goal) == 3
-                                 and all(map(is_number, goal))):
-        raise ValueError(f"meta.goal must be three finite numbers, got {goal!r}")
-    if gt_length is not None and not (is_number(gt_length) and gt_length > 0):
-        raise ValueError(f"meta.gt_length must be a finite number > 0, got {gt_length!r}")
     extra = {k: doc[k] for k in doc if k not in _KNOWN_KEYS}
     return Episode(
         episode_id=str(doc["episode_id"]),
@@ -165,35 +169,43 @@ def write_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
     with atomic_open(path) as fh:
         for episode in episodes:
             if episode.episode_id in seen:
-                raise IntegrityError(f"duplicate episode_id {episode.episode_id!r}")
+                raise IntegrityError(episode.episode_id)
             seen.add(episode.episode_id)
             fh.write(episode_to_line(episode) + "\n")
             count += 1
     return count
 
 
-def read_episodes(path: str | Path) -> list[Episode]:
-    path = Path(path)
-    episodes: list[Episode] = []
+def scan_episodes(path: str | Path) -> Iterator[tuple[int, Episode | Exception]]:
+    """Yield ``(line number, episode or error)`` per non-blank line and go on past
+    errors: a line's parse exception, or an ``IntegrityError`` for a repeated id."""
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-                episode = episode_from_dict(doc)
-            except IntegrityError:
-                raise
+                episode = episode_from_dict(json.loads(line))
             except Exception as exc:
-                raise DatasetReadError(path, lineno, str(exc)) from exc
+                yield lineno, exc
+                continue
             if episode.episode_id in seen:
-                raise IntegrityError(
-                    f"{path}:{lineno}: duplicate episode_id {episode.episode_id!r}"
-                )
+                yield lineno, IntegrityError(episode.episode_id, f"{path}:{lineno}: ")
+                continue
             seen.add(episode.episode_id)
-            episodes.append(episode)
+            yield lineno, episode
+
+
+def read_episodes(path: str | Path) -> list[Episode]:
+    """Every episode of a JSONL file; raises on the first bad line."""
+    episodes: list[Episode] = []
+    for lineno, item in scan_episodes(path):
+        if isinstance(item, IntegrityError):
+            raise item
+        if isinstance(item, Exception):
+            raise DatasetReadError(path, lineno, str(item)) from item
+        episodes.append(item)
     return episodes
 
 
@@ -244,6 +256,9 @@ def normalize_scene_assignment(assignment: Mapping) -> dict[str, str]:
     if all(k in SPLIT_NAMES for k in assignment):
         normalized: dict[str, str] = {}
         for split, scenes in assignment.items():
+            if not (isinstance(scenes, list) and all(isinstance(s, str) for s in scenes)):
+                raise SplitConfigError(f"split {split!r} must be a list of scene ids, "
+                                       f"got {scenes!r}")
             for scene in scenes:
                 if scene in normalized and normalized[scene] != split:
                     raise SplitConfigError(

@@ -53,10 +53,6 @@ class VoxelGrid:
         nx, ny, nz = self.dims
         return 0 <= i < nx and 0 <= j < ny and 0 <= k < nz
 
-    @property
-    def max_corner(self) -> np.ndarray:
-        return self.origin + np.array(self.dims) * self.voxel_size
-
 
 @dataclass(frozen=True, eq=False)
 class BevGrid:

@@ -415,33 +415,16 @@ def run_validate(path: str | Path, cfg: PipelineConfig,
     Collision and vegetation checks need the scene bundle; without one,
     schema, kinematics, and filter-rule checks still run.
     """
-    path = Path(path)
     violations: list[Violation] = []
-    seen_ids: set[str] = set()
     checked = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            checked += 1
-            try:
-                doc = json.loads(line)
-                episode = ds.episode_from_dict(doc)
-            except Exception as exc:
-                violations.append(Violation(f"line {lineno}", "schema", str(exc)))
-                continue
-            if doc.get("schema_version") != ds.SCHEMA_VERSION:
-                violations.append(Violation(
-                    episode.episode_id, "schema",
-                    f"unsupported schema_version {doc.get('schema_version')!r}"))
-                continue
-            if episode.episode_id in seen_ids:
-                violations.append(Violation(episode.episode_id, "integrity",
-                                            "duplicate episode_id"))
-                continue
-            seen_ids.add(episode.episode_id)
-            violations.extend(_validate_episode(episode, cfg, bundle))
+    for lineno, item in ds.scan_episodes(path):
+        checked += 1
+        if isinstance(item, ds.IntegrityError):
+            violations.append(Violation(item.episode_id, "integrity", "duplicate episode_id"))
+        elif isinstance(item, Exception):
+            violations.append(Violation(f"line {lineno}", "schema", str(item)))
+        else:
+            violations.extend(_validate_episode(item, cfg, bundle))
     return ValidationReport(episodes_checked=checked, violations=violations)
 
 

@@ -69,6 +69,32 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def trajs(workdir):
+    """Three un-narrated episodes, written once for the tests that read them."""
+    out = workdir / "trajs.jsonl"
+    assert main(["trajgen", *scene_args(workdir), "--count", "3", "--seed", "11",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def generated(workdir):
+    """Five generated episodes, written once for the tests that read them;
+    the generation report goes to ``report.json`` next to them."""
+    out = workdir / "generated.jsonl"
+    assert main(["generate", *scene_args(workdir), "--count", "5", "--out", str(out),
+                 "--report", str(workdir / "report.json")]) == 0
+    return out
+
+
+def with_schema_version(src: Path, dst: Path, version) -> Path:
+    """``src`` rewritten with every episode's ``schema_version`` set to ``version``."""
+    dst.write_text("".join(json.dumps({**json.loads(line), "schema_version": version}) + "\n"
+                           for line in src.read_text().splitlines()))
+    return dst
+
+
 def test_scene_synth_writes_inputs(workdir):
     assert (workdir / "scene" / "scene.json").exists()
     assert (workdir / "scene" / "cloud.txt").exists()
@@ -106,46 +132,34 @@ def test_segment_writes_landmarks(workdir):
     assert all(d["caption"] for d in docs)
 
 
-def test_trajgen_emits_trajectories(workdir):
-    out = workdir / "trajs.jsonl"
-    assert main(["trajgen", "--scene", str(workdir / "scene"),
-                 "--config", str(workdir / "config.json"),
-                 "--count", "3", "--seed", "11", "--out", str(out)]) == 0
-    episodes = read_episodes(out)
+def test_trajgen_emits_trajectories(trajs):
+    episodes = read_episodes(trajs)
     assert len(episodes) == 3
     assert all(e.instruction is None for e in episodes)
 
 
-def test_instruct_fills_instructions(workdir):
-    src = workdir / "trajs.jsonl"
+def test_instruct_fills_instructions(workdir, trajs):
     out = workdir / "instructed.jsonl"
     assert main(["instruct", "--scene", str(workdir / "scene"),
                  "--config", str(workdir / "config.json"),
-                 "--episodes", str(src), "--mode", "mock",
+                 "--episodes", str(trajs), "--mode", "mock",
                  "--out", str(out)]) == 0
     episodes = read_episodes(out)
     assert all(e.instruction is not None and e.instruction.text
                for e in episodes)
 
 
-def test_generate_and_validate(workdir):
-    out = workdir / "generated.jsonl"
-    report_path = workdir / "report.json"
-    assert main(["generate", "--scene", str(workdir / "scene"),
-                 "--config", str(workdir / "config.json"),
-                 "--count", "5", "--out", str(out),
-                 "--report", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
+def test_generate_and_validate(workdir, generated):
+    report = json.loads((workdir / "report.json").read_text())
     assert report["accepted"] == 5
     assert main(["validate", "--scene", str(workdir / "scene"),
                  "--config", str(workdir / "config.json"),
-                 "--episodes", str(out)]) == 0
+                 "--episodes", str(generated)]) == 0
 
 
-def test_validate_flags_corruption(workdir, capsys):
-    src = workdir / "generated.jsonl"
+def test_validate_flags_corruption(workdir, generated, capsys):
     bad = workdir / "corrupted.jsonl"
-    lines = src.read_text().splitlines()
+    lines = generated.read_text().splitlines()
     doc = json.loads(lines[0])
     doc["poses"][1]["position"][0] += 5.0  # break the kinematic rollout
     lines[0] = json.dumps(doc)
@@ -156,10 +170,9 @@ def test_validate_flags_corruption(workdir, capsys):
     assert "kinematics" in kinds
 
 
-def test_validate_flags_too_long(workdir, capsys):
-    src = workdir / "generated.jsonl"
+def test_validate_flags_too_long(workdir, generated, capsys):
     bad = workdir / "toolong.jsonl"
-    doc = json.loads(src.read_text().splitlines()[0])
+    doc = json.loads(generated.read_text().splitlines()[0])
     doc["actions"] = [{"kind": "turn_left", "magnitude": 30.0}] * 151 \
         + [{"kind": "stop"}]
     from uavnav.trajgen import rollout
@@ -176,10 +189,9 @@ def test_validate_flags_too_long(workdir, capsys):
                for v in out["violations"])
 
 
-def test_dataset_filter_split_stats(workdir, capsys):
-    src = workdir / "generated.jsonl"
+def test_dataset_filter_split_stats(workdir, generated, capsys):
     kept = workdir / "kept.jsonl"
-    assert main(["dataset", "filter", "--episodes", str(src),
+    assert main(["dataset", "filter", "--episodes", str(generated),
                  "--out", str(kept)]) == 0
     assert len(read_episodes(kept)) == 5
 
@@ -199,11 +211,10 @@ def test_dataset_filter_split_stats(workdir, capsys):
     assert doc["vocab_size"] > 0
 
 
-def test_eval_ground_truth_predictions_score_perfectly(workdir, capsys):
-    src = workdir / "generated.jsonl"
+def test_eval_ground_truth_predictions_score_perfectly(workdir, generated, capsys):
     preds = workdir / "preds.jsonl"
     with preds.open("w") as fh:
-        for episode in read_episodes(src):
+        for episode in read_episodes(generated):
             fh.write(json.dumps({
                 "episode_id": episode.episode_id,
                 "actions": [a.to_dict() for a in episode.trajectory.actions],
@@ -211,7 +222,7 @@ def test_eval_ground_truth_predictions_score_perfectly(workdir, capsys):
     report_path = workdir / "eval.json"
     assert main(["eval", "--scene", str(workdir / "scene"),
                  "--config", str(workdir / "config.json"),
-                 "--episodes", str(src), "--predictions", str(preds),
+                 "--episodes", str(generated), "--predictions", str(preds),
                  "--radius", "20", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["sr"] == 1.0
@@ -288,14 +299,14 @@ def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys):
     assert len(read_episodes(out)) == 5
 
 
-def test_instruct_mode_defaults_to_the_config(workdir, tmp_path, capsys):
+def test_instruct_mode_defaults_to_the_config(workdir, trajs, tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
     doc = json.loads((workdir / "config.json").read_text())
     config = tmp_path / "replay.json"
     config.write_text(json.dumps({**doc, "vlm": {"mode": "replay", "cache_dir": str(cache)}}))
     instruct = ["instruct", *scene_args(workdir, config), "--episodes",
-                str(workdir / "trajs.jsonl"), "--out", str(tmp_path / "x.jsonl")]
+                str(trajs), "--out", str(tmp_path / "x.jsonl")]
     assert main(instruct) == 1
     assert "no recorded reply" in one_line_error(capsys)
     assert main([*instruct, "--mode", "mock"]) == 0
@@ -384,14 +395,13 @@ def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     json.dumps({"episode_id": ["cli-scene-000000"], "actions": [{"kind": "stop"}]}),
     json.dumps({"episode_id": "cli-scene-000000", "actions": [{"kind": "fly"}]}),
 ], ids=["not_json", "no_episode_id", "no_actions", "list_episode_id", "bad_action"])
-def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
-    src = workdir / "generated.jsonl"
-    first = read_episodes(src)[0]
+def test_malformed_predictions_exit_2(workdir, generated, tmp_path, capsys, line):
+    first = read_episodes(generated)[0]
     good = json.dumps({"episode_id": first.episode_id,
                        "actions": [a.to_dict() for a in first.trajectory.actions]})
     preds = tmp_path / "preds.jsonl"
     preds.write_text(good + "\n" + line + "\n")
-    assert main(["eval", *scene_args(workdir), "--episodes", str(src),
+    assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
                  "--predictions", str(preds)]) == 2
     assert "preds.jsonl" in one_line_error(capsys)
 
@@ -401,10 +411,10 @@ def test_malformed_predictions_exit_2(workdir, tmp_path, capsys, line):
     ({"gt_length": "abc"}, "meta.gt_length must be a finite number > 0"),
     ({"gt_length": -1.0}, "meta.gt_length must be a finite number > 0"),
 ], ids=["two_field_goal", "string_gt_length", "negative_gt_length"])
-def test_malformed_episode_meta_is_one_line_error(workdir, tmp_path, capsys, meta, message):
-    src = workdir / "generated.jsonl"
-    first = read_episodes(src)[0]
-    doc = json.loads(src.read_text().splitlines()[0])
+def test_malformed_episode_meta_is_one_line_error(workdir, generated, tmp_path, capsys, meta,
+                                                  message):
+    first = read_episodes(generated)[0]
+    doc = json.loads(generated.read_text().splitlines()[0])
     doc["meta"].update(meta)
     episodes = tmp_path / "episodes.jsonl"
     episodes.write_text(json.dumps(doc) + "\n")
@@ -414,6 +424,31 @@ def test_malformed_episode_meta_is_one_line_error(workdir, tmp_path, capsys, met
     assert main(["eval", *scene_args(workdir), "--episodes", str(episodes),
                  "--predictions", str(preds)]) == 1
     assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "instruct", "dataset stats"])
+def test_unsupported_schema_version_is_one_line_error(workdir, generated, tmp_path, capsys,
+                                                      command):
+    episodes = with_schema_version(generated, tmp_path / "v99.jsonl", 99)
+    first = read_episodes(generated)[0]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"episode_id": first.episode_id,
+                                 "actions": [a.to_dict() for a in first.trajectory.actions]}))
+    argv = {"eval": ["eval", *scene_args(workdir), "--predictions", str(preds)],
+            "instruct": ["instruct", *scene_args(workdir), "--out", str(tmp_path / "x.jsonl")],
+            "dataset stats": ["dataset", "stats"]}[command]
+    assert main([*argv, "--episodes", str(episodes)]) == 1
+    assert "v99.jsonl:1: unsupported schema_version 99" in one_line_error(capsys)
+
+
+def test_validate_reports_every_unsupported_schema_version(workdir, generated, tmp_path,
+                                                           capsys):
+    episodes = with_schema_version(generated, tmp_path / "v99.jsonl", 99)
+    assert main(["validate", *scene_args(workdir), "--episodes", str(episodes)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["episodes_checked"] == 5
+    assert [(v["episode_id"], v["kind"], v["detail"]) for v in report["violations"]] == \
+        [(f"line {n}", "schema", "unsupported schema_version 99") for n in range(1, 6)]
 
 
 @pytest.mark.parametrize("actions, config, culprit", [
@@ -482,29 +517,47 @@ def test_dataset_split_assignment_not_json_exits_2(tmp_path, capsys):
     assert "assignment.json" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({"train": 5}, "split 'train' must be a list of scene ids, got 5"),
+    ({"train": "demo"}, "split 'train' must be a list of scene ids, got 'demo'"),
+    ({"train": ["s0", 1]}, "split 'train' must be a list of scene ids"),
+    ({"s0": "bogus"}, "unknown split 'bogus' for scene 's0'"),
+    ({"train": ["s0"], "test_unseen": ["s0"]}, "scene 's0' assigned to both"),
+], ids=["count", "string", "non_string_scene", "unknown_split", "train_and_unseen"])
+def test_dataset_split_malformed_assignment_exits_2(tmp_path, capsys, assignment, message):
+    episodes = tmp_path / "empty.jsonl"
+    episodes.write_text("")
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(assignment))
+    assert main(["dataset", "split", "--episodes", str(episodes), "--assignment", str(path),
+                 "--out-dir", str(tmp_path / "splits")]) == 2
+    assert f"assignment.json: {message}" in one_line_error(capsys)
+    assert not (tmp_path / "splits").exists()
+
+
 @pytest.mark.parametrize("lines", [
     [],
     [json.dumps({"episode_id": "no-such-episode", "actions": [{"kind": "stop"}]})],
 ], ids=["empty", "no_match"])
-def test_eval_without_scorable_prediction_exits_2(workdir, tmp_path, capsys, monkeypatch,
-                                                  lines):
+def test_eval_without_scorable_prediction_exits_2(workdir, generated, tmp_path, capsys,
+                                                  monkeypatch, lines):
     # Checked before the scene is loaded.
     monkeypatch.setattr(pl, "load_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
     preds = tmp_path / "preds.jsonl"
     preds.write_text("".join(line + "\n" for line in lines))
     assert main(["eval", *scene_args(workdir), "--episodes",
-                 str(workdir / "generated.jsonl"), "--predictions", str(preds)]) == 2
+                 str(generated), "--predictions", str(preds)]) == 2
     assert "preds.jsonl" in one_line_error(capsys)
 
 
-def test_eval_with_some_predictions_missing_exits_1(workdir, tmp_path):
-    first = read_episodes(workdir / "generated.jsonl")[0]
+def test_eval_with_some_predictions_missing_exits_1(workdir, generated, tmp_path):
+    first = read_episodes(generated)[0]
     actions = [a.to_dict() for a in first.trajectory.actions]
     preds = tmp_path / "preds.jsonl"
     preds.write_text("".join(json.dumps({"episode_id": episode_id, "actions": actions}) + "\n"
                              for episode_id in (first.episode_id, "no-such-episode")))
     report = tmp_path / "eval.json"
-    assert main(["eval", *scene_args(workdir), "--episodes", str(workdir / "generated.jsonl"),
+    assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
                  "--predictions", str(preds), "--out", str(report)]) == 1
     doc = json.loads(report.read_text())
     assert (doc["count"], doc["missing_predictions"]) == (1, 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uavnav.dataset import (DatasetReadError, Episode, IntegrityError,
                             SplitConfigError, compute_stats, episode_from_dict,
                             episode_to_dict, filter_episode, read_episodes,
-                            round_sig, split_dataset, write_episodes)
+                            round_sig, scan_episodes, split_dataset, write_episodes)
 from uavnav.geometry import Point3
 from uavnav.instructions import Instruction
 from uavnav.occupancy import BevGrid, mark_vegetation
@@ -135,6 +135,30 @@ class TestRoundTrip:
         with pytest.raises(IntegrityError):
             read_episodes(path)
 
+    @pytest.mark.parametrize("version", [99, 0, "1", None],
+                             ids=["newer", "older", "string", "missing"])
+    def test_unsupported_schema_version_reports_line_number(self, tmp_path, version):
+        doc = episode_to_dict(make_episode())
+        doc["schema_version"] = version
+        path = tmp_path / "v.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(DatasetReadError) as err:
+            read_episodes(path)
+        assert err.value.line_number == 1
+        assert f"unsupported schema_version {version!r}" in str(err.value)
+
+    def test_scan_yields_every_line_and_goes_on(self, tmp_path):
+        good = json.dumps(episode_to_dict(make_episode("ep-a")))
+        other = json.dumps(episode_to_dict(make_episode("ep-b")))
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(f"{good}\n\n{{not json\n{good}\n{other}\n")
+        items = list(scan_episodes(path))
+        assert [n for n, _ in items] == [1, 3, 4, 5]
+        assert isinstance(items[0][1], Episode) and isinstance(items[3][1], Episode)
+        assert isinstance(items[1][1], ValueError)
+        duplicate = items[2][1]
+        assert isinstance(duplicate, IntegrityError) and duplicate.episode_id == "ep-a"
+
     def test_duplicate_id_on_write(self, tmp_path):
         with pytest.raises(IntegrityError):
             write_episodes([make_episode(), make_episode()], tmp_path / "x.jsonl")
@@ -213,6 +237,14 @@ class TestSplitDataset:
             episodes, {"train": ["a"], "test_seen": [], "test_unseen": ["b"]})
         assert [e.episode_id for e in train.episodes] == ["e0"]
         assert [e.episode_id for e in unseen.episodes] == ["e1"]
+
+
+    @pytest.mark.parametrize("assignment", [{"train": 5}, {"train": "s0"},
+                                            {"train": ["s0", 1]}],
+                             ids=["count", "string", "non_string_scene"])
+    def test_split_form_needs_lists_of_scene_ids(self, assignment):
+        with pytest.raises(SplitConfigError, match="must be a list of scene ids"):
+            split_dataset([make_episode(scene="s0")], assignment)
 
 
 class TestComputeStats:

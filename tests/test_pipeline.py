@@ -214,6 +214,18 @@ class TestRunValidate:
         report = pl.run_validate(bad, desk_cfg, demo_bundle)
         assert any(v.kind == "schema" for v in report.violations)
 
+    def test_duplicate_id_is_integrity_violation(self, demo_bundle, desk_cfg, tmp_path):
+        out = tmp_path / "d.jsonl"
+        pl.run_generate(demo_bundle, desk_cfg, 1, out)
+        line = out.read_text().splitlines()[0]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(line + "\n" + line + "\n")
+        report = pl.run_validate(dup, desk_cfg, demo_bundle)
+        episode_id = json.loads(line)["episode_id"]
+        assert report.episodes_checked == 2
+        assert [v.to_dict() for v in report.violations] == [
+            {"episode_id": episode_id, "kind": "integrity", "detail": "duplicate episode_id"}]
+
     @pytest.mark.parametrize("meta", [{"goal": [1.0, 2.0]}, {"gt_length": "abc"},
                                       {"gt_length": -1.0}],
                              ids=["two_field_goal", "string_gt_length", "negative_gt_length"])

@@ -22,7 +22,7 @@ from . import pipeline as pl
 from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3
-from .occupancy import grid_debug_dump, save_grid, voxelize
+from .occupancy import VoxelGrid, grid_debug_dump, save_grid, voxelize
 from .scene import load_point_cloud, load_scene_spec, synthesize_scene
 
 log = logging.getLogger("uavnav")
@@ -62,22 +62,32 @@ def _read_visibility(path: str | Path) -> dict[int, set[int]]:
     return visibility
 
 
-def _read_predictions(path: str | Path) -> list[tuple[str, list[tg.Action]]]:
-    """(episode id, actions) per non-blank JSONL line of a predictions file."""
-    predictions = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+def _read_predictions(path: str | Path) -> dict[str, list[tg.Action]]:
+    """Episode id -> actions, one per non-blank JSONL line of a predictions
+    file, in file order; an id on two lines is a ConfigError."""
+    predictions: dict[str, list[tg.Action]] = {}
+    first_line: dict[str, int] = {}
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(raw.decode("utf-8"))
                 if not isinstance(doc["episode_id"], str):
                     raise TypeError("episode_id is not a string")
-                predictions.append((doc["episode_id"],
-                                    [tg.Action.from_dict(a) for a in doc["actions"]]))
+                actions = [tg.Action.from_dict(a) for a in doc["actions"]]
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad prediction ({exc!r})") from exc
+            episode_id = doc["episode_id"]
+            if episode_id in first_line:
+                raise ConfigError(f"{path}:{lineno}: episode {episode_id!r} is already "
+                                  f"predicted on line {first_line[episode_id]}")
+            first_line[episode_id] = lineno
+            predictions[episode_id] = actions
     return predictions
+
+
+_NO_SCENE = "a scene directory (--scene) or spec (--spec) is required"
 
 
 def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
@@ -85,7 +95,18 @@ def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
         return pl.load_scene_dir(args.scene, cfg)
     if getattr(args, "spec", None):
         return pl.build_scene_bundle(load_scene_spec(args.spec), cfg)
-    raise ConfigError("a scene directory (--scene) or spec (--spec) is required")
+    raise ConfigError(_NO_SCENE)
+
+
+def _nav_grid(args, cfg: pl.PipelineConfig) -> VoxelGrid:
+    """The scene's nav grid alone: no BEV, landmarks or captions."""
+    if args.scene:
+        _, cloud = pl.read_scene_dir(args.scene)
+    elif args.spec:
+        cloud, _ = synthesize_scene(load_scene_spec(args.spec))
+    else:
+        raise ConfigError(_NO_SCENE)
+    return pl.build_nav_grid(cloud, cfg)
 
 
 def cmd_scene_synth(args) -> int:
@@ -112,8 +133,7 @@ def cmd_voxelize(args) -> int:
 
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
-    spec = load_scene_spec(Path(args.scene) / "scene.json")
-    cloud = load_point_cloud(Path(args.scene) / "cloud.txt")
+    spec, cloud = pl.read_scene_dir(args.scene)
     bundle = pl.build_scene_bundle(spec, cfg, cloud=cloud)
     seg.save_instances(bundle.landmarks, args.out)
     print(f"extracted {len(bundle.landmarks)} landmark instances -> {args.out}")
@@ -182,26 +202,26 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     gt = {e.episode_id: e for e in ds.read_episodes(args.episodes)}
     predictions = _read_predictions(args.predictions)
-    if not any(episode_id in gt for episode_id, _ in predictions):
+    if gt.keys().isdisjoint(predictions):
         raise ConfigError(f"{args.predictions}: no prediction names an episode "
                           f"of {args.episodes}")
-    bundle = _bundle(args, cfg)
+    nav_grid = _nav_grid(args, cfg)
     results = []
-    missing = 0
-    for episode_id, actions in predictions:
+    for episode_id, actions in predictions.items():
         episode = gt.get(episode_id)
         if episode is None:
-            missing += 1
             continue
-        result = ev.replay(episode.trajectory.start, actions, bundle.nav_grid)
+        result = ev.replay(episode.trajectory.start, actions, nav_grid)
         goal = episode.meta.get("goal")
         goal_point = (Point3(*goal) if goal
                       else episode.trajectory.poses[-1].position)
         gt_length = float(episode.meta.get("gt_length")
                           or episode.trajectory.path_length())
         results.append(ev.score(result, goal_point, gt_length, args.radius))
+    missing = len(predictions) - len(results)
     summary = ev.aggregate(results).to_dict()
     summary["missing_predictions"] = missing
+    summary["unpredicted"] = len(gt) - len(results)
     report = json.dumps(summary, indent=1)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")

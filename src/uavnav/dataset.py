@@ -178,15 +178,15 @@ def write_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
 
 def scan_episodes(path: str | Path) -> Iterator[tuple[int, Episode | Exception]]:
     """Yield ``(line number, episode or error)`` per non-blank line and go on past
-    errors: a line's parse exception, or an ``IntegrityError`` for a repeated id."""
+    errors: a line's parse exception (bytes that are not UTF-8 included), or an
+    ``IntegrityError`` for a repeated id."""
     seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            if not raw.strip():
                 continue
             try:
-                episode = episode_from_dict(json.loads(line))
+                episode = episode_from_dict(json.loads(raw.decode("utf-8")))
             except Exception as exc:
                 yield lineno, exc
                 continue

@@ -156,6 +156,11 @@ def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
     return best
 
 
+def build_nav_grid(cloud: PointCloud, cfg: PipelineConfig) -> VoxelGrid:
+    """The margin-inflated grid that planning and replay check collisions on."""
+    return voxelize(cloud, cfg.voxel_size, cfg.margin)
+
+
 def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                        vlm: VlmClient | None = None,
                        cloud: PointCloud | None = None,
@@ -165,7 +170,7 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
     and aim sight lines at the landmarks."""
     if cloud is None:
         cloud, _ = synthesize_scene(spec)
-    nav_grid = voxelize(cloud, cfg.voxel_size, cfg.margin)
+    nav_grid = build_nav_grid(cloud, cfg)
     raw_grid = voxelize(cloud, cfg.voxel_size, 0.0)
     bev = bev_project(raw_grid, min_height=cfg.bev_min_height)
     if spec.trees:
@@ -185,17 +190,25 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                        sight_targets=sight_targets(raw_grid, landmarks))
 
 
-def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig,
-                   vlm: VlmClient | None = None) -> SceneBundle:
-    """Load a scene directory: scene.json, cloud.txt, optional landmarks.json."""
+def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
+    """A scene directory's spec (scene.json, required) and point cloud
+    (cloud.txt, synthesized from the spec when absent)."""
     scene_dir = Path(scene_dir)
     spec_path = scene_dir / "scene.json"
     if not spec_path.exists():
         raise ConfigError(f"{scene_dir} has no scene.json")
     spec = load_scene_spec(spec_path)
     cloud_path = scene_dir / "cloud.txt"
-    cloud = load_point_cloud(cloud_path) if cloud_path.exists() else None
-    lm_path = scene_dir / "landmarks.json"
+    cloud = (load_point_cloud(cloud_path) if cloud_path.exists()
+             else synthesize_scene(spec)[0])
+    return spec, cloud
+
+
+def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig,
+                   vlm: VlmClient | None = None) -> SceneBundle:
+    """Load a scene directory: scene.json, cloud.txt, optional landmarks.json."""
+    spec, cloud = read_scene_dir(scene_dir)
+    lm_path = Path(scene_dir) / "landmarks.json"
     landmarks = seg.load_instances(lm_path) if lm_path.exists() else None
     return build_scene_bundle(spec, cfg, vlm=vlm, cloud=cloud, landmarks=landmarks)
 

@@ -105,8 +105,14 @@ class Action:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Action":
+        """The shared constant for a valid action document; an invalid one
+        raises what constructing it raises."""
         magnitude = doc.get("magnitude")
-        return cls(ActionKind(doc["kind"]), float(magnitude) if magnitude is not None else None)
+        kind = doc["kind"]
+        try:
+            return _ACTIONS[kind, float(magnitude) if magnitude is not None else None]
+        except (KeyError, TypeError, ValueError):
+            return cls(ActionKind(kind), float(magnitude) if magnitude is not None else None)
 
 
 STOP = Action(ActionKind.STOP)
@@ -118,6 +124,11 @@ MOVE_DOWN = Action(ActionKind.MOVE_DOWN, VERTICAL_STEP)
 
 def forward(magnitude: float) -> Action:
     return Action(ActionKind.FORWARD, magnitude)
+
+
+# (kind string, magnitude) -> the one frozen Action of each of the 8 valid moves.
+_ACTIONS = {(a.kind.value, a.magnitude): a for a in (
+    STOP, TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN, *map(forward, FORWARD_MAGNITUDES))}
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavnav import evaluation as ev
 from uavnav import pipeline as pl
 from uavnav.cli import main
 from uavnav.dataset import read_episodes
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
 from uavnav.occupancy import load_grid
-from uavnav.scene import BuildingSpec, SceneSpec, TreeSpec, scene_spec_to_dict
+from uavnav.scene import (BuildingSpec, SceneSpec, TreeSpec, load_scene_spec,
+                          scene_spec_to_dict)
 
 
 def test_cli_imports_neither_scipy_nor_requests():
@@ -88,6 +90,14 @@ def generated(workdir):
     return out
 
 
+def write_predictions(path: Path, episodes) -> Path:
+    """Each episode's own actions as its prediction, one JSONL line each."""
+    path.write_text("".join(json.dumps({
+        "episode_id": e.episode_id, "actions": [a.to_dict() for a in e.trajectory.actions],
+    }) + "\n" for e in episodes))
+    return path
+
+
 def with_schema_version(src: Path, dst: Path, version) -> Path:
     """``src`` rewritten with every episode's ``schema_version`` set to ``version``."""
     dst.write_text("".join(json.dumps({**json.loads(line), "schema_version": version}) + "\n"
@@ -130,6 +140,17 @@ def test_segment_writes_landmarks(workdir):
     docs = json.loads(out.read_text())
     assert len(docs) == 2
     assert all(d["caption"] for d in docs)
+
+
+def test_segment_reads_scene_dirs_like_every_command(workdir, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    out = tmp_path / "landmarks.json"
+    assert main(["segment", "--scene", str(scene), "--out", str(out)]) == 2
+    assert "has no scene.json" in one_line_error(capsys)
+    shutil.copy(workdir / "scene" / "scene.json", scene)  # the cloud is synthesized
+    assert main(["segment", "--scene", str(scene), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 2
 
 
 def test_trajgen_emits_trajectories(trajs):
@@ -212,13 +233,7 @@ def test_dataset_filter_split_stats(workdir, generated, capsys):
 
 
 def test_eval_ground_truth_predictions_score_perfectly(workdir, generated, capsys):
-    preds = workdir / "preds.jsonl"
-    with preds.open("w") as fh:
-        for episode in read_episodes(generated):
-            fh.write(json.dumps({
-                "episode_id": episode.episode_id,
-                "actions": [a.to_dict() for a in episode.trajectory.actions],
-            }) + "\n")
+    preds = write_predictions(workdir / "preds.jsonl", read_episodes(generated))
     report_path = workdir / "eval.json"
     assert main(["eval", "--scene", str(workdir / "scene"),
                  "--config", str(workdir / "config.json"),
@@ -228,6 +243,87 @@ def test_eval_ground_truth_predictions_score_perfectly(workdir, generated, capsy
     assert report["sr"] == 1.0
     assert report["osr"] == 1.0
     assert report["spl"] > 0.9
+    assert (report["count"], report["missing_predictions"], report["unpredicted"]) == (5, 0, 0)
+
+
+@pytest.mark.parametrize("source", ["scene", "spec"])
+def test_eval_replays_on_the_bundle_nav_grid(workdir, generated, tmp_path, monkeypatch,
+                                             source):
+    cfg = pl.load_pipeline_config(workdir / "config.json")
+    if source == "scene":
+        expected = pl.load_scene_dir(workdir / "scene", cfg).nav_grid
+    else:
+        spec = load_scene_spec(workdir / "spec.json")
+        expected = pl.build_scene_bundle(spec, cfg).nav_grid
+    monkeypatch.setattr(pl, "build_scene_bundle", lambda *a, **k: pytest.fail("bundle built"))
+    grids = []
+    replay = ev.replay
+    monkeypatch.setattr(ev, "replay", lambda start, actions, grid:
+                        grids.append(grid) or replay(start, actions, grid))
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated))
+    source_arg = {"scene": workdir / "scene", "spec": workdir / "spec.json"}[source]
+    assert main(["eval", f"--{source}", str(source_arg), "--config", str(workdir / "config.json"),
+                 "--episodes", str(generated), "--predictions", str(preds)]) == 0
+    assert len(grids) == 5 and all(grid is grids[0] for grid in grids)
+    grid = grids[0]
+    assert grid.origin.tobytes() == expected.origin.tobytes()
+    assert (grid.voxel_size, grid.dims) == (expected.voxel_size, expected.dims)
+    assert grid.occupancy.dtype == expected.occupancy.dtype
+    assert grid.occupancy.tobytes() == expected.occupancy.tobytes()
+
+
+def test_eval_makes_no_vlm_call(workdir, generated, tmp_path):
+    # A replay-mode config with an empty cache fails every VLM request; a
+    # scene without landmarks.json would need captions to build a bundle.
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    for name in ("scene.json", "cloud.txt"):
+        shutil.copy(workdir / "scene" / name, scene)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    doc = json.loads((workdir / "config.json").read_text())
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated))
+    reports = {}
+    for mode in ("mock", "replay"):
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps({**doc, "vlm": {"mode": mode, "cache_dir": str(cache)}}))
+        reports[mode] = tmp_path / f"{mode}_eval.json"
+        assert main(["eval", "--scene", str(scene), "--config", str(config),
+                     "--episodes", str(generated), "--predictions", str(preds),
+                     "--out", str(reports[mode])]) == 0
+    assert reports["replay"].read_bytes() == reports["mock"].read_bytes()
+    assert json.loads(reports["replay"].read_text())["sr"] == 1.0
+
+
+def test_eval_refuses_a_repeated_prediction(workdir, generated, tmp_path, capsys):
+    first, second = read_episodes(generated)[:2]
+    preds = write_predictions(tmp_path / "preds.jsonl", [first, second, first])
+    assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
+                 "--predictions", str(preds)]) == 2
+    err = one_line_error(capsys)
+    assert f"preds.jsonl:3: episode {first.episode_id!r} is already predicted on line 1" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "instruct", "dataset stats"])
+def test_episode_file_not_utf8(workdir, generated, tmp_path, capsys, command):
+    lines = generated.read_bytes().splitlines(keepends=True)
+    episodes = tmp_path / "bad.jsonl"
+    episodes.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated)[:1])
+    argv = {"validate": ["validate", *scene_args(workdir)],
+            "eval": ["eval", *scene_args(workdir), "--predictions", str(preds)],
+            "instruct": ["instruct", *scene_args(workdir), "--out", str(tmp_path / "x.jsonl")],
+            "dataset stats": ["dataset", "stats"]}[command]
+    assert main([*argv, "--episodes", str(episodes)]) == 1
+    message = "'utf-8' codec can't decode byte 0xff in position 0"
+    if command == "validate":
+        report = json.loads(capsys.readouterr().out)
+        assert report["episodes_checked"] == 5
+        assert [(v["episode_id"], v["kind"]) for v in report["violations"]] == \
+            [("line 2", "schema")]
+        assert message in report["violations"][0]["detail"]
+    else:
+        assert f"bad.jsonl:2: {message}" in one_line_error(capsys)
 
 
 def test_keyframe_command(workdir):
@@ -394,13 +490,15 @@ def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     json.dumps({"episode_id": "cli-scene-000000"}),
     json.dumps({"episode_id": ["cli-scene-000000"], "actions": [{"kind": "stop"}]}),
     json.dumps({"episode_id": "cli-scene-000000", "actions": [{"kind": "fly"}]}),
-], ids=["not_json", "no_episode_id", "no_actions", "list_episode_id", "bad_action"])
+    "\udcff",
+], ids=["not_json", "no_episode_id", "no_actions", "list_episode_id", "bad_action",
+        "not_utf8"])
 def test_malformed_predictions_exit_2(workdir, generated, tmp_path, capsys, line):
     first = read_episodes(generated)[0]
     good = json.dumps({"episode_id": first.episode_id,
                        "actions": [a.to_dict() for a in first.trajectory.actions]})
     preds = tmp_path / "preds.jsonl"
-    preds.write_text(good + "\n" + line + "\n")
+    preds.write_bytes((good + "\n" + line + "\n").encode("utf-8", "surrogateescape"))
     assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
                  "--predictions", str(preds)]) == 2
     assert "preds.jsonl" in one_line_error(capsys)
@@ -542,7 +640,7 @@ def test_dataset_split_malformed_assignment_exits_2(tmp_path, capsys, assignment
 def test_eval_without_scorable_prediction_exits_2(workdir, generated, tmp_path, capsys,
                                                   monkeypatch, lines):
     # Checked before the scene is loaded.
-    monkeypatch.setattr(pl, "load_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
+    monkeypatch.setattr(pl, "read_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
     preds = tmp_path / "preds.jsonl"
     preds.write_text("".join(line + "\n" for line in lines))
     assert main(["eval", *scene_args(workdir), "--episodes",
@@ -560,7 +658,7 @@ def test_eval_with_some_predictions_missing_exits_1(workdir, generated, tmp_path
     assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
                  "--predictions", str(preds), "--out", str(report)]) == 1
     doc = json.loads(report.read_text())
-    assert (doc["count"], doc["missing_predictions"]) == (1, 1)
+    assert (doc["count"], doc["missing_predictions"], doc["unpredicted"]) == (1, 1, 4)
 
 
 @pytest.mark.parametrize("command", ["generate", "trajgen"])

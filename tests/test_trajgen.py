@@ -41,6 +41,61 @@ class TestActions:
         for action in (forward(6.0), TURN_RIGHT, MOVE_UP, STOP):
             assert Action.from_dict(action.to_dict()) == action
 
+    def test_from_dict_returns_shared_constants(self):
+        for action in (STOP, TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN):
+            assert Action.from_dict(action.to_dict()) is action
+        for action in (*map(forward, FORWARD_MAGNITUDES), TURN_LEFT, MOVE_UP):
+            doc = action.to_dict()
+            shared = Action.from_dict(doc)
+            assert shared == action
+            m = int(action.magnitude)
+            for magnitude in (m, str(m), f"{m}.0", float(m)):
+                assert Action.from_dict({**doc, "magnitude": magnitude}) is shared
+
+    @staticmethod
+    def _outcome(build, doc):
+        try:
+            return "ok", build(doc)
+        except Exception as exc:  # the exception is the outcome
+            return type(exc), str(exc)
+
+    @staticmethod
+    def _construct(doc):
+        """What ``from_dict`` raises: building the action from the document."""
+        magnitude = doc.get("magnitude")
+        return Action(ActionKind(doc["kind"]),
+                      float(magnitude) if magnitude is not None else None)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "fly"}, {"kind": "forward", "magnitude": 4},
+        {"kind": "turn_left", "magnitude": 45}, {"kind": "stop", "magnitude": 0},
+        {"kind": "forward", "magnitude": math.nan}, {"kind": ["forward"], "magnitude": 3},
+        {"magnitude": 3}, {"kind": [1], "magnitude": [1]},
+        {"kind": "forward", "magnitude": [1]}, {"kind": "forward", "magnitude": "abc"},
+        {"kind": "forward"}, {"kind": "move_up", "magnitude": True}, ["forward"],
+    ], ids=["unknown_kind", "forward_4", "turn_45", "stop_0", "nan", "list_kind",
+            "no_kind", "list_kind_and_magnitude", "list_magnitude", "string_magnitude",
+            "forward_without_magnitude", "bool_magnitude", "list_document"])
+    def test_from_dict_raises_what_construction_raises(self, doc):
+        expected = self._outcome(self._construct, doc)
+        assert expected[0] != "ok"
+        assert self._outcome(Action.from_dict, doc) == expected
+
+    @given(kind=st.sampled_from([k.value for k in ActionKind] + ["fly", "", "Forward"]),
+           magnitude=st.one_of(st.none(), st.booleans(), st.integers(-10, 40),
+                               st.floats(allow_nan=True), st.sampled_from(FORWARD_MAGNITUDES),
+                               st.sampled_from(["3", "30", "3.0", "x", ""])))
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_accepts_what_construction_accepts(self, kind, magnitude):
+        doc = {"kind": kind} if magnitude is None else {"kind": kind, "magnitude": magnitude}
+        expected = self._outcome(self._construct, doc)
+        got = self._outcome(Action.from_dict, doc)
+        if expected[0] == "ok":
+            assert got[0] == "ok" and got[1] == expected[1]
+            assert got[1] is Action.from_dict(got[1].to_dict())
+        else:
+            assert got == expected
+
 
 def step(pose: Pose, action: Action) -> Pose:
     return rollout(pose, [action])[-1]

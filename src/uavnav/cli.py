@@ -22,7 +22,7 @@ from . import pipeline as pl
 from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3
-from .occupancy import VoxelGrid, grid_debug_dump, save_grid, voxelize
+from .occupancy import grid_debug_dump, save_grid, voxelize
 from .scene import load_point_cloud, load_scene_spec, synthesize_scene
 
 log = logging.getLogger("uavnav")
@@ -87,26 +87,12 @@ def _read_predictions(path: str | Path) -> dict[str, list[tg.Action]]:
     return predictions
 
 
-_NO_SCENE = "a scene directory (--scene) or spec (--spec) is required"
-
-
 def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
     if getattr(args, "scene", None):
         return pl.load_scene_dir(args.scene, cfg)
     if getattr(args, "spec", None):
         return pl.build_scene_bundle(load_scene_spec(args.spec), cfg)
-    raise ConfigError(_NO_SCENE)
-
-
-def _nav_grid(args, cfg: pl.PipelineConfig) -> VoxelGrid:
-    """The scene's nav grid alone: no BEV, landmarks or captions."""
-    if args.scene:
-        _, cloud = pl.read_scene_dir(args.scene)
-    elif args.spec:
-        cloud, _ = synthesize_scene(load_scene_spec(args.spec))
-    else:
-        raise ConfigError(_NO_SCENE)
-    return pl.build_nav_grid(cloud, cfg)
+    raise ConfigError("a scene directory (--scene) or spec (--spec) is required")
 
 
 def cmd_scene_synth(args) -> int:
@@ -133,8 +119,7 @@ def cmd_voxelize(args) -> int:
 
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
-    spec, cloud = pl.read_scene_dir(args.scene)
-    bundle = pl.build_scene_bundle(spec, cfg, cloud=cloud)
+    bundle = replace(_bundle(args, cfg), landmarks_path=None)  # extract, not read
     seg.save_instances(bundle.landmarks, args.out)
     print(f"extracted {len(bundle.landmarks)} landmark instances -> {args.out}")
     return 0
@@ -205,7 +190,7 @@ def cmd_eval(args) -> int:
     if gt.keys().isdisjoint(predictions):
         raise ConfigError(f"{args.predictions}: no prediction names an episode "
                           f"of {args.episodes}")
-    nav_grid = _nav_grid(args, cfg)
+    nav_grid = _bundle(args, cfg).nav_grid
     results = []
     for episode_id, actions in predictions.items():
         episode = gt.get(episode_id)

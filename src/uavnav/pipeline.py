@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -122,19 +123,51 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class SceneBundle:
-    """Everything derived from one scene, shared immutably by workers."""
+    """One scene's inputs; each derived layer is built when first read, so a
+    command builds only the layers it reads. ``landmarks`` come from
+    ``landmarks_path`` if given, else are extracted and captioned by ``vlm``
+    (default: the config's). The cache has no lock: read the layers workers
+    share on the calling thread before they start, as ``run_generate`` does."""
 
     spec: SceneSpec
     cloud: PointCloud
-    nav_grid: VoxelGrid  # margin-inflated, for planning and replay
-    raw_grid: VoxelGrid  # uninflated, for segmentation and visibility
-    bev: BevGrid
-    landmarks: list[seg.LandmarkInstance]
-    sight_targets: list[SightTarget]  # of the landmarks, on raw_grid
+    cfg: PipelineConfig
+    vlm: VlmClient | None = None
+    landmarks_path: Path | None = None
 
     @property
     def scene_id(self) -> str:
         return self.spec.scene_id
+
+    @cached_property
+    def nav_grid(self) -> VoxelGrid:  # margin-inflated, for planning and replay
+        return voxelize(self.cloud, self.cfg.voxel_size, self.cfg.margin)
+
+    @cached_property
+    def raw_grid(self) -> VoxelGrid:  # uninflated, for segmentation and visibility
+        return voxelize(self.cloud, self.cfg.voxel_size, 0.0)
+
+    @cached_property
+    def bev(self) -> BevGrid:  # of the raw grid, trees marked as vegetation
+        bev = bev_project(self.raw_grid, min_height=self.cfg.bev_min_height)
+        if self.spec.trees:
+            bev = mark_vegetation(bev, [t.position for t in self.spec.trees],
+                                  radius=max(t.canopy_radius for t in self.spec.trees))
+        return bev
+
+    @cached_property
+    def landmarks(self) -> list[seg.LandmarkInstance]:
+        if self.landmarks_path is not None:
+            return seg.load_instances(self.landmarks_path)
+        vlm = self.vlm or self.cfg.make_vlm()
+        return [seg.caption_instance(inst, [f"{self.scene_id}/landmark_{inst.id:03d}/view_{k}"
+                                            for k in range(3)],
+                                     vlm, hint_label=_match_label(inst, self.spec))
+                for inst in seg.extract_instances(self.bev, self.cfg.min_area)]
+
+    @cached_property
+    def sight_targets(self) -> list[SightTarget]:  # of the landmarks, on the raw grid
+        return sight_targets(self.raw_grid, self.landmarks)
 
     def captions(self) -> dict[int, dict[str, str]]:
         return {lm.id: lm.caption.as_dict() for lm in self.landmarks
@@ -156,38 +189,14 @@ def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
     return best
 
 
-def build_nav_grid(cloud: PointCloud, cfg: PipelineConfig) -> VoxelGrid:
-    """The margin-inflated grid that planning and replay check collisions on."""
-    return voxelize(cloud, cfg.voxel_size, cfg.margin)
-
-
 def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
                        vlm: VlmClient | None = None,
-                       cloud: PointCloud | None = None,
-                       landmarks: list[seg.LandmarkInstance] | None = None,
-                       ) -> SceneBundle:
-    """Synthesize (or reuse) the cloud, build both grids, segment, caption,
-    and aim sight lines at the landmarks."""
+                       cloud: PointCloud | None = None) -> SceneBundle:
+    """The bundle of ``spec`` over ``cloud``, or over a cloud synthesized
+    from the spec; its layers are built when first read."""
     if cloud is None:
         cloud, _ = synthesize_scene(spec)
-    nav_grid = build_nav_grid(cloud, cfg)
-    raw_grid = voxelize(cloud, cfg.voxel_size, 0.0)
-    bev = bev_project(raw_grid, min_height=cfg.bev_min_height)
-    if spec.trees:
-        bev = mark_vegetation(bev, [t.position for t in spec.trees],
-                              radius=max(t.canopy_radius for t in spec.trees))
-    if landmarks is None:
-        landmarks = seg.extract_instances(bev, cfg.min_area)
-        vlm = vlm or cfg.make_vlm()
-        captioned = []
-        for inst in landmarks:
-            refs = [f"{spec.scene_id}/landmark_{inst.id:03d}/view_{k}" for k in range(3)]
-            captioned.append(seg.caption_instance(
-                inst, refs, vlm, hint_label=_match_label(inst, spec)))
-        landmarks = captioned
-    return SceneBundle(spec=spec, cloud=cloud, nav_grid=nav_grid,
-                       raw_grid=raw_grid, bev=bev, landmarks=landmarks,
-                       sight_targets=sight_targets(raw_grid, landmarks))
+    return SceneBundle(spec, cloud, cfg, vlm)
 
 
 def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
@@ -209,8 +218,7 @@ def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig,
     """Load a scene directory: scene.json, cloud.txt, optional landmarks.json."""
     spec, cloud = read_scene_dir(scene_dir)
     lm_path = Path(scene_dir) / "landmarks.json"
-    landmarks = seg.load_instances(lm_path) if lm_path.exists() else None
-    return build_scene_bundle(spec, cfg, vlm=vlm, cloud=cloud, landmarks=landmarks)
+    return SceneBundle(spec, cloud, cfg, vlm, lm_path if lm_path.exists() else None)
 
 
 def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
@@ -360,6 +368,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
     vlm = (vlm or cfg.make_vlm()) if narrate else None
+    bundle.nav_grid, bundle.bev, bundle.sight_targets  # built here, not raced for by workers
     started = time.monotonic()
 
     def job(index: int) -> _EpisodeOutcome:

@@ -54,7 +54,7 @@ class VlmReplyError(VlmError, RuntimeError):
         self.raw_reply = raw_reply
 
 
-class VlmReplayMissError(VlmError, KeyError):
+class VlmReplayMissError(VlmError):
     """Replay mode had no recorded reply for the request hash."""
 
 
@@ -200,7 +200,13 @@ class VlmClient:
             raise VlmReplayMissError(
                 f"no recorded reply for request hash {path.stem}"
             )
-        return json.loads(path.read_text(encoding="utf-8"))["reply"]
+        try:
+            reply = json.loads(path.read_text(encoding="utf-8"))["reply"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise VlmReplyError(f"{path}: unusable recorded reply ({exc!r})", "") from exc
+        if not isinstance(reply, str):
+            raise VlmReplyError(f"{path}: recorded reply is not a string", "")
+        return reply
 
     def _record(self, request: dict, reply: str) -> None:
         assert self.cache_dir is not None

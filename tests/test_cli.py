@@ -12,6 +12,7 @@ import pytest
 
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
+from uavnav import segmentation as seg
 from uavnav.cli import main
 from uavnav.dataset import read_episodes
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
@@ -151,6 +152,9 @@ def test_segment_reads_scene_dirs_like_every_command(workdir, tmp_path, capsys):
     shutil.copy(workdir / "scene" / "scene.json", scene)  # the cloud is synthesized
     assert main(["segment", "--scene", str(scene), "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == 2
+    (scene / "landmarks.json").write_text("[]")  # segment extracts; it never reads one
+    assert main(["segment", "--scene", str(scene), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 2
 
 
 def test_trajgen_emits_trajectories(trajs):
@@ -255,7 +259,9 @@ def test_eval_replays_on_the_bundle_nav_grid(workdir, generated, tmp_path, monke
     else:
         spec = load_scene_spec(workdir / "spec.json")
         expected = pl.build_scene_bundle(spec, cfg).nav_grid
-    monkeypatch.setattr(pl, "build_scene_bundle", lambda *a, **k: pytest.fail("bundle built"))
+    # eval reads only the nav grid: no BEV, so no landmarks either.
+    monkeypatch.setattr(pl, "bev_project", lambda *a, **k: pytest.fail("BEV built"))
+    monkeypatch.setattr(seg, "extract_instances", lambda *a, **k: pytest.fail("landmarks built"))
     grids = []
     replay = ev.replay
     monkeypatch.setattr(ev, "replay", lambda start, actions, grid:
@@ -272,27 +278,59 @@ def test_eval_replays_on_the_bundle_nav_grid(workdir, generated, tmp_path, monke
     assert grid.occupancy.tobytes() == expected.occupancy.tobytes()
 
 
-def test_eval_makes_no_vlm_call(workdir, generated, tmp_path):
-    # A replay-mode config with an empty cache fails every VLM request; a
-    # scene without landmarks.json would need captions to build a bundle.
-    scene = tmp_path / "scene"
+SCENE_READERS = ["eval", "validate", "dataset filter"]  # none reads landmarks
+
+
+def scene_reader_output(command: str, scene: Path, config: Path, episodes: Path,
+                        tmp_path: Path, capsys) -> tuple[str, bytes | None]:
+    """Exit code 0 asserted, then (stdout, bytes of --out) of one command."""
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(episodes))
+    argv = {"eval": ["eval", "--predictions", str(preds), "--out", str(out)],
+            "validate": ["validate"],
+            "dataset filter": ["dataset", "filter", "--out", str(out)]}[command]
+    assert main([*argv, "--scene", str(scene), "--config", str(config),
+                 "--episodes", str(episodes)]) == 0
+    return capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+
+def bare_scene(workdir, root: Path) -> Path:
+    """The CLI scene without landmarks.json."""
+    scene = root / "scene"
     scene.mkdir()
     for name in ("scene.json", "cloud.txt"):
         shutil.copy(workdir / "scene" / name, scene)
+    return scene
+
+
+@pytest.mark.parametrize("command", SCENE_READERS)
+def test_makes_no_vlm_call(workdir, generated, tmp_path, capsys, command):
+    # A replay-mode config with an empty cache fails every VLM request; a
+    # scene without landmarks.json would need captions to have landmarks.
+    scene = bare_scene(workdir, tmp_path)
     cache = tmp_path / "cache"
     cache.mkdir()
     doc = json.loads((workdir / "config.json").read_text())
-    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated))
-    reports = {}
+    outputs = {}
     for mode in ("mock", "replay"):
         config = tmp_path / f"{mode}.json"
         config.write_text(json.dumps({**doc, "vlm": {"mode": mode, "cache_dir": str(cache)}}))
-        reports[mode] = tmp_path / f"{mode}_eval.json"
-        assert main(["eval", "--scene", str(scene), "--config", str(config),
-                     "--episodes", str(generated), "--predictions", str(preds),
-                     "--out", str(reports[mode])]) == 0
-    assert reports["replay"].read_bytes() == reports["mock"].read_bytes()
-    assert json.loads(reports["replay"].read_text())["sr"] == 1.0
+        outputs[mode] = scene_reader_output(command, scene, config, generated, tmp_path,
+                                            capsys)
+    assert outputs["replay"] == outputs["mock"]
+    if command == "eval":
+        assert json.loads(outputs["replay"][1])["sr"] == 1.0
+
+
+@pytest.mark.parametrize("command", SCENE_READERS)
+def test_malformed_landmarks_json_changes_no_output(workdir, generated, tmp_path, capsys,
+                                                    command):
+    scene = bare_scene(workdir, tmp_path)
+    config = workdir / "config.json"
+    bare = scene_reader_output(command, scene, config, generated, tmp_path, capsys)
+    (scene / "landmarks.json").write_text("{not json")
+    assert scene_reader_output(command, scene, config, generated, tmp_path, capsys) == bare
 
 
 def test_eval_refuses_a_repeated_prediction(workdir, generated, tmp_path, capsys):
@@ -414,7 +452,8 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
     replay = ["generate", *scene_args(workdir), "--count", "1", "--mode", "replay",
               "--out", str(tmp_path / "x.jsonl")]
     assert main([*replay, "--cache-dir", str(cache)]) == 1
-    assert "no recorded reply" in one_line_error(capsys)
+    err = one_line_error(capsys)
+    assert err.startswith("error: no recorded reply for request hash ") and "'" not in err
     assert main(replay) == 2
     assert "cache directory" in one_line_error(capsys)
 

@@ -4,10 +4,10 @@ JSONL stores."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,13 @@ def serialized(trajectory: tg.Trajectory, goal: Point3) -> ds.Episode:
     return ds.episode_from_dict(json.loads(json.dumps(ds.episode_to_dict(episode))))
 
 
+def over_grid(bundle: pl.SceneBundle, grid: VoxelGrid) -> pl.SceneBundle:
+    """The same scene with ``grid`` as its nav grid."""
+    scene = copy.copy(bundle)
+    scene.nav_grid = grid  # set on the copy only; a set layer is never built
+    return scene
+
+
 def validate_kinds(episode: ds.Episode, bundle: pl.SceneBundle,
                    cfg: pl.PipelineConfig) -> set[str]:
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,7 +94,7 @@ def test_sampled_episode_validates_on_its_serialized_start(desk_bundle, monkeypa
     rounded = Point3(round_sig(exact.x), round_sig(exact.y), round_sig(exact.z))
     assert abs(exact.x - rounded.x) > 1e-9
     grid = boundary_grid(exact, rounded, -60.0, 300.0, height=60)
-    scene = replace(bundle, nav_grid=grid)
+    scene = over_grid(bundle, grid)
 
     start, goal, _ = tg.sample_endpoints(bundle.landmarks, bundle.bev, grid, tcfg,
                                          np.random.default_rng(SEED))
@@ -195,7 +202,7 @@ def test_search_validate_and_replay_agree_next_to_a_voxel_face(
     rounded = Point3(round_sig(exact.x), round_sig(exact.y), round_sig(exact.z))
     grid = boundary_grid(exact, rounded, 0.0, 80.0, height=30, axis=axis)
     assume(tg.is_free(grid, start.position))
-    scene = replace(bundle, nav_grid=grid)
+    scene = over_grid(bundle, grid)
     try:
         found = tg.astar_search(start, goal, grid, tcfg)
     except tg.NoPathError:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from conftest import desk_trajgen_config
 from oracles import visibility_per_call
 from uavnav import keyframe as kf
 from uavnav import pipeline as pl
+from uavnav import segmentation as seg
 from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
 from uavnav.occupancy import VoxelGrid
@@ -103,6 +106,7 @@ class TestRunGenerate:
         def per_episode_setup(*args, **kwargs):
             raise AssertionError("sight targets rebuilt per episode")
 
+        demo_bundle.sight_targets  # aimed once per bundle, before the patch
         with monkeypatch.context() as patch:
             patch.setattr(kf, "aim_cell", per_episode_setup)
             patch.setattr(VoxelGrid, "in_bounds", per_episode_setup)
@@ -256,6 +260,27 @@ class TestSceneBundle:
     def test_captions_reflect_ground_truth_labels(self, demo_bundle):
         colors = {lm.caption.color for lm in demo_bundle.landmarks}
         assert {"blue", "red", "gray", "beige", "green", "white"} == colors
+
+    def test_run_generate_builds_each_layer_once(self, desk_cfg, tmp_path, monkeypatch):
+        # Every layer is built on the calling thread before the workers start.
+        calls, threads = Counter(), set()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((pl, "voxelize"), (seg, "extract_instances"),
+                            (seg, "caption_instance")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        cfg = replace(desk_cfg, workers=2)
+        bundle = pl.build_scene_bundle(pl.demo_scene_spec(), cfg)
+        assert pl.run_generate(bundle, cfg, 4, tmp_path / "out.jsonl").ok
+        assert calls == {"voxelize": 2, "extract_instances": 1,
+                         "caption_instance": len(bundle.landmarks)}
+        assert threads == {threading.get_ident()}
 
 
 def test_benchmark_probes_resolve(monkeypatch):

@@ -199,6 +199,20 @@ class TestReplayMode:
         with pytest.raises(VlmReplayMissError):
             replay.complete("p", {"task": "fuse", "clauses": ["nothing recorded"]})
 
+    @pytest.mark.parametrize("entry", [
+        b"{not json", b"\xff", json.dumps({"request": {}}).encode(),
+        json.dumps({"reply": 5}).encode(), json.dumps(["reply"]).encode(),
+    ], ids=["not_json", "not_utf8", "no_reply", "non_string_reply", "not_an_object"])
+    def test_unusable_entry_is_a_reply_error_naming_the_file(self, tmp_path, endpoint,
+                                                             entry):
+        live(endpoint.url, cache_dir=tmp_path).complete("p", FUSE)
+        [path] = tmp_path.iterdir()
+        path.write_bytes(entry)
+        replay = VlmClient(mode="replay", cache_dir=tmp_path)
+        with pytest.raises(VlmReplyError) as info:
+            replay.complete("p", FUSE)
+        assert str(path) in str(info.value)
+
     def test_replay_requires_cache_dir(self):
         with pytest.raises(ValueError):
             VlmClient(mode="replay")

@@ -12,7 +12,7 @@ instruction, and near-duplicate landmark descriptions are replaced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .textproc import bag_of_words_embedding, embedding_dot, extract_landmark_phrases
@@ -83,30 +83,18 @@ def group_action_runs(actions: Sequence[Action]) -> list[tuple[int, list[Action]
     coalesces with the forward motion around it. Two or more consecutive
     turns are a deliberate heading change and stay separate.
     """
-    if not actions:
-        return []
-    kinds = [a.kind for a in actions]
-    # Maximal runs of the raw kinds.
-    raw: list[tuple[int, int]] = []  # (start, end) exclusive
-    start = 0
-    for i in range(1, len(actions) + 1):
-        if i == len(actions) or kinds[i] != kinds[start]:
-            raw.append((start, i))
-            start = i
-    # A length-1 turn run immediately before a Forward run acts as Forward.
-    effective: list[ActionKind] = []
-    for r, (s, e) in enumerate(raw):
-        kind = kinds[s]
-        if (e - s == 1 and kind in _TURN_KINDS and r + 1 < len(raw)
-                and kinds[raw[r + 1][0]] is ActionKind.FORWARD):
-            kind = ActionKind.FORWARD
-        effective.extend([kind] * (e - s))
     runs: list[tuple[int, list[Action]]] = []
-    start = 0
-    for i in range(1, len(actions) + 1):
-        if i == len(actions) or effective[i] != effective[start]:
-            runs.append((start, list(actions[start:i])))
-            start = i
+    label = None
+    for i, action in enumerate(actions):
+        previous, label = label, action.kind
+        if (label in _TURN_KINDS and i + 1 < len(actions)
+                and actions[i + 1].kind is ActionKind.FORWARD
+                and (i == 0 or actions[i - 1].kind is not label)):
+            label = ActionKind.FORWARD
+        if runs and label is previous:
+            runs[-1][1].append(action)
+        else:
+            runs.append((i, [action]))
     return runs
 
 
@@ -125,31 +113,16 @@ def split_subtrajectories(
     actions = trajectory.actions
     if not actions or actions[-1].kind is not ActionKind.STOP:
         raise ValueError("trajectory must end with Stop")
-    runs = group_action_runs(actions[:-1])
-    if not runs:
-        runs = [(0, [])]
+    runs = group_action_runs(actions[:-1]) or [(0, [])]
+    runs[-1][1].append(actions[-1])
+    target = trajectory.target_landmark_id
     subs: list[SubTrajectory] = []
-    for start, run_actions in runs:
-        subs.append(SubTrajectory(actions=run_actions, start_index=start,
-                                  terminal_pose_index=start + len(run_actions)))
-    last = subs[-1]
-    subs[-1] = replace(last, actions=last.actions + [actions[-1]],
-                       terminal_pose_index=last.terminal_pose_index + 1)
-    if image_refs is not None or visibility is not None:
-        enriched = []
-        for sub in subs:
-            ref = None
-            if image_refs is not None and sub.terminal_pose_index < len(image_refs):
-                ref = image_refs[sub.terminal_pose_index]
-            hint = None
-            if visibility is not None:
-                visible = visibility.get(sub.terminal_pose_index) or set()
-                if visible:
-                    hint = (trajectory.target_landmark_id
-                            if trajectory.target_landmark_id in visible
-                            else min(visible))
-            enriched.append(replace(sub, key_image_ref=ref, landmark_hint=hint))
-        subs = enriched
+    for start, run in runs:
+        end = start + len(run)
+        visible = visibility.get(end) if visibility is not None else None
+        ref = image_refs[end] if image_refs is not None and end < len(image_refs) else None
+        hint = (target if target in visible else min(visible)) if visible else None
+        subs.append(SubTrajectory(run, start, end, ref, hint))
     return subs
 
 
@@ -217,21 +190,12 @@ def build_instruction(
     trajectory: Trajectory,
     captions_by_landmark: Mapping[int, Mapping[str, str]],
     vlm: VlmClient,
-    image_refs: Sequence[str] | None = None,
-    visibility: Mapping[int, set[int]] | None = None,
+    image_refs: Sequence[str] | None,
+    visibility: Mapping[int, set[int]],
     threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
 ) -> Instruction:
-    """Full trajectory-to-instruction pipeline for one trajectory."""
-    subs = split_subtrajectories(trajectory, image_refs=image_refs,
-                                 visibility=visibility)
-
-    def caption_for(sub: SubTrajectory) -> Mapping[str, str] | None:
-        lm = sub.landmark_hint
-        if lm is None and visibility is None:
-            lm = trajectory.target_landmark_id
-        if lm is None:
-            return None
-        return captions_by_landmark.get(lm)
-
-    clauses = [generate_sub_instruction(sub, caption_for(sub), vlm) for sub in subs]
+    """Full trajectory-to-instruction pipeline for one trajectory; each
+    clause describes the landmark in view at its sub-trajectory's end."""
+    clauses = [generate_sub_instruction(sub, captions_by_landmark.get(sub.landmark_hint), vlm)
+               for sub in split_subtrajectories(trajectory, image_refs, visibility)]
     return refine_coreference(fuse_instruction(clauses, vlm), threshold=threshold)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ConfigError, check_kinds, is_integer
 from .geometry import Point3
+from .instructions import group_action_runs
 from .occupancy import VoxelGrid, traverse_segment
 from .segmentation import LandmarkInstance
 from .trajgen import Action, ActionKind, Pose
@@ -112,8 +113,6 @@ def select_candidates(actions: Sequence[Action], window: int = DEFAULT_WINDOW,
         raise ValueError(f"window must be an integer, got {window!r}")
     if window < 0:
         raise ValueError("window must be non-negative")
-    from .instructions import group_action_runs
-
     core = list(actions)
     if core and core[-1].kind is ActionKind.STOP:
         core = core[:-1]

@@ -125,14 +125,13 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 class SceneBundle:
     """One scene's inputs; each derived layer is built when first read, so a
     command builds only the layers it reads. ``landmarks`` come from
-    ``landmarks_path`` if given, else are extracted and captioned by ``vlm``
-    (default: the config's). The cache has no lock: read the layers workers
-    share on the calling thread before they start, as ``run_generate`` does."""
+    ``landmarks_path`` if given, else are extracted and captioned by the
+    config's VLM. The cache has no lock: read the layers workers share on
+    the calling thread before they start, as ``run_generate`` does."""
 
     spec: SceneSpec
     cloud: PointCloud
     cfg: PipelineConfig
-    vlm: VlmClient | None = None
     landmarks_path: Path | None = None
 
     @property
@@ -159,7 +158,7 @@ class SceneBundle:
     def landmarks(self) -> list[seg.LandmarkInstance]:
         if self.landmarks_path is not None:
             return seg.load_instances(self.landmarks_path)
-        vlm = self.vlm or self.cfg.make_vlm()
+        vlm = self.cfg.make_vlm()
         return [seg.caption_instance(inst, [f"{self.scene_id}/landmark_{inst.id:03d}/view_{k}"
                                             for k in range(3)],
                                      vlm, hint_label=_match_label(inst, self.spec))
@@ -189,14 +188,10 @@ def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
     return best
 
 
-def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig,
-                       vlm: VlmClient | None = None,
-                       cloud: PointCloud | None = None) -> SceneBundle:
-    """The bundle of ``spec`` over ``cloud``, or over a cloud synthesized
-    from the spec; its layers are built when first read."""
-    if cloud is None:
-        cloud, _ = synthesize_scene(spec)
-    return SceneBundle(spec, cloud, cfg, vlm)
+def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig) -> SceneBundle:
+    """The bundle of ``spec`` over a cloud synthesized from it; its layers
+    are built when first read."""
+    return SceneBundle(spec, synthesize_scene(spec)[0], cfg)
 
 
 def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
@@ -213,12 +208,11 @@ def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
     return spec, cloud
 
 
-def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig,
-                   vlm: VlmClient | None = None) -> SceneBundle:
+def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig) -> SceneBundle:
     """Load a scene directory: scene.json, cloud.txt, optional landmarks.json."""
     spec, cloud = read_scene_dir(scene_dir)
     lm_path = Path(scene_dir) / "landmarks.json"
-    return SceneBundle(spec, cloud, cfg, vlm, lm_path if lm_path.exists() else None)
+    return SceneBundle(spec, cloud, cfg, lm_path if lm_path.exists() else None)
 
 
 def write_scene_dir(spec: SceneSpec, out_dir: str | Path,

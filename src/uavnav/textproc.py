@@ -139,8 +139,8 @@ class _Chunker:
         between = self.text[self.tokens[i].end:self.tokens[i + 1].start]
         return bool(_BOUNDARY_RE.search(between))
 
-    def _parse_core(self, i: int) -> tuple[int, int] | None:
-        """Parse DET (ADJ|NOUN)* ending at the last noun; returns (head_idx, next_i)."""
+    def _parse_core(self, i: int) -> int | None:
+        """Parse DET (ADJ|NOUN)* ending at the last noun; returns the head noun's index."""
         j = i + 1
         last_noun = None
         while j < len(self.tokens):
@@ -157,9 +157,7 @@ class _Chunker:
                 j += 1
             else:
                 break
-        if last_noun is None:
-            return None
-        return last_noun, last_noun + 1
+        return last_noun
 
     def _parse_proper_sequence(self, i: int) -> int | None:
         """Consume consecutive capitalized nouns; returns index after the last."""
@@ -174,13 +172,10 @@ class _Chunker:
         """NP := DET core tails | ProperNoun+; returns index after the phrase."""
         if i >= len(self.tokens) or depth > 3:
             return None
-        if tag_word(self.tokens[i].text) == "DET":
-            core = self._parse_core(i)
-            if core is None:
-                return None
-            head_idx, j = core
-            return self._parse_tails(j, depth)
-        return self._parse_proper_sequence(i)
+        if tag_word(self.tokens[i].text) != "DET":
+            return self._parse_proper_sequence(i)
+        head = self._parse_core(i)
+        return None if head is None else self._parse_tails(head + 1, depth)
 
     def _parse_tails(self, j: int, depth: int) -> int:
         """Attach prepositional and participial modifiers while they fit."""
@@ -211,22 +206,16 @@ class _Chunker:
         phrases: list[NounPhrase] = []
         i = 0
         while i < len(self.tokens):
-            if tag_word(self.tokens[i].text) == "DET":
-                core = self._parse_core(i)
-                if core is not None:
-                    head_idx, j = core
-                    head = self.tokens[head_idx].text.lower()
-                    end = self._parse_tails(j, 0)
-                    if head in LANDMARK_NOUNS:
-                        span_start = self.tokens[i].start
-                        span_end = self.tokens[end - 1].end
-                        phrases.append(NounPhrase(
-                            start=span_start, end=span_end,
-                            text=self.text[span_start:span_end], head=head,
-                        ))
-                    i = end
-                    continue
-            i += 1
+            head = self._parse_core(i) if tag_word(self.tokens[i].text) == "DET" else None
+            if head is None:
+                i += 1
+                continue
+            end = self._parse_tails(head + 1, 0)
+            word = self.tokens[head].text.lower()
+            if word in LANDMARK_NOUNS:
+                start, stop = self.tokens[i].start, self.tokens[end - 1].end
+                phrases.append(NounPhrase(start, stop, self.text[start:stop], word))
+            i = end
         return phrases
 
 

@@ -7,7 +7,10 @@ and exhaustive matching. The exceptions are ``parse_point_cloud_lines``,
 a copy of the line loop ``load_point_cloud`` falls back to, kept as the
 reference for its NumPy path, ``visibility_per_call``, the
 ``landmark_visibility`` that aimed at the landmarks on every call, and
-``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair.
+``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair,
+and ``landmark_phrases_two_parse``, the chunker whose core parse also
+returned the index after the head and whose phrase scan re-parsed the
+determiner branch itself.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back, which
 only tests need.
 """
@@ -28,6 +31,8 @@ from uavnav.keyframe import (KeyframeSet, MergeEvent, TokenMatrix, _cosine_matri
 from uavnav.occupancy import VoxelGrid, segment_free, traverse_segment
 from uavnav.scene import PointCloudParseError
 from uavnav.segmentation import LandmarkInstance
+from uavnav.textproc import (_BOUNDARY_RE, ATTACH_PREPS, LANDMARK_NOUNS, NounPhrase,
+                             _is_participle, _is_proper, tag_word, word_tokens)
 from uavnav.trajgen import FORWARD_MAGNITUDES, TrajGenConfig, Pose
 
 SQRT3 = math.sqrt(3.0)
@@ -400,3 +405,93 @@ def visibility_per_call(poses: list[Pose], landmarks: list[LandmarkInstance],
                 seen.add(lm.id)
         visibility[frame] = seen
     return visibility
+
+
+def landmark_phrases_two_parse(text: str) -> list[NounPhrase]:
+    """``extract_landmark_phrases`` as it was before the chunker's core parse
+    returned only the head index; the reference for the one-parse chunker."""
+    tokens = word_tokens(text)
+
+    def gap_breaks(i: int) -> bool:
+        if i + 1 >= len(tokens):
+            return True
+        return bool(_BOUNDARY_RE.search(text[tokens[i].end:tokens[i + 1].start]))
+
+    def parse_core(i: int) -> tuple[int, int] | None:
+        j = i + 1
+        last_noun = None
+        while j < len(tokens):
+            tag = tag_word(tokens[j].text)
+            if tag in ("ADJ", "NOUN", "NUM"):
+                if tag == "NOUN":
+                    last_noun = j
+                if gap_breaks(j):
+                    j += 1
+                    break
+                j += 1
+            elif (tag == "CONJ" and not gap_breaks(j) and j + 1 < len(tokens)
+                  and tag_word(tokens[j + 1].text) in ("ADJ", "NOUN")):
+                j += 1
+            else:
+                break
+        if last_noun is None:
+            return None
+        return last_noun, last_noun + 1
+
+    def parse_proper_sequence(i: int) -> int | None:
+        j = i
+        while j < len(tokens) and _is_proper(tokens[j].text):
+            j += 1
+            if gap_breaks(j - 1):
+                break
+        return j if j > i else None
+
+    def parse_np(i: int, depth: int) -> int | None:
+        if i >= len(tokens) or depth > 3:
+            return None
+        if tag_word(tokens[i].text) == "DET":
+            core = parse_core(i)
+            if core is None:
+                return None
+            return parse_tails(core[1], depth)
+        return parse_proper_sequence(i)
+
+    def parse_tails(j: int, depth: int) -> int:
+        while j < len(tokens) and not gap_breaks(j - 1):
+            word = tokens[j].text
+            if word.lower() in ATTACH_PREPS:
+                after = parse_np(j + 1, depth + 1)
+                if after is None:
+                    break
+                j = after
+            elif _is_participle(word):
+                k = j + 1
+                if k < len(tokens) and not gap_breaks(j):
+                    if tokens[k].text.lower() in ATTACH_PREPS:
+                        k += 1
+                    after = parse_np(k, depth + 1)
+                    if after is not None:
+                        j = after
+                        continue
+                break
+            else:
+                break
+        return j
+
+    phrases: list[NounPhrase] = []
+    i = 0
+    while i < len(tokens):
+        if tag_word(tokens[i].text) == "DET":
+            core = parse_core(i)
+            if core is not None:
+                head_idx, j = core
+                head = tokens[head_idx].text.lower()
+                end = parse_tails(j, 0)
+                if head in LANDMARK_NOUNS:
+                    start, stop = tokens[i].start, tokens[end - 1].end
+                    phrases.append(NounPhrase(start=start, end=stop,
+                                              text=text[start:stop], head=head))
+                i = end
+                continue
+        i += 1
+    return phrases

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import split_runs_oracle
+from oracles import landmark_phrases_two_parse, split_runs_oracle
 from uavnav.geometry import Point3
 from uavnav.instructions import (DEFAULT_SIMILARITY_THRESHOLD, Instruction,
                                  build_instruction, fuse_instruction,
                                  generate_sub_instruction, group_action_runs,
                                  refine_coreference, split_subtrajectories,
                                  SubTrajectory)
-from uavnav.textproc import (alnum_tokens, bag_of_words_embedding, embedding_dot,
-                             extract_landmark_phrases)
+from uavnav.textproc import (ADJ_LEXICON, ATTACH_PREPS, CONJUNCTIONS, DETERMINERS,
+                             LANDMARK_NOUNS, NOUN_OVERRIDES, OTHER_PREPS, PRONOUNS,
+                             VERB_LEXICON, alnum_tokens, bag_of_words_embedding,
+                             embedding_dot, extract_landmark_phrases)
 from uavnav.trajgen import (MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             ActionKind, Pose, Trajectory, forward)
 from uavnav.vlm import VlmClient
@@ -103,6 +105,28 @@ class TestSplitSubtrajectories:
                                     target_landmark_id=7)
         subs = split_subtrajectories(t, visibility={2: {2, 7, 9}})
         assert subs[0].landmark_hint == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([F3, F6, F9, L, R, U, D]), max_size=25),
+           st.one_of(st.none(), st.integers(0, 30)),
+           st.one_of(st.none(), st.lists(st.sets(st.integers(0, 6), max_size=3),
+                                         max_size=30)),
+           st.one_of(st.none(), st.integers(0, 6)))
+    def test_each_sub_reads_its_terminal_frame(self, core, n_refs, frames, target):
+        t = Trajectory.from_actions(Pose(Point3(0, 0, 30), 0.0), core + [S],
+                                    target_landmark_id=target)
+        refs = None if n_refs is None else [f"frame_{i}" for i in range(n_refs)]
+        visibility = None if frames is None else dict(enumerate(frames))
+        subs = split_subtrajectories(t, image_refs=refs, visibility=visibility)
+        for sub in subs:
+            k = sub.terminal_pose_index
+            in_range = refs is not None and k < len(refs)
+            assert sub.key_image_ref == (refs[k] if in_range else None)
+            visible = (visibility or {}).get(k, set())
+            if target in visible:
+                assert sub.landmark_hint == target
+            else:
+                assert sub.landmark_hint == (min(visible) if visible else None)
 
 
 CAPTION = {"color": "gray", "feature": "glass", "size": "large", "type": "tower"}
@@ -234,6 +258,41 @@ class TestSimilarityValues:
                             bag_of_words_embedding(phrases[1].text))
         assert sim > DEFAULT_SIMILARITY_THRESHOLD
         assert sim == pytest.approx(0.6455, abs=2e-3)
+
+
+_PROPER_WORDS = ["Charlie's", "CHOCOLATE", "Main", "Tower", "Plaza", "North", "It", "The"]
+_NOUN_PHRASES = st.builds(lambda det, adjs, noun: " ".join([det, *adjs, noun]),
+                          st.sampled_from(sorted(DETERMINERS)),
+                          st.lists(st.sampled_from(sorted(ADJ_LEXICON)), max_size=2),
+                          st.sampled_from(sorted(LANDMARK_NOUNS)))
+_CHUNKER_WORDS = st.one_of(
+    st.sampled_from(sorted(DETERMINERS)),
+    st.sampled_from(sorted(LANDMARK_NOUNS)),
+    st.sampled_from(sorted(ADJ_LEXICON | NOUN_OVERRIDES)),
+    st.sampled_from(sorted(ATTACH_PREPS | OTHER_PREPS | CONJUNCTIONS | PRONOUNS)),
+    st.sampled_from(sorted(VERB_LEXICON) + ["reading", "marked", "topped", "medium-sized",
+                                            "signboard", "rooftop", "logo", "42"]),
+    st.sampled_from(_PROPER_WORDS),
+    _NOUN_PHRASES,
+    st.builds(lambda link, np: f"{link} {np}",
+              st.sampled_from(sorted(ATTACH_PREPS) + ["reading", "marked", "marked by"]),
+              st.one_of(_NOUN_PHRASES, st.sampled_from(_PROPER_WORDS))),
+)
+
+
+class TestLandmarkPhrases:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_CHUNKER_WORDS, st.sampled_from([" ", " ", " ", ", ", ". ", "; ",
+                                                               ",", "."])),
+                    max_size=30))
+    def test_matches_two_parse_chunker(self, pieces):
+        text = "".join(word + sep for word, sep in pieces)
+        assert extract_landmark_phrases(text) == landmark_phrases_two_parse(text)
+
+    def test_reference_text_phrases(self):
+        phrases = extract_landmark_phrases(REDUNDANT)
+        assert phrases == landmark_phrases_two_parse(REDUNDANT)
+        assert [p.head for p in phrases] == ["building", "building"]
 
 
 class TestBuildInstruction:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 violations, failed episodes or other library
 errors, 2 configuration errors (bad flags, malformed config or scene
-files, missing inputs).
+files, missing inputs, a directory given as an input file).
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
 def cmd_scene_synth(args) -> int:
     spec = (load_scene_spec(args.spec) if args.spec
             else pl.demo_scene_spec(seed=args.seed))
-    cloud, landmarks = synthesize_scene(spec)
+    cloud = synthesize_scene(spec)
     pl.write_scene_dir(spec, args.out, cloud=cloud)
     print(f"wrote scene {spec.scene_id!r}: {len(cloud)} points, "
-          f"{len(landmarks)} ground-truth landmarks -> {args.out}")
+          f"{len(spec.buildings)} ground-truth landmarks -> {args.out}")
     return 0
 
 
@@ -406,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UavnavError as exc:

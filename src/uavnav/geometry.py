@@ -37,34 +37,6 @@ def round_sig(value: float, digits: int = 9) -> float:
     return float(round(value, digits - 1 - math.floor(math.log10(abs(value)))))
 
 
-def polygon_area(vertices: list[tuple[float, float]]) -> float:
-    """Signed shoelace area (positive for counter-clockwise winding)."""
-    n = len(vertices)
-    acc = 0.0
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
-
-
-def polygon_centroid(vertices: list[tuple[float, float]]) -> tuple[float, float]:
-    area = polygon_area(vertices)
-    if abs(area) < 1e-12:
-        xs = [v[0] for v in vertices]
-        ys = [v[1] for v in vertices]
-        return (sum(xs) / len(xs), sum(ys) / len(ys))
-    cx = cy = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        cross = x0 * y1 - x1 * y0
-        cx += (x0 + x1) * cross
-        cy += (y0 + y1) * cross
-    return (cx / (6.0 * area), cy / (6.0 * area))
-
-
 def point_in_polygon(p: tuple[float, float], vertices: list[tuple[float, float]]) -> bool:
     """Ray-casting test; boundary points may land on either side."""
     x, y = p

@@ -13,7 +13,7 @@ instruction, and near-duplicate landmark descriptions are replaced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .textproc import bag_of_words_embedding, embedding_dot, extract_landmark_phrases
 from .trajgen import Action, ActionKind, Trajectory
@@ -101,14 +101,15 @@ def group_action_runs(actions: Sequence[Action]) -> list[tuple[int, list[Action]
 def split_subtrajectories(
     trajectory: Trajectory,
     image_refs: Sequence[str] | None = None,
-    visibility: Mapping[int, set[int]] | None = None,
+    visible: Callable[[int], set[int] | None] | None = None,
 ) -> list[SubTrajectory]:
     """Partition the trajectory's actions into sub-trajectories.
 
     The final Stop attaches to the last sub-trajectory. When image
-    references or a landmark-visibility map are provided, each segment
-    also records its terminal frame and a visible landmark id (the
-    trajectory target when visible, otherwise the smallest id).
+    references or ``visible`` (frame -> visible landmark ids) are
+    provided, each segment also records its terminal frame and a visible
+    landmark id (the trajectory target when visible, otherwise the
+    smallest id); ``visible`` is asked only about terminal frames.
     """
     actions = trajectory.actions
     if not actions or actions[-1].kind is not ActionKind.STOP:
@@ -119,9 +120,9 @@ def split_subtrajectories(
     subs: list[SubTrajectory] = []
     for start, run in runs:
         end = start + len(run)
-        visible = visibility.get(end) if visibility is not None else None
+        seen = visible(end) if visible is not None else None
         ref = image_refs[end] if image_refs is not None and end < len(image_refs) else None
-        hint = (target if target in visible else min(visible)) if visible else None
+        hint = (target if target in seen else min(seen)) if seen else None
         subs.append(SubTrajectory(run, start, end, ref, hint))
     return subs
 
@@ -191,11 +192,11 @@ def build_instruction(
     captions_by_landmark: Mapping[int, Mapping[str, str]],
     vlm: VlmClient,
     image_refs: Sequence[str] | None,
-    visibility: Mapping[int, set[int]],
+    visible: Callable[[int], set[int] | None],
     threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
 ) -> Instruction:
     """Full trajectory-to-instruction pipeline for one trajectory; each
     clause describes the landmark in view at its sub-trajectory's end."""
     clauses = [generate_sub_instruction(sub, captions_by_landmark.get(sub.landmark_hint), vlm)
-               for sub in split_subtrajectories(trajectory, image_refs, visibility)]
+               for sub in split_subtrajectories(trajectory, image_refs, visible)]
     return refine_coreference(fuse_instruction(clauses, vlm), threshold=threshold)

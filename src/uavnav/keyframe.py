@@ -313,12 +313,12 @@ def sight_targets(grid: VoxelGrid,
 
 
 def landmark_visibility(
-    poses: Sequence[Pose],
+    pose: Pose,
     targets: Sequence[SightTarget],
     grid: VoxelGrid,
     fov_half_angle: float = DEFAULT_FOV_HALF_ANGLE,
-) -> dict[int, set[int]]:
-    """Ground-truth visibility: which landmarks each pose frame can see.
+) -> set[int]:
+    """Ground-truth visibility: the ids of the landmarks ``pose`` can see.
 
     A landmark is visible when its aim point lies within the heading's
     field of view and the sight line reaches the landmark's own BEV
@@ -329,26 +329,23 @@ def landmark_visibility(
     nx, ny, nz = grid.dims
     occupancy = grid.occupancy
     z_floor = grid.origin[2] + 0.5 * grid.voxel_size
-    visibility: dict[int, set[int]] = {}
-    for frame, pose in enumerate(poses):
-        seen: set[int] = set()
-        p = pose.position
-        px, py, pz, yaw = p.x, p.y, p.z, pose.yaw
-        for lm_id, cells, (ax, ay, top) in targets:
-            bearing = math.degrees(math.atan2(ay - py, ax - px))
-            if abs((bearing - yaw + 180.0) % 360.0 - 180.0) > fov_half_angle:
-                continue
-            target = Point3(ax, ay, min(max(pz, z_floor), top))
-            for i, j, k in traverse_segment(grid, p, target):
-                if (i, j) in cells:
-                    seen.add(lm_id)  # reached the landmark's own footprint
-                    break
-                if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz) or occupancy[i, j, k]:
-                    break
-            else:
-                seen.add(lm_id)
-        visibility[frame] = seen
-    return visibility
+    seen: set[int] = set()
+    p = pose.position
+    px, py, pz, yaw = p.x, p.y, p.z, pose.yaw
+    for lm_id, cells, (ax, ay, top) in targets:
+        bearing = math.degrees(math.atan2(ay - py, ax - px))
+        if abs((bearing - yaw + 180.0) % 360.0 - 180.0) > fov_half_angle:
+            continue
+        target = Point3(ax, ay, min(max(pz, z_floor), top))
+        for i, j, k in traverse_segment(grid, p, target):
+            if (i, j) in cells:
+                seen.add(lm_id)  # reached the landmark's own footprint
+                break
+            if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz) or occupancy[i, j, k]:
+                break
+        else:
+            seen.add(lm_id)
+    return seen
 
 
 def save_tokens(matrix: TokenMatrix, path: str | Path) -> None:

@@ -191,7 +191,7 @@ def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
 def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig) -> SceneBundle:
     """The bundle of ``spec`` over a cloud synthesized from it; its layers
     are built when first read."""
-    return SceneBundle(spec, synthesize_scene(spec)[0], cfg)
+    return SceneBundle(spec, synthesize_scene(spec), cfg)
 
 
 def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
@@ -204,7 +204,7 @@ def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
     spec = load_scene_spec(spec_path)
     cloud_path = scene_dir / "cloud.txt"
     cloud = (load_point_cloud(cloud_path) if cloud_path.exists()
-             else synthesize_scene(spec)[0])
+             else synthesize_scene(spec))
     return spec, cloud
 
 
@@ -220,7 +220,7 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cloud is None:
-        cloud, _ = synthesize_scene(spec)
+        cloud = synthesize_scene(spec)
     (out_dir / "scene.json").write_text(
         json.dumps(scene_spec_to_dict(spec), indent=1), encoding="utf-8")
     save_point_cloud(cloud, out_dir / "cloud.txt")
@@ -296,12 +296,13 @@ class _EpisodeOutcome:
 
 def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
             trajectory: tg.Trajectory, image_refs: list[str]) -> instr.Instruction:
-    """Instruction for one trajectory, hinted by the landmarks in view."""
-    visibility = landmark_visibility(trajectory.poses, bundle.sight_targets,
-                                     bundle.raw_grid)
+    """Instruction for one trajectory, hinted by the landmarks in view at
+    each sub-trajectory's end."""
     return instr.build_instruction(
         trajectory, bundle.captions(), vlm, image_refs=image_refs,
-        visibility=visibility, threshold=cfg.coref_threshold)
+        visible=lambda k: landmark_visibility(trajectory.poses[k], bundle.sight_targets,
+                                              bundle.raw_grid),
+        threshold=cfg.coref_threshold)
 
 
 def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,

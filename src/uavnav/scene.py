@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ConfigError
-from .geometry import point_in_polygon, polygon_centroid, polygons_overlap
+from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
 
@@ -247,17 +247,6 @@ def scene_spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class GroundTruthLandmark:
-    """Exact footprint, height and label copied from the scene spec."""
-
-    id: int
-    footprint: list[tuple[float, float]]
-    centroid: tuple[float, float]
-    height: float
-    label: str
-
-
 def _linspace_count(length: float, spacing: float) -> int:
     return max(2, int(math.ceil(length / spacing)) + 1)
 
@@ -279,12 +268,12 @@ def _sample_polygon_interior(
     return np.array(pts, dtype=np.float64).reshape(-1, 2)
 
 
-def synthesize_scene(spec: SceneSpec) -> tuple[PointCloud, list[GroundTruthLandmark]]:
-    """Surface-sample a procedural scene.
+def synthesize_scene(spec: SceneSpec) -> PointCloud:
+    """Surface-sample a procedural scene into a point cloud.
 
     Buildings become wall + roof points at <= SURFACE_SAMPLE_SPACING
-    spacing; each building also yields a ground-truth landmark with the
-    exact footprint, height, and label from the spec.
+    spacing. Only the cloud is returned: the spec's buildings (footprint,
+    height, label) are the landmark ground truth.
     """
     spacing = SURFACE_SAMPLE_SPACING
     chunks: list[np.ndarray] = []
@@ -298,8 +287,7 @@ def synthesize_scene(spec: SceneSpec) -> tuple[PointCloud, list[GroundTruthLandm
     ground[:, 1] = mesh[1].ravel()
     chunks.append(ground)
 
-    landmarks: list[GroundTruthLandmark] = []
-    for idx, b in enumerate(spec.buildings):
+    for b in spec.buildings:
         zs = np.linspace(0.0, b.height, _linspace_count(b.height, spacing))
         n = len(b.footprint)
         for i in range(n):
@@ -314,15 +302,6 @@ def synthesize_scene(spec: SceneSpec) -> tuple[PointCloud, list[GroundTruthLandm
             roof[:, :2] = roof_xy
             roof[:, 2] = b.height
             chunks.append(roof)
-        landmarks.append(
-            GroundTruthLandmark(
-                id=idx,
-                footprint=list(b.footprint),
-                centroid=polygon_centroid(b.footprint),
-                height=b.height,
-                label=b.label,
-            )
-        )
 
     for t in spec.trees:
         # Canopy as a cylinder shell from half height to full height plus a cap.
@@ -341,4 +320,4 @@ def synthesize_scene(spec: SceneSpec) -> tuple[PointCloud, list[GroundTruthLandm
         chunks.append(cap)
 
     points = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 3))
-    return PointCloud(points=points), landmarks
+    return PointCloud(points=points)

@@ -402,6 +402,23 @@ def test_missing_scene_exits_2(tmp_path):
                  "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "dataset stats", "eval", "generate",
+                                     "keyframe"])
+def test_directory_as_input_file_exits_2(workdir, generated, tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = str(tmp_path / "out")
+    argv = {"validate": ["validate", *scene_args(workdir), "--episodes", str(folder)],
+            "dataset stats": ["dataset", "stats", "--episodes", str(folder)],
+            "eval": ["eval", *scene_args(workdir), "--episodes", str(generated),
+                     "--predictions", str(folder)],
+            "generate": ["generate", "--spec", str(folder), "--count", "1", "--out", out],
+            "keyframe": ["keyframe", "--actions", str(folder), "--tokens", str(tmp_path),
+                         "--out", out]}[command]
+    assert main(argv) == 2
+    assert str(folder) in one_line_error(capsys)
+
+
 def test_trajgen_is_generate_without_instructions(workdir, tmp_path):
     trajs, generated, instructed = (tmp_path / f"{name}.jsonl" for name in
                                     ("trajs", "generated", "instructed"))

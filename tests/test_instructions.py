@@ -94,7 +94,7 @@ class TestSplitSubtrajectories:
         t = traj([F3, L, L, F3, S])
         refs = [f"frame_{i}" for i in range(len(t.poses))]
         visibility = {1: {4}, 3: set(), 4: {2, 7}, 5: {2}}
-        subs = split_subtrajectories(t, image_refs=refs, visibility=visibility)
+        subs = split_subtrajectories(t, image_refs=refs, visible=visibility.get)
         assert [sub.key_image_ref for sub in subs] == ["frame_1", "frame_3", "frame_5"]
         assert subs[0].landmark_hint == 4
         assert subs[1].landmark_hint is None
@@ -103,7 +103,7 @@ class TestSplitSubtrajectories:
     def test_hint_prefers_trajectory_target(self):
         t = Trajectory.from_actions(Pose(Point3(0, 0, 30), 0.0), [F3, S],
                                     target_landmark_id=7)
-        subs = split_subtrajectories(t, visibility={2: {2, 7, 9}})
+        subs = split_subtrajectories(t, visible={2: {2, 7, 9}}.get)
         assert subs[0].landmark_hint == 7
 
     @settings(max_examples=300, deadline=None)
@@ -116,17 +116,25 @@ class TestSplitSubtrajectories:
         t = Trajectory.from_actions(Pose(Point3(0, 0, 30), 0.0), core + [S],
                                     target_landmark_id=target)
         refs = None if n_refs is None else [f"frame_{i}" for i in range(n_refs)]
-        visibility = None if frames is None else dict(enumerate(frames))
-        subs = split_subtrajectories(t, image_refs=refs, visibility=visibility)
+        visibility = dict(enumerate(frames or []))
+        asked: list[int] = []
+
+        def visible(k: int) -> set[int] | None:
+            asked.append(k)
+            return visibility.get(k)
+
+        subs = split_subtrajectories(t, image_refs=refs,
+                                     visible=None if frames is None else visible)
+        assert asked == ([] if frames is None else [sub.terminal_pose_index for sub in subs])
         for sub in subs:
             k = sub.terminal_pose_index
             in_range = refs is not None and k < len(refs)
             assert sub.key_image_ref == (refs[k] if in_range else None)
-            visible = (visibility or {}).get(k, set())
-            if target in visible:
+            seen = visibility.get(k, set())
+            if target in seen:
                 assert sub.landmark_hint == target
             else:
-                assert sub.landmark_hint == (min(visible) if visible else None)
+                assert sub.landmark_hint == (min(seen) if seen else None)
 
 
 CAPTION = {"color": "gray", "feature": "glass", "size": "large", "type": "tower"}
@@ -303,8 +311,8 @@ class TestBuildInstruction:
         refs = [f"f{i}" for i in range(len(t.poses))]
         visibility = {i: {0} for i in range(len(t.poses))}
         vlm = VlmClient(mode="mock")
-        one = build_instruction(t, captions, vlm, refs, visibility)
-        two = build_instruction(t, captions, vlm, refs, visibility)
+        one = build_instruction(t, captions, vlm, refs, visibility.get)
+        two = build_instruction(t, captions, vlm, refs, visibility.get)
         assert one == two
         assert len(one.sub_instructions) == 3
 
@@ -313,6 +321,6 @@ class TestBuildInstruction:
         captions = {0: CAPTION}
         visibility = {i: {0} for i in range(len(t.poses))}
         instr = build_instruction(t, captions, VlmClient(mode="mock"),
-                                  None, visibility)
+                                  None, visibility.get)
         assert instr.text.count("the large gray tower") == 1
         assert " it" in instr.text

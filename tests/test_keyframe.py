@@ -404,27 +404,23 @@ class TestLandmarkVisibility:
 
     def test_facing_pose_sees_landmark(self, scene):
         grid, landmark = scene
-        poses = [Pose(Point3(45.0, 30.5, 10.0), 180.0)]
-        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
-        assert vis[0] == {0}
+        pose = Pose(Point3(45.0, 30.5, 10.0), 180.0)
+        assert landmark_visibility(pose, sight_targets(grid, [landmark]), grid) == {0}
 
     def test_pose_facing_away_sees_nothing(self, scene):
         grid, landmark = scene
-        poses = [Pose(Point3(45.0, 30.5, 10.0), 0.0)]
-        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
-        assert vis[0] == set()
+        pose = Pose(Point3(45.0, 30.5, 10.0), 0.0)
+        assert landmark_visibility(pose, sight_targets(grid, [landmark]), grid) == set()
 
     def test_wall_blocks_sight_line(self, scene):
         grid, landmark = scene
-        poses = [Pose(Point3(10.0, 30.5, 10.0), 0.0)]  # wall between
-        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
-        assert vis[0] == set()
+        pose = Pose(Point3(10.0, 30.5, 10.0), 0.0)  # wall between
+        assert landmark_visibility(pose, sight_targets(grid, [landmark]), grid) == set()
 
     def test_flying_above_wall_restores_sight(self, scene):
         grid, landmark = scene
-        poses = [Pose(Point3(10.0, 30.5, 28.0), 0.0)]
-        vis = landmark_visibility(poses, sight_targets(grid, [landmark]), grid)
-        assert vis[0] == {0}
+        pose = Pose(Point3(10.0, 30.5, 28.0), 0.0)
+        assert landmark_visibility(pose, sight_targets(grid, [landmark]), grid) == {0}
 
     def test_aim_cell_matches_nearest_by_loop(self):
         def reference(grid, cells, centroid):
@@ -492,6 +488,7 @@ def visibility_cases(draw):
 @given(case=visibility_cases())
 def test_visibility_over_sight_targets_matches_per_call_aims(case):
     grid, landmarks, poses, fov = case
-    assert (landmark_visibility(poses, sight_targets(grid, landmarks), grid, fov)
+    targets = sight_targets(grid, landmarks)
+    assert ({k: landmark_visibility(p, targets, grid, fov) for k, p in enumerate(poses)}
             == visibility_per_call(poses, landmarks, grid, fov))
 

@@ -17,6 +17,7 @@ from uavnav import pipeline as pl
 from uavnav import segmentation as seg
 from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
+from uavnav.instructions import split_subtrajectories
 from uavnav.occupancy import VoxelGrid
 from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
@@ -111,10 +112,31 @@ class TestRunGenerate:
             patch.setattr(kf, "aim_cell", per_episode_setup)
             patch.setattr(VoxelGrid, "in_bounds", per_episode_setup)
             assert pl.run_generate(demo_bundle, cfg, 20, lean).accepted == 20
-        monkeypatch.setattr(pl, "landmark_visibility", lambda poses, targets, grid:
-                            visibility_per_call(poses, demo_bundle.landmarks, grid))
+        monkeypatch.setattr(pl, "landmark_visibility", lambda pose, targets, grid:
+                            visibility_per_call([pose], demo_bundle.landmarks, grid)[0])
         assert pl.run_generate(demo_bundle, cfg, 20, oracle).accepted == 20
         assert lean.read_bytes() == oracle.read_bytes()
+
+    def test_sight_lines_start_only_where_sub_trajectories_end(self, demo_bundle, desk_cfg,
+                                                               small_batch, monkeypatch):
+        walk, starts, walked = kf.traverse_segment, [], 0
+
+        def traverse(grid, a, b):
+            starts.append(a)
+            return walk(grid, a, b)
+
+        monkeypatch.setattr(kf, "traverse_segment", traverse)
+        vlm = VlmClient(mode="mock")
+        for episode in small_batch:
+            t = episode.trajectory
+            # By identity: a turn leaves a non-terminal pose at a terminal one's position.
+            ends = {id(t.poses[sub.terminal_pose_index].position)
+                    for sub in split_subtrajectories(t)}
+            starts.clear()
+            pl.narrate(demo_bundle, desk_cfg, vlm, t, episode.image_refs)
+            assert all(id(a) in ends for a in starts), episode.episode_id
+            walked += len(starts)
+        assert walked > 0
 
     def test_throughput_smoke_with_more_workers(self, demo_bundle, desk_cfg,
                                                 tmp_path):

@@ -184,26 +184,24 @@ class TestRoundTrip:
 class TestSynthesize:
     def test_empty_spec_ground_only(self):
         spec = SceneSpec(extent=(20.0, 20.0))
-        cloud, landmarks = synthesize_scene(spec)
-        assert landmarks == []
+        cloud = synthesize_scene(spec)
         assert len(cloud) > 0
         assert np.all(cloud.points[:, 2] == 0.0)
 
     def test_single_box_height_exact(self):
         spec = SceneSpec(extent=(40.0, 40.0),
                          buildings=[BuildingSpec(box(10, 10, 10, 10), 30.0, "box")])
-        _, landmarks = synthesize_scene(spec)
-        assert len(landmarks) == 1
-        assert landmarks[0].height == 30.0
-        assert landmarks[0].label == "box"
-        assert landmarks[0].footprint == box(10, 10, 10, 10)
+        points = synthesize_scene(spec).points
+        assert points[:, 2].max() == 30.0
+        roof = points[points[:, 2] == 30.0, :2]
+        assert len(roof) > 0 and np.all((roof >= 10.0) & (roof <= 20.0))
 
     def test_same_seed_bit_identical(self):
         spec = SceneSpec(extent=(30.0, 30.0),
                          buildings=[BuildingSpec(box(5, 5, 8, 8), 12.0, "b")],
                          trees=[TreeSpec((20.0, 20.0), 6.0)], seed=99)
-        a, _ = synthesize_scene(spec)
-        b, _ = synthesize_scene(spec)
+        a = synthesize_scene(spec)
+        b = synthesize_scene(spec)
         assert np.array_equal(a.points, b.points)
 
     def test_overlapping_footprints_rejected(self):
@@ -220,15 +218,15 @@ class TestSynthesize:
         two = SceneSpec(extent=(100.0, 50.0),
                         buildings=[BuildingSpec(box(10, 10, 10, 10), 10.0, "a"),
                                    BuildingSpec(box(60, 10, 10, 10), 10.0, "b")])
-        n1 = len(synthesize_scene(one)[0])
-        n2 = len(synthesize_scene(two)[0])
+        n1 = len(synthesize_scene(one))
+        n2 = len(synthesize_scene(two))
         assert abs(n2 / n1 - 2.0) < 0.2
 
     def test_points_inside_extent_horizontally(self):
         spec = SceneSpec(extent=(60.0, 80.0),
                          buildings=[BuildingSpec(box(10, 20, 15, 10), 25.0, "a")],
                          trees=[TreeSpec((40.0, 40.0), 8.0)])
-        cloud, _ = synthesize_scene(spec)
+        cloud = synthesize_scene(spec)
         assert cloud.points[:, 0].min() >= -1e-9
         assert cloud.points[:, 0].max() <= 60.0 + 1e-9
         assert cloud.points[:, 1].min() >= -1e-9

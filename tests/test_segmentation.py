@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import union_find_components
+from uavnav.geometry import point_in_polygon
 from uavnav.occupancy import BevGrid, bev_project, voxelize
 from uavnav.pipeline import demo_scene_spec
 from uavnav.scene import synthesize_scene
@@ -113,15 +114,17 @@ class TestExtractInstances:
 class TestSynthesizedSceneSegmentation:
     def test_instance_count_and_heights_match_ground_truth(self):
         spec = demo_scene_spec()
-        cloud, truth = synthesize_scene(spec)
-        grid = voxelize(cloud, 1.0, 0.0)
+        grid = voxelize(synthesize_scene(spec), 1.0, 0.0)
         bev = bev_project(grid, min_height=2.0)
         instances = extract_instances(bev, 20.0)
-        assert len(instances) == len(truth)
+        assert len(instances) == len(spec.buildings)
+        labels = []
         for inst in instances:
-            nearest = min(truth, key=lambda lm: (lm.centroid[0] - inst.centroid[0]) ** 2
-                          + (lm.centroid[1] - inst.centroid[1]) ** 2)
-            assert abs(inst.height - nearest.height) <= grid.voxel_size
+            building, = [b for b in spec.buildings
+                         if point_in_polygon(inst.centroid, b.footprint)]
+            assert abs(inst.height - building.height) <= grid.voxel_size
+            labels.append(building.label)
+        assert sorted(labels) == sorted(b.label for b in spec.buildings)
 
 
 class TestCaptionParsing:

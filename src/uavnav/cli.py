@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import ConfigError, UavnavError
+from . import ConfigError, UavnavError, is_integer
 from . import dataset as ds
 from . import evaluation as ev
 from . import keyframe as kf
@@ -53,7 +53,7 @@ def _read_visibility(path: str | Path) -> dict[int, set[int]]:
     """Frame index -> visible landmark ids, from a JSON object of lists."""
     visibility = {}
     for key, ids in _read_json(path, dict).items():
-        if not (isinstance(ids, list) and all(isinstance(i, int) for i in ids)):
+        if not (isinstance(ids, list) and all(map(is_integer, ids))):
             raise ConfigError(f"{path}: frame {key!r} needs a list of landmark ids")
         try:
             visibility[int(key)] = set(ids)
@@ -202,6 +202,9 @@ def cmd_eval(args) -> int:
                       else episode.trajectory.poses[-1].position)
         gt_length = float(episode.meta.get("gt_length")
                           or episode.trajectory.path_length())
+        if gt_length == 0.0:
+            raise ConfigError(f"{args.episodes}: episode {episode_id!r} has a zero-length "
+                              "ground truth and no meta.gt_length")
         results.append(ev.score(result, goal_point, gt_length, args.radius))
     missing = len(predictions) - len(results)
     summary = ev.aggregate(results).to_dict()
@@ -220,8 +223,8 @@ def cmd_keyframe(args) -> int:
     action_docs = _read_json(args.actions, list)
     try:
         actions = [tg.Action.from_dict(a) for a in action_docs]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{args.actions}: bad action ({exc!r})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{args.actions}: {exc}") from exc
     doc = _read_json(args.config, dict) if args.config else {}
     try:
         candidates = kf.select_candidates(actions, doc.pop("window", kf.DEFAULT_WINDOW))

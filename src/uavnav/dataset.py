@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import ConfigError, UavnavError, atomic_open, is_number
+from . import ConfigError, UavnavError, atomic_open, is_integer, is_number
 from .geometry import Point3, round_sig
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -130,6 +130,9 @@ def episode_from_dict(doc: dict) -> Episode:
         raise ValueError(f"meta.goal must be three finite numbers, got {goal!r}")
     if gt_length is not None and not (is_number(gt_length) and gt_length > 0):
         raise ValueError(f"meta.gt_length must be a finite number > 0, got {gt_length!r}")
+    damaged = meta.get("damaged_image_indices", [])
+    if not (isinstance(damaged, list) and all(map(is_integer, damaged))):
+        raise ValueError(f"meta.damaged_image_indices must be a list of integers, got {damaged!r}")
     trajectory = Trajectory(
         start=_pose_from_doc(doc["start"]),
         actions=[Action.from_dict(a) for a in doc["actions"]],
@@ -233,8 +236,7 @@ def filter_episode(episode: Episode, tree_height: float = DEFAULT_TREE_HEIGHT,
         return FilterVerdict(False, "too_short")
     if n > MAX_ACTIONS:
         return FilterVerdict(False, "too_long")
-    damaged = set(episode.meta.get("damaged_image_indices", []))
-    if damaged:
+    if episode.meta.get("damaged_image_indices"):
         return FilterVerdict(False, "damaged_image")
     if bev is not None and bev.vegetation is not None:
         for pose in episode.trajectory.poses:

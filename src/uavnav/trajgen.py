@@ -79,23 +79,27 @@ class ActionKind(str, Enum):
     STOP = "stop"
 
 
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    magnitude: float | None = None
+class Action(Enum):
+    """The eight moves. Each member carries its ``kind``, its
+    ``magnitude`` (meters, degrees for a turn, None for Stop) and
+    ``cost_units``, its edge cost in tenths of a meter: a turn costs one
+    unit and Stop is free."""
 
-    def __post_init__(self) -> None:
-        if self.kind is ActionKind.FORWARD:
-            if self.magnitude not in FORWARD_MAGNITUDES:
-                raise ValueError(f"forward magnitude must be one of {FORWARD_MAGNITUDES}")
-        elif self.kind in (ActionKind.TURN_LEFT, ActionKind.TURN_RIGHT):
-            if self.magnitude != TURN_DEGREES:
-                raise ValueError("turn magnitude must be 30 degrees")
-        elif self.kind in (ActionKind.MOVE_UP, ActionKind.MOVE_DOWN):
-            if self.magnitude != VERTICAL_STEP:
-                raise ValueError("vertical magnitude must be 3 m")
-        elif self.magnitude is not None:
-            raise ValueError("stop takes no magnitude")
+    FORWARD_3 = (ActionKind.FORWARD, 3.0, 30)
+    FORWARD_6 = (ActionKind.FORWARD, 6.0, 60)
+    FORWARD_9 = (ActionKind.FORWARD, 9.0, 90)
+    TURN_LEFT = (ActionKind.TURN_LEFT, TURN_DEGREES, TURN_COST_UNITS)
+    TURN_RIGHT = (ActionKind.TURN_RIGHT, TURN_DEGREES, TURN_COST_UNITS)
+    MOVE_UP = (ActionKind.MOVE_UP, VERTICAL_STEP, 30)
+    MOVE_DOWN = (ActionKind.MOVE_DOWN, VERTICAL_STEP, 30)
+    STOP = (ActionKind.STOP, None, 0)
+
+    __hash__ = object.__hash__  # identity; Enum.__hash__ hashes the name in Python
+
+    def __init__(self, kind: ActionKind, magnitude: float | None, cost_units: int) -> None:
+        self.kind = kind
+        self.magnitude = magnitude
+        self.cost_units = cost_units
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
@@ -105,30 +109,31 @@ class Action:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Action":
-        """The shared constant for a valid action document; an invalid one
-        raises what constructing it raises."""
-        magnitude = doc.get("magnitude")
-        kind = doc["kind"]
+        """The member a document names by its ``kind`` string and a
+        ``magnitude`` that ``float`` reads as the member's (absent or null
+        for Stop); any other document raises ValueError."""
         try:
-            return _ACTIONS[kind, float(magnitude) if magnitude is not None else None]
-        except (KeyError, TypeError, ValueError):
-            return cls(ActionKind(kind), float(magnitude) if magnitude is not None else None)
+            magnitude = doc.get("magnitude")
+            return _ACTIONS[doc["kind"], float(magnitude) if magnitude is not None else None]
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"not an action document: {doc!r}") from None
 
 
-STOP = Action(ActionKind.STOP)
-TURN_LEFT = Action(ActionKind.TURN_LEFT, TURN_DEGREES)
-TURN_RIGHT = Action(ActionKind.TURN_RIGHT, TURN_DEGREES)
-MOVE_UP = Action(ActionKind.MOVE_UP, VERTICAL_STEP)
-MOVE_DOWN = Action(ActionKind.MOVE_DOWN, VERTICAL_STEP)
+# (kind string, magnitude) -> member.
+_ACTIONS = {(a.kind.value, a.magnitude): a for a in Action}
+
+STOP = Action.STOP
+TURN_LEFT = Action.TURN_LEFT
+TURN_RIGHT = Action.TURN_RIGHT
+MOVE_UP = Action.MOVE_UP
+MOVE_DOWN = Action.MOVE_DOWN
 
 
 def forward(magnitude: float) -> Action:
-    return Action(ActionKind.FORWARD, magnitude)
-
-
-# (kind string, magnitude) -> the one frozen Action of each of the 8 valid moves.
-_ACTIONS = {(a.kind.value, a.magnitude): a for a in (
-    STOP, TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN, *map(forward, FORWARD_MAGNITUDES))}
+    action = _ACTIONS.get((ActionKind.FORWARD.value, magnitude))
+    if action is None:
+        raise ValueError(f"forward magnitude must be one of {FORWARD_MAGNITUDES}")
+    return action
 
 
 @dataclass(frozen=True)
@@ -145,19 +150,8 @@ class Pose:
             raise ValueError(f"yaw {self.yaw} outside [0, 360)")
 
 
-def action_cost_units(action: Action) -> int:
-    """Edge cost in tenths of a meter; turns cost one unit, Stop is free."""
-    if action.kind is ActionKind.FORWARD:
-        return int(round(action.magnitude * UNITS_PER_METER))
-    if action.kind in (ActionKind.MOVE_UP, ActionKind.MOVE_DOWN):
-        return int(round(VERTICAL_STEP * UNITS_PER_METER))
-    if action.kind is ActionKind.STOP:
-        return 0
-    return TURN_COST_UNITS
-
-
 def path_cost_units(actions: list[Action]) -> int:
-    return sum(action_cost_units(a) for a in actions)
+    return sum(a.cost_units for a in actions)
 
 
 # Per-heading decomposition of cos/sin(30k degrees) as (p + q*sqrt(3)) / 2.
@@ -178,7 +172,6 @@ def _successor_table() -> list[list[tuple]]:
     """Per heading, the moves in canonical order (forward by magnitude,
     left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
     move kind, action)."""
-    vertical_units = action_cost_units(MOVE_UP)
     table = []
     for yaw in range(12):
         (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
@@ -187,12 +180,12 @@ def _successor_table() -> list[list[tuple]]:
             n = int(round(g / 3.0))
             action = forward(g)
             moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
-                          action_cost_units(action), _FORWARD, action))
+                          action.cost_units, _FORWARD, action))
         moves += [
-            (0, 0, 0, 0, 0, (yaw + 1) % 12, TURN_COST_UNITS, _TURN, TURN_LEFT),
-            (0, 0, 0, 0, 0, (yaw - 1) % 12, TURN_COST_UNITS, _TURN, TURN_RIGHT),
-            (0, 0, 0, 0, 1, yaw, vertical_units, _VERTICAL, MOVE_UP),
-            (0, 0, 0, 0, -1, yaw, vertical_units, _VERTICAL, MOVE_DOWN),
+            (0, 0, 0, 0, 0, (yaw + 1) % 12, TURN_LEFT.cost_units, _TURN, TURN_LEFT),
+            (0, 0, 0, 0, 0, (yaw - 1) % 12, TURN_RIGHT.cost_units, _TURN, TURN_RIGHT),
+            (0, 0, 0, 0, 1, yaw, MOVE_UP.cost_units, _VERTICAL, MOVE_UP),
+            (0, 0, 0, 0, -1, yaw, MOVE_DOWN.cost_units, _VERTICAL, MOVE_DOWN),
         ]
         table.append(moves)
     return table

@@ -6,11 +6,13 @@ computations, dense sampling, union-find labeling, textbook Dijkstra,
 and exhaustive matching. The exceptions are ``parse_point_cloud_lines``,
 a copy of the line loop ``load_point_cloud`` falls back to, kept as the
 reference for its NumPy path, ``visibility_per_call``, the
-``landmark_visibility`` that aimed at the landmarks on every call, and
+``landmark_visibility`` that aimed at the landmarks on every call,
 ``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair,
-and ``landmark_phrases_two_parse``, the chunker whose core parse also
+``landmark_phrases_two_parse``, the chunker whose core parse also
 returned the index after the head and whose phrase scan re-parsed the
-determiner branch itself.
+determiner branch itself, and ``action_by_construction``, the rule an
+action document passed when ``Action`` was a dataclass that checked
+itself.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back, which
 only tests need.
 """
@@ -495,3 +497,22 @@ def landmark_phrases_two_parse(text: str) -> list[NounPhrase]:
                 continue
         i += 1
     return phrases
+
+
+def action_by_construction(doc) -> dict:
+    """The canonical document of the action ``doc`` names, by the rule
+    ``trajgen.Action`` checked on construction before it was an enum:
+    ``kind`` is one of the six kind strings and ``magnitude``, read with
+    ``float`` unless absent or null, is one of ``FORWARD_MAGNITUDES`` for
+    a forward, 30 for a turn, 3 for a vertical move and absent for Stop.
+    Any other document raises."""
+    magnitude = doc.get("magnitude")
+    kind = doc["kind"]
+    if kind not in ("forward", "turn_left", "turn_right", "move_up", "move_down", "stop"):
+        raise ValueError(f"unknown kind {kind!r}")
+    magnitude = float(magnitude) if magnitude is not None else None
+    allowed = {"forward": FORWARD_MAGNITUDES, "turn_left": (30.0,), "turn_right": (30.0,),
+               "move_up": (3.0,), "move_down": (3.0,), "stop": (None,)}[kind]
+    if magnitude not in allowed:
+        raise ValueError(f"{kind} magnitude must be one of {allowed}")
+    return {"kind": kind} if magnitude is None else {"kind": kind, "magnitude": magnitude}

@@ -580,6 +580,39 @@ def test_malformed_episode_meta_is_one_line_error(workdir, generated, tmp_path, 
     assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("damaged", [5, [[1]], "abc"], ids=["int", "nested_list", "string"])
+def test_malformed_damaged_image_indices(workdir, generated, tmp_path, capsys, damaged):
+    doc = json.loads(generated.read_text().splitlines()[0])
+    doc["meta"]["damaged_image_indices"] = damaged
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(doc) + "\n")
+    message = "meta.damaged_image_indices must be a list of integers"
+    assert main(["validate", "--episodes", str(episodes)]) == 1
+    [violation] = json.loads(capsys.readouterr().out)["violations"]
+    assert violation["kind"] == "schema" and message in violation["detail"]
+    assert main(["dataset", "filter", "--episodes", str(episodes),
+                 "--out", str(tmp_path / "kept.jsonl")]) == 1
+    assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
+
+
+def test_eval_zero_length_ground_truth_exits_2(workdir, generated, tmp_path, capsys):
+    from uavnav.dataset import episode_from_dict, episode_to_dict
+    from uavnav.trajgen import rollout
+    doc = json.loads(generated.read_text().splitlines()[0])
+    doc["actions"] = [{"kind": "turn_left", "magnitude": 30.0}, {"kind": "stop"}]
+    del doc["meta"]["gt_length"]
+    doc["poses"], doc["image_refs"] = doc["poses"][:3], doc["image_refs"][:3]
+    episode = episode_from_dict(doc)
+    episode.trajectory.poses[:] = rollout(episode.trajectory.start, episode.trajectory.actions)
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(episode_to_dict(episode)) + "\n")
+    preds = write_predictions(tmp_path / "preds.jsonl", [episode])
+    assert main(["eval", *scene_args(workdir), "--episodes", str(episodes),
+                 "--predictions", str(preds)]) == 2
+    assert f"episodes.jsonl: episode {episode.episode_id!r} has a zero-length" \
+        in one_line_error(capsys)
+
+
 @pytest.mark.parametrize("command", ["eval", "instruct", "dataset stats"])
 def test_unsupported_schema_version_is_one_line_error(workdir, generated, tmp_path, capsys,
                                                       command):
@@ -626,8 +659,9 @@ def test_malformed_keyframe_inputs_exit_2(tmp_path, capsys, actions, config, cul
     assert culprit in one_line_error(capsys)
 
 
-@pytest.mark.parametrize("visibility", [{"0": 5}, {"x": [1]}, {"0": [[1]]}],
-                         ids=["ids_not_a_list", "frame_not_an_integer", "id_not_an_integer"])
+@pytest.mark.parametrize("visibility", [{"0": 5}, {"x": [1]}, {"0": [[1]]}, {"0": [True]}],
+                         ids=["ids_not_a_list", "frame_not_an_integer", "id_not_an_integer",
+                              "bool_id"])
 def test_malformed_visibility_exit_2(tmp_path, capsys, visibility):
     (tmp_path / "actions.json").write_text(json.dumps([{"kind": "stop"}]))
     for k in range(2):

@@ -172,6 +172,12 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
 
+    @pytest.mark.parametrize("damaged", [[1.5], [True], None])  # CLI tests take the rest
+    def test_damaged_image_indices_must_be_integers(self, damaged):
+        doc = episode_to_dict(make_episode(meta={"damaged_image_indices": damaged}))
+        with pytest.raises(ValueError, match="meta.damaged_image_indices"):
+            episode_from_dict(doc)
+
     def test_unknown_fields_preserved(self, tmp_path):
         doc = episode_to_dict(make_episode())
         doc["annotator_note"] = {"stars": 5}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
-from oracles import dijkstra_units, point_blocked
+from oracles import action_by_construction, dijkstra_units, point_blocked
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
@@ -26,45 +29,46 @@ class TestActions:
     def test_forward_magnitudes_validated(self):
         for m in (3.0, 6.0, 9.0):
             assert forward(m).magnitude == m
+            assert forward(m) is forward(int(m))
         with pytest.raises(ValueError):
             forward(4.0)
 
     def test_turn_and_vertical_magnitudes(self):
-        with pytest.raises(ValueError):
-            Action(ActionKind.TURN_LEFT, 45.0)
-        with pytest.raises(ValueError):
-            Action(ActionKind.MOVE_UP, 6.0)
-        with pytest.raises(ValueError):
-            Action(ActionKind.STOP, 1.0)
+        assert (TURN_LEFT.magnitude, TURN_RIGHT.magnitude) == (30.0, 30.0)
+        assert (MOVE_UP.magnitude, MOVE_DOWN.magnitude, STOP.magnitude) == (3.0, 3.0, None)
+        for doc in ({"kind": "turn_left", "magnitude": 45.0},
+                    {"kind": "move_up", "magnitude": 6.0}, {"kind": "stop", "magnitude": 1.0}):
+            with pytest.raises(ValueError):
+                Action.from_dict(doc)
+
+    def test_eight_members(self):
+        assert len(Action) == 8
+        assert {a.kind for a in Action} == set(ActionKind)
 
     def test_dict_round_trip(self):
-        for action in (forward(6.0), TURN_RIGHT, MOVE_UP, STOP):
-            assert Action.from_dict(action.to_dict()) == action
+        for action in Action:
+            doc = json.loads(json.dumps(action.to_dict()))
+            assert doc == action_by_construction(doc)
+            assert Action.from_dict(doc) is action
+
+    def test_copy_and_pickle_keep_the_member(self):
+        for action in Action:
+            assert copy.deepcopy(action) is action
+            assert pickle.loads(pickle.dumps(action)) is action
+
+    def test_path_cost_units(self):
+        assert [path_cost_units([forward(m)]) for m in FORWARD_MAGNITUDES] == [30, 60, 90]
+        assert path_cost_units([TURN_LEFT]) == path_cost_units([TURN_RIGHT]) == 1
+        assert path_cost_units([MOVE_UP]) == path_cost_units([MOVE_DOWN]) == 30
+        assert path_cost_units([STOP]) == 0
 
     def test_from_dict_returns_shared_constants(self):
-        for action in (STOP, TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN):
-            assert Action.from_dict(action.to_dict()) is action
         for action in (*map(forward, FORWARD_MAGNITUDES), TURN_LEFT, MOVE_UP):
             doc = action.to_dict()
-            shared = Action.from_dict(doc)
-            assert shared == action
             m = int(action.magnitude)
             for magnitude in (m, str(m), f"{m}.0", float(m)):
-                assert Action.from_dict({**doc, "magnitude": magnitude}) is shared
-
-    @staticmethod
-    def _outcome(build, doc):
-        try:
-            return "ok", build(doc)
-        except Exception as exc:  # the exception is the outcome
-            return type(exc), str(exc)
-
-    @staticmethod
-    def _construct(doc):
-        """What ``from_dict`` raises: building the action from the document."""
-        magnitude = doc.get("magnitude")
-        return Action(ActionKind(doc["kind"]),
-                      float(magnitude) if magnitude is not None else None)
+                assert Action.from_dict({**doc, "magnitude": magnitude}) is action
+        assert Action.from_dict({"kind": "stop", "magnitude": None}) is STOP
 
     @pytest.mark.parametrize("doc", [
         {"kind": "fly"}, {"kind": "forward", "magnitude": 4},
@@ -77,9 +81,13 @@ class TestActions:
             "no_kind", "list_kind_and_magnitude", "list_magnitude", "string_magnitude",
             "forward_without_magnitude", "bool_magnitude", "list_document"])
     def test_from_dict_raises_what_construction_raises(self, doc):
-        expected = self._outcome(self._construct, doc)
-        assert expected[0] != "ok"
-        assert self._outcome(Action.from_dict, doc) == expected
+        """Where construction raised, of whatever type, ``from_dict``
+        raises ValueError naming the document."""
+        with pytest.raises(Exception):
+            action_by_construction(doc)
+        with pytest.raises(ValueError, match="not an action document") as raised:
+            Action.from_dict(doc)
+        assert repr(doc) in str(raised.value)
 
     @given(kind=st.sampled_from([k.value for k in ActionKind] + ["fly", "", "Forward"]),
            magnitude=st.one_of(st.none(), st.booleans(), st.integers(-10, 40),
@@ -88,13 +96,15 @@ class TestActions:
     @settings(max_examples=300, deadline=None)
     def test_from_dict_accepts_what_construction_accepts(self, kind, magnitude):
         doc = {"kind": kind} if magnitude is None else {"kind": kind, "magnitude": magnitude}
-        expected = self._outcome(self._construct, doc)
-        got = self._outcome(Action.from_dict, doc)
-        if expected[0] == "ok":
-            assert got[0] == "ok" and got[1] == expected[1]
-            assert got[1] is Action.from_dict(got[1].to_dict())
-        else:
-            assert got == expected
+        try:
+            expected = action_by_construction(doc)
+        except Exception:
+            with pytest.raises(ValueError):
+                Action.from_dict(doc)
+            return
+        action = Action.from_dict(doc)
+        assert action.to_dict() == expected
+        assert Action.from_dict(expected) is action
 
 
 def step(pose: Pose, action: Action) -> Pose:

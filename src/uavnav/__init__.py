@@ -30,21 +30,34 @@ def is_integer(v) -> bool:
     return is_number(v) and isinstance(v, numbers.Integral)
 
 
+_KIND_TESTS = {
+    "an integer": is_integer,
+    "a number": is_number,
+    "a finite number > 0": lambda v: is_number(v) and v > 0,
+    "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(is_number, v)),
+    "two integers": lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integer, v)),
+    "two finite numbers": lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_number, v)),
+    "three finite numbers": lambda v: isinstance(v, list) and len(v) == 3 and all(map(is_number, v)),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a bool": lambda v: isinstance(v, bool),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(is_integer, v)),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)}
+
+
+def check_kind(name: str, value, kind: str, error: type[Exception] = ValueError):
+    """``value`` if it is of ``kind``, else ``error`` naming the field. "two
+    numbers" is a tuple (of a config); the other pairs and lists are JSON lists."""
+    if not _KIND_TESTS[kind](value):
+        raise error(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def check_kinds(obj, prefix: str, kinds: dict[str, tuple[str, ...]]) -> None:
-    """Raise ConfigError naming the first listed field of ``obj`` that is
-    not of its kind: "an integer", "a number" (finite), "two numbers" (a
-    tuple), "a string", "a string or null" or "a bool". A bool is no
-    number."""
-    tests = {"an integer": is_integer,
-             "a number": is_number,
-             "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(is_number, v)),
-             "a string": lambda v: isinstance(v, str),
-             "a string or null": lambda v: v is None or isinstance(v, str),
-             "a bool": lambda v: isinstance(v, bool)}
+    """Raise ConfigError naming the first listed field of ``obj`` not of its kind."""
     for kind, names in kinds.items():
         for name in names:
-            if not tests[kind](value := getattr(obj, name)):
-                raise ConfigError(f"{prefix}{name} must be {kind}, got {value!r}")
+            check_kind(prefix + name, getattr(obj, name), kind, ConfigError)
 
 
 @contextmanager

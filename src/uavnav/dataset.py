@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import ConfigError, UavnavError, atomic_open, is_integer, is_number
+from . import ConfigError, UavnavError, atomic_open, check_kind
 from .geometry import Point3, round_sig
 from .instructions import Instruction
 from .occupancy import BevGrid
@@ -87,8 +88,9 @@ def _pose_doc(pose: Pose) -> dict:
 
 
 def _pose_from_doc(doc: dict) -> Pose:
-    x, y, z = doc["position"]
-    return Pose(Point3(float(x), float(y), float(z)), float(doc["yaw"]))
+    x, y, z = check_kind("pose position", doc["position"], "three finite numbers")
+    yaw = check_kind("pose yaw", doc["yaw"], "a number")
+    return Pose(Point3(float(x), float(y), float(z)), float(yaw))
 
 
 _KNOWN_KEYS = {
@@ -124,33 +126,33 @@ def episode_from_dict(doc: dict) -> Episode:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     meta = dict(doc.get("meta", {}))
-    goal, gt_length = meta.get("goal"), meta.get("gt_length")
-    if goal is not None and not (isinstance(goal, list) and len(goal) == 3
-                                 and all(map(is_number, goal))):
-        raise ValueError(f"meta.goal must be three finite numbers, got {goal!r}")
-    if gt_length is not None and not (is_number(gt_length) and gt_length > 0):
-        raise ValueError(f"meta.gt_length must be a finite number > 0, got {gt_length!r}")
-    damaged = meta.get("damaged_image_indices", [])
-    if not (isinstance(damaged, list) and all(map(is_integer, damaged))):
-        raise ValueError(f"meta.damaged_image_indices must be a list of integers, got {damaged!r}")
+    if meta.get("goal") is not None:
+        check_kind("meta.goal", meta["goal"], "three finite numbers")
+    if meta.get("gt_length") is not None:
+        check_kind("meta.gt_length", meta["gt_length"], "a finite number > 0")
+    check_kind("meta.damaged_image_indices", meta.get("damaged_image_indices", []),
+               "a list of integers")
     trajectory = Trajectory(
         start=_pose_from_doc(doc["start"]),
         actions=[Action.from_dict(a) for a in doc["actions"]],
         poses=[_pose_from_doc(p) for p in doc["poses"]],
-        target_landmark_id=int(doc.get("target_landmark_id", -1)),
+        target_landmark_id=check_kind("target_landmark_id", doc.get("target_landmark_id", -1),
+                                      "an integer"),
     )
     instr_doc = doc.get("instruction")
     instruction = None
     if instr_doc is not None:
-        instruction = Instruction(text=instr_doc["text"],
-                                  sub_instructions=list(instr_doc["sub_instructions"]))
+        instruction = Instruction(
+            text=check_kind("instruction.text", instr_doc["text"], "a string"),
+            sub_instructions=check_kind("instruction.sub_instructions",
+                                        instr_doc["sub_instructions"], "a list of strings"))
     extra = {k: doc[k] for k in doc if k not in _KNOWN_KEYS}
     return Episode(
-        episode_id=str(doc["episode_id"]),
-        scene_id=str(doc["scene_id"]),
+        episode_id=check_kind("episode_id", doc["episode_id"], "a string"),
+        scene_id=check_kind("scene_id", doc["scene_id"], "a string"),
         trajectory=trajectory,
         instruction=instruction,
-        image_refs=[str(r) for r in doc["image_refs"]],
+        image_refs=check_kind("image_refs", doc["image_refs"], "a list of strings"),
         meta=meta,
         extra=extra,
     )
@@ -317,10 +319,8 @@ class CorpusStats:
         return {
             "episode_count": self.episode_count,
             "action_histogram": dict(sorted(self.action_histogram.items())),
-            "length_histogram": dict(sorted(self.length_histogram.items(),
-                                            key=lambda kv: float(kv[0].split("-")[0]))),
-            "height_histogram": dict(sorted(self.height_histogram.items(),
-                                            key=lambda kv: float(kv[0].split("-")[0]))),
+            "length_histogram": _by_lower_bound(self.length_histogram),
+            "height_histogram": _by_lower_bound(self.height_histogram),
             "vocab_size": self.vocab_size,
             "mean_instruction_tokens": round_sig(self.mean_instruction_tokens),
             "noun_table": dict(Counter(self.noun_table).most_common(50)),
@@ -346,6 +346,13 @@ class CorpusStats:
 def _bucket(value: float, width: float) -> str:
     lo = math.floor(value / width) * width
     return f"{lo:g}-{lo + width:g}"
+
+
+def _by_lower_bound(histogram: dict[str, int]) -> dict[str, int]:
+    """``_bucket`` labels in the order of their lower bounds, which may be
+    negative or in exponent form: "-50--25" before "-25-0" before "0-25"."""
+    return dict(sorted(histogram.items(),
+                       key=lambda kv: float(re.match(r"-?[\d.]+(e[-+]\d+)?", kv[0])[0])))
 
 
 def compute_stats(episodes: Sequence[Episode], length_bucket: float = 25.0,

@@ -112,8 +112,6 @@ def split_subtrajectories(
     smallest id); ``visible`` is asked only about terminal frames.
     """
     actions = trajectory.actions
-    if not actions or actions[-1].kind is not ActionKind.STOP:
-        raise ValueError("trajectory must end with Stop")
     runs = group_action_runs(actions[:-1]) or [(0, [])]
     runs[-1][1].append(actions[-1])
     target = trajectory.target_landmark_id

@@ -449,21 +449,13 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
                       bundle: SceneBundle | None) -> list[Violation]:
     out: list[Violation] = []
     t = episode.trajectory
-    if not t.actions or t.actions[-1].kind is not tg.ActionKind.STOP:
-        out.append(Violation(episode.episode_id, "schema",
-                             "actions do not end with Stop"))
-        return out
     rolled = tg.rollout(t.start, t.actions)
-    if len(rolled) != len(t.poses):
-        out.append(Violation(episode.episode_id, "kinematics",
-                             f"pose count {len(t.poses)} != {len(rolled)}"))
-    else:
-        for k, (a, b) in enumerate(zip(rolled, t.poses)):
-            if a.yaw != b.yaw or any(abs(u - v) > _POSE_TOLERANCE for u, v in
-                                     zip(a.position.as_tuple(), b.position.as_tuple())):
-                out.append(Violation(episode.episode_id, "kinematics",
-                                     f"pose {k} deviates from the action rollout"))
-                break
+    for k, (a, b) in enumerate(zip(rolled, t.poses)):
+        if a.yaw != b.yaw or any(abs(u - v) > _POSE_TOLERANCE for u, v in
+                                 zip(a.position.as_tuple(), b.position.as_tuple())):
+            out.append(Violation(episode.episode_id, "kinematics",
+                                 f"pose {k} deviates from the action rollout"))
+            break
     verdict = ds.filter_episode(episode, cfg.tree_height,
                                 bundle.bev if bundle else None)
     if not verdict.accepted:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, check_kind
 from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
@@ -203,25 +203,29 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
     try:
         return SceneSpec(
-            extent=tuple(doc["extent"]),
+            extent=tuple(check_kind("extent", doc["extent"], "two finite numbers")),
             buildings=[
                 BuildingSpec(
-                    footprint=[tuple(v) for v in b["footprint"]],
-                    height=float(b["height"]),
-                    label=str(b["label"]),
+                    footprint=[tuple(check_kind("footprint vertex", v, "two finite numbers"))
+                               for v in b["footprint"]],
+                    height=float(check_kind("building height", b["height"], "a number")),
+                    label=check_kind("building label", b["label"], "a string"),
                 )
                 for b in doc.get("buildings", [])
             ],
             trees=[
                 TreeSpec(
-                    position=tuple(t["position"]),
-                    canopy_height=float(t["canopy_height"]),
-                    canopy_radius=float(t.get("canopy_radius", 2.0)),
+                    position=tuple(check_kind("tree position", t["position"],
+                                              "two finite numbers")),
+                    canopy_height=float(check_kind("tree canopy_height", t["canopy_height"],
+                                                   "a number")),
+                    canopy_radius=float(check_kind("tree canopy_radius",
+                                                   t.get("canopy_radius", 2.0), "a number")),
                 )
                 for t in doc.get("trees", [])
             ],
-            seed=int(doc.get("seed", 0)),
-            scene_id=str(doc.get("scene_id", "scene")),
+            seed=check_kind("seed", doc.get("seed", 0), "an integer"),
+            scene_id=check_kind("scene_id", doc.get("scene_id", "scene"), "a string"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneSpecError(f"bad scene spec: {exc}") from exc

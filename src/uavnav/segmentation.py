@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, UavnavError, is_number
+from . import ConfigError, UavnavError, check_kind
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -230,32 +230,21 @@ def instances_to_json(instances: list[LandmarkInstance]) -> str:
     return json.dumps(docs, indent=1)
 
 
-def _cell(doc) -> tuple[int, int]:
-    if not (isinstance(doc, list) and len(doc) == 2 and all(type(v) is int for v in doc)):
-        raise ValueError(f"cell must be two integers, got {doc!r}")
-    return doc[0], doc[1]
-
-
-def _centroid(doc) -> tuple[float, float]:
-    if not (isinstance(doc, list) and len(doc) == 2 and all(map(is_number, doc))):
-        raise ValueError(f"centroid must be two finite numbers, got {doc!r}")
-    return doc[0], doc[1]
-
-
 def instances_from_json(text: str) -> list[LandmarkInstance]:
-    """Landmarks from a landmarks.json document; a cell that is not two
-    integers, or a centroid that is not two finite numbers, is a ValueError."""
+    """Landmarks from a landmarks.json document; a value of the wrong kind
+    (see ``check_kind``) is a ValueError naming the field."""
     docs = json.loads(text)
     out = []
     for doc in docs:
         caption = Caption(**doc["caption"]) if doc.get("caption") else None
         out.append(LandmarkInstance(
-            id=int(doc["id"]),
-            contour=[tuple(v) for v in doc["contour"]],
-            centroid=_centroid(doc["centroid"]),
-            height=float(doc["height"]),
-            area=float(doc["area"]),
-            cells=[_cell(c) for c in doc.get("cells", [])],
+            id=check_kind("id", doc["id"], "an integer"),
+            contour=[tuple(check_kind("contour vertex", v, "two finite numbers"))
+                     for v in doc["contour"]],
+            centroid=tuple(check_kind("centroid", doc["centroid"], "two finite numbers")),
+            height=float(check_kind("height", doc["height"], "a number")),
+            area=float(check_kind("area", doc["area"], "a number")),
+            cells=[tuple(check_kind("cell", c, "two integers")) for c in doc.get("cells", [])],
             caption=caption,
         ))
     return out

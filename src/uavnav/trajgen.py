@@ -263,11 +263,16 @@ class Trajectory:
     poses: list[Pose]  # kinematic rollout, len(actions) + 1
     target_landmark_id: int = -1
 
+    def __post_init__(self) -> None:
+        if not self.actions or self.actions[-1] is not STOP:
+            raise ValueError("trajectory actions must end with Stop")
+        if len(self.poses) != len(self.actions) + 1:
+            raise ValueError(f"trajectory has {len(self.poses)} poses for "
+                             f"{len(self.actions)} actions, not {len(self.actions) + 1}")
+
     @classmethod
     def from_actions(cls, start: Pose, actions: list[Action],
                      target_landmark_id: int = -1) -> "Trajectory":
-        if not actions or actions[-1].kind is not ActionKind.STOP:
-            raise ValueError("trajectory actions must end with Stop")
         return cls(start=start, actions=list(actions),
                    poses=rollout(start, actions),
                    target_landmark_id=target_landmark_id)

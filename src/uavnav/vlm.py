@@ -160,6 +160,8 @@ class VlmClient:
 
     def complete(self, system_prompt: str, payload: dict) -> str:
         """Resolve one request to reply text, per the configured mode."""
+        if self.mode == "mock":  # needs neither the request nor its encoding
+            return self._mock_reply(payload)
         request = {
             "model": self.model,
             "messages": [
@@ -167,8 +169,6 @@ class VlmClient:
                 {"role": "user", "content": json.dumps(payload, sort_keys=True)},
             ],
         }
-        if self.mode == "mock":
-            return self._mock_reply(payload)
         if self.mode == "replay":
             return self._replayed_reply(request)
         with self._gate:

@@ -500,10 +500,28 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
         "height": 32.0, "area": 324.0, "cells": [[20, 20]]}]),
        "centroid must be two finite numbers")
       for centroid in ([29], [1, 2, 3], [float("inf"), 29], ["a", 1])],
+    *[("landmarks.json", lambda spec, field=field: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
+        "height": 32.0, "area": 324.0, "cells": [[20, 20]], **field}]), message)
+      for field, message in (({"id": 2.7}, "id must be an integer"),
+                             ({"height": "12"}, "height must be a number"),
+                             ({"area": True}, "area must be a number"))],
+    *[("scene.json", lambda spec, edit=edit: json.dumps(edit(json.loads(spec))), message)
+      for edit, message in (
+          (lambda doc: {**doc, "buildings": [{**doc["buildings"][0], "height": "5"}]},
+           "building height must be a number"),
+          (lambda doc: {**doc, "buildings": [{**doc["buildings"][0], "label": 7}]},
+           "building label must be a string"),
+          (lambda doc: {**doc, "seed": 2.9}, "seed must be an integer"),
+          (lambda doc: {**doc, "trees": [{**doc["trees"][0], "position": ["60", 30]}]},
+           "tree position must be two finite numbers"))],
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
         "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
         "cloud_not_utf8", "one_index_cell", "three_index_cell", "one_number_centroid",
-        "three_number_centroid", "infinite_centroid", "string_centroid"])
+        "three_number_centroid", "infinite_centroid", "string_centroid",
+        "fractional_landmark_id", "string_landmark_height", "bool_landmark_area",
+        "string_building_height", "int_building_label", "fractional_scene_seed",
+        "string_tree_position"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -593,6 +611,55 @@ def test_malformed_damaged_image_indices(workdir, generated, tmp_path, capsys, d
     assert main(["dataset", "filter", "--episodes", str(episodes),
                  "--out", str(tmp_path / "kept.jsonl")]) == 1
     assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
+
+
+def _set(container, key, value):
+    container[key] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(actions=doc["actions"][:-1], poses=doc["poses"][:-1],
+                            image_refs=doc["image_refs"][:-1]),
+     "trajectory actions must end with Stop"),
+    (lambda doc: doc.update(poses=doc["poses"][:-1], image_refs=doc["image_refs"][:-1]),
+     "trajectory has"),
+    (lambda doc: doc.update(poses=doc["poses"] + doc["poses"][-1:],
+                            image_refs=doc["image_refs"] + ["extra"]), "trajectory has"),
+    (lambda doc: _set(doc["instruction"], "text", 5), "instruction.text must be a string"),
+    (lambda doc: _set(doc["instruction"], "sub_instructions", "abc"),
+     "instruction.sub_instructions must be a list of strings"),
+    *[(lambda doc, v=v: _set(doc, "target_landmark_id", v),
+       "target_landmark_id must be an integer") for v in (2.7, "3", True)],
+    (lambda doc: _set(doc["image_refs"], 0, 1), "image_refs must be a list of strings"),
+    (lambda doc: _set(doc, "episode_id", 5), "episode_id must be a string"),
+    (lambda doc: _set(doc["start"]["position"], 0, str(doc["start"]["position"][0])),
+     "pose position must be three finite numbers"),
+], ids=["no_final_stop", "one_pose_short", "one_pose_extra", "int_instruction_text",
+        "string_sub_instructions", "fractional_target_landmark_id",
+        "string_target_landmark_id", "bool_target_landmark_id", "int_image_ref",
+        "int_episode_id", "string_start_coordinate"])
+def test_malformed_episode_is_refused_by_every_reader(workdir, generated, tmp_path, capsys,
+                                                      edit, message):
+    doc = json.loads(generated.read_text().splitlines()[0])
+    edit(doc)
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(doc) + "\n")
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated)[:1])
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps({"cli-scene": "train"}))
+    for command in (["instruct", *scene_args(workdir), "--out", str(tmp_path / "out.jsonl")],
+                    ["dataset", "filter", "--out", str(tmp_path / "out.jsonl")],
+                    ["dataset", "split", "--assignment", str(assignment),
+                     "--out-dir", str(tmp_path / "splits")],
+                    ["dataset", "stats"],
+                    ["eval", *scene_args(workdir), "--predictions", str(preds)]):
+        assert main([*command, "--episodes", str(episodes)]) == 1, command
+        assert f"episodes.jsonl:1: {message}" in one_line_error(capsys)
+    assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "splits").exists()
+    assert main(["validate", "--episodes", str(episodes)]) == 1
+    [violation] = json.loads(capsys.readouterr().out)["violations"]
+    assert (violation["episode_id"], violation["kind"]) == ("line 1", "schema")
+    assert message in violation["detail"]
 
 
 def test_eval_zero_length_ground_truth_exits_2(workdir, generated, tmp_path, capsys):

@@ -304,6 +304,12 @@ class TestComputeStats:
         assert stats.verb_table.get("turn") == 1
         assert stats.noun_table.get("tower") == 1
 
+    def test_buckets_sort_by_lower_bound_below_zero(self):
+        episodes = [make_episode(eid=f"e{z}", altitude=z) for z in (-210.0, 30.0, -20.0, 5.0)]
+        doc = compute_stats(episodes).to_dict()
+        assert list(doc["height_histogram"]) == ["-225--200", "-25-0", "0-25", "25-50"]
+        assert list(doc["length_histogram"]) == ["0-25"]
+
     def test_stats_serialization(self):
         rng = np.random.default_rng(45)
         stats = compute_stats([random_episode(rng, "e", "s")])

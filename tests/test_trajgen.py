@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -510,6 +511,20 @@ class TestTrajectoryType:
     def test_from_actions_requires_stop(self):
         with pytest.raises(ValueError):
             Trajectory.from_actions(Pose(Point3(0, 0, 10), 0.0), [forward(3.0)])
+
+    def test_construction_checks_the_shape(self):
+        start = Pose(Point3(0, 0, 10), 0.0)
+        poses = rollout(start, [forward(3.0), STOP])
+        with pytest.raises(ValueError, match="must end with Stop"):
+            Trajectory(start, [forward(3.0)], poses[:2])
+        with pytest.raises(ValueError, match="must end with Stop"):
+            Trajectory(start, [], poses[:1])
+        for wrong in (poses[:2], poses + poses[-1:]):
+            with pytest.raises(ValueError, match=f"has {len(wrong)} poses for 2 actions"):
+                Trajectory(start, [forward(3.0), STOP], wrong)
+        traj = Trajectory(start, [forward(3.0), STOP], poses)
+        with pytest.raises(ValueError, match="poses for"):
+            dataclasses.replace(traj, poses=poses[:2])
 
     def test_path_length_sums_translations(self):
         start = Pose(Point3(0, 0, 10), 0.0)

@@ -41,6 +41,7 @@ _KIND_TESTS = {
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a bool": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
     "a list of integers": lambda v: isinstance(v, list) and all(map(is_integer, v)),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)}
 

@@ -27,6 +27,7 @@ SCHEMA_VERSION = 1
 DEFAULT_TREE_HEIGHT = 15.0
 MIN_ACTIONS = 2
 MAX_ACTIONS = 150
+POSE_TOLERANCE = 1e-4  # canonical 9-digit float form rounds serialized poses
 
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
 
@@ -125,23 +126,31 @@ def episode_to_dict(episode: Episode) -> dict:
 def episode_from_dict(doc: dict) -> Episode:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    meta = dict(doc.get("meta", {}))
+    meta = dict(check_kind("meta", doc.get("meta", {}), "an object"))
     if meta.get("goal") is not None:
         check_kind("meta.goal", meta["goal"], "three finite numbers")
     if meta.get("gt_length") is not None:
         check_kind("meta.gt_length", meta["gt_length"], "a finite number > 0")
     check_kind("meta.damaged_image_indices", meta.get("damaged_image_indices", []),
                "a list of integers")
+    poses = [_pose_from_doc(p) for p in doc["poses"]]
     trajectory = Trajectory(
         start=_pose_from_doc(doc["start"]),
         actions=[Action.from_dict(a) for a in doc["actions"]],
-        poses=[_pose_from_doc(p) for p in doc["poses"]],
         target_landmark_id=check_kind("target_landmark_id", doc.get("target_landmark_id", -1),
                                       "an integer"),
     )
+    if len(poses) != len(trajectory.poses):
+        raise ValueError(f"trajectory has {len(poses)} poses for "
+                         f"{len(trajectory.actions)} actions, not {len(trajectory.poses)}")
+    for k, (a, b) in enumerate(zip(trajectory.poses, poses)):
+        if a.yaw != b.yaw or any(abs(u - v) > POSE_TOLERANCE for u, v in
+                                 zip(a.position.as_tuple(), b.position.as_tuple())):
+            raise ValueError(f"pose {k} deviates from the action rollout")
     instr_doc = doc.get("instruction")
     instruction = None
     if instr_doc is not None:
+        check_kind("instruction", instr_doc, "an object")
         instruction = Instruction(
             text=check_kind("instruction.text", instr_doc["text"], "a string"),
             sub_instructions=check_kind("instruction.sub_instructions",
@@ -283,12 +292,6 @@ def split_dataset(
 ) -> tuple[DatasetSplit, DatasetSplit, DatasetSplit]:
     """Partition episodes by scene into train / test_seen / test_unseen."""
     assignment = normalize_scene_assignment(scene_assignment)
-    train_scenes = {s for s, sp in assignment.items() if sp == "train"}
-    unseen_scenes = {s for s, sp in assignment.items() if sp == "test_unseen"}
-    if train_scenes & unseen_scenes:
-        raise SplitConfigError(
-            f"scenes in both train and test_unseen: {sorted(train_scenes & unseen_scenes)}"
-        )
     splits = {name: DatasetSplit(name=name, scene_ids=set(), episodes=[])
               for name in SPLIT_NAMES}
     for scene, split in assignment.items():

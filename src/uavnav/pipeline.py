@@ -420,17 +420,14 @@ class ValidationReport:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-_POSE_TOLERANCE = 1e-4  # canonical 9-digit float form rounds serialized poses
-
-
 def run_validate(path: str | Path, cfg: PipelineConfig,
                  bundle: SceneBundle | None = None) -> ValidationReport:
     """Re-check every episode invariant in a dataset file.
 
-    Collision and goal checks run on ``trajgen.rollout`` from the file's
-    start, which the file's poses must match within ``_POSE_TOLERANCE``.
-    Collision and vegetation checks need the scene bundle; without one,
-    schema, kinematics, and filter-rule checks still run.
+    A line the episode reader refuses, a pose off the action rollout
+    included, is a ``schema`` violation at ``line N``. Collision and goal
+    checks run on the rollout, the poses the search checked; they and the
+    vegetation check need the scene bundle.
     """
     violations: list[Violation] = []
     checked = 0
@@ -449,29 +446,22 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
                       bundle: SceneBundle | None) -> list[Violation]:
     out: list[Violation] = []
     t = episode.trajectory
-    rolled = tg.rollout(t.start, t.actions)
-    for k, (a, b) in enumerate(zip(rolled, t.poses)):
-        if a.yaw != b.yaw or any(abs(u - v) > _POSE_TOLERANCE for u, v in
-                                 zip(a.position.as_tuple(), b.position.as_tuple())):
-            out.append(Violation(episode.episode_id, "kinematics",
-                                 f"pose {k} deviates from the action rollout"))
-            break
     verdict = ds.filter_episode(episode, cfg.tree_height,
                                 bundle.bev if bundle else None)
     if not verdict.accepted:
         out.append(Violation(episode.episode_id, "filter", verdict.reason or ""))
     if episode.instruction is not None and not episode.instruction.text:
         out.append(Violation(episode.episode_id, "instruction", "empty text"))
-    if bundle is not None:  # on the rollout: the poses the search checked
-        for k in range(len(rolled) - 1):
-            if not segment_free(bundle.nav_grid, rolled[k].position,
-                                rolled[k + 1].position):
+    if bundle is not None:
+        for k in range(len(t.poses) - 1):
+            if not segment_free(bundle.nav_grid, t.poses[k].position,
+                                t.poses[k + 1].position):
                 out.append(Violation(episode.episode_id, "collision",
                                      f"segment {k} crosses occupied space"))
                 break
         goal = episode.meta.get("goal")
         if goal is not None:
-            d = rolled[-1].position.distance_to(Point3(*goal))
+            d = t.poses[-1].position.distance_to(Point3(*goal))
             if d > cfg.trajgen.goal_tolerance + 1e-6:
                 out.append(Violation(episode.episode_id, "goal",
                                      f"final pose {d:.2f} m from goal"))

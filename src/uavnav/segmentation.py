@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, UavnavError, check_kind
+from . import ConfigError, UavnavError, check_kind, check_kinds
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -48,6 +48,9 @@ class Caption:
     feature: str
     size: str
     type: str
+
+    def __post_init__(self) -> None:
+        check_kinds(self, "caption ", {"a string": _CAPTION_FIELDS})
 
     def as_dict(self) -> dict[str, str]:
         return {"color": self.color, "feature": self.feature,
@@ -236,7 +239,9 @@ def instances_from_json(text: str) -> list[LandmarkInstance]:
     docs = json.loads(text)
     out = []
     for doc in docs:
-        caption = Caption(**doc["caption"]) if doc.get("caption") else None
+        caption = doc.get("caption")
+        if caption is not None:
+            caption = Caption(**check_kind("caption", caption, "an object"))
         out.append(LandmarkInstance(
             id=check_kind("id", doc["id"], "an integer"),
             contour=[tuple(check_kind("contour vertex", v, "two finite numbers"))

@@ -6,6 +6,8 @@ quantized to 12 bins, which makes every reachable horizontal offset an
 exact element of the lattice 1.5 * (a + b * sqrt(3)). That lattice is
 the one kinematics: the search, ``rollout`` and ``evaluation.replay`` all
 move integer states with ``advance`` and place them with ``lattice_pose``.
+A ``Trajectory`` is its start and its actions; its poses are their
+``rollout``, so whoever builds or reads one sees the same floats.
 Edge costs are exact (tenths of a meter, with turns costing one unit to
 discourage free spinning).
 """
@@ -13,7 +15,7 @@ discourage free spinning).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Sequence
@@ -260,22 +262,13 @@ class TrajGenConfig:
 class Trajectory:
     start: Pose
     actions: list[Action]  # always ends with Stop
-    poses: list[Pose]  # kinematic rollout, len(actions) + 1
     target_landmark_id: int = -1
+    poses: list[Pose] = field(init=False, repr=False, compare=False)  # rollout, set once
 
     def __post_init__(self) -> None:
         if not self.actions or self.actions[-1] is not STOP:
             raise ValueError("trajectory actions must end with Stop")
-        if len(self.poses) != len(self.actions) + 1:
-            raise ValueError(f"trajectory has {len(self.poses)} poses for "
-                             f"{len(self.actions)} actions, not {len(self.actions) + 1}")
-
-    @classmethod
-    def from_actions(cls, start: Pose, actions: list[Action],
-                     target_landmark_id: int = -1) -> "Trajectory":
-        return cls(start=start, actions=list(actions),
-                   poses=rollout(start, actions),
-                   target_landmark_id=target_landmark_id)
+        object.__setattr__(self, "poses", rollout(self.start, self.actions))
 
     def path_length(self) -> float:
         return sum(
@@ -418,7 +411,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                     s, action = parents[s]  # type: ignore[misc]
                     actions.append(action)
                 actions.reverse()
-                return Trajectory.from_actions(start, [*flown, *actions, STOP])
+                return Trajectory(start, [*flown, *actions, STOP])
             key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
             best = bin_best.get(key)
             if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:

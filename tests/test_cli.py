@@ -191,22 +191,17 @@ def test_validate_flags_corruption(workdir, generated, capsys):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["validate", "--episodes", str(bad)]) == 1
     out = json.loads(capsys.readouterr().out)
-    kinds = {v["kind"] for v in out["violations"]}
-    assert "kinematics" in kinds
+    assert out["violations"] == [{"episode_id": "line 1", "kind": "schema",
+                                  "detail": "pose 1 deviates from the action rollout"}]
 
 
 def test_validate_flags_too_long(workdir, generated, capsys):
+    from uavnav.dataset import episode_to_dict
+    from uavnav.trajgen import STOP, TURN_LEFT, Trajectory
     bad = workdir / "toolong.jsonl"
-    doc = json.loads(generated.read_text().splitlines()[0])
-    doc["actions"] = [{"kind": "turn_left", "magnitude": 30.0}] * 151 \
-        + [{"kind": "stop"}]
-    from uavnav.trajgen import rollout
-    from uavnav.dataset import episode_from_dict, episode_to_dict
-    start_doc = doc["start"]
-    episode = episode_from_dict({**doc, "poses": [start_doc] * 153,
-                                 "image_refs": [f"r{i}" for i in range(153)]})
-    episode.trajectory.poses[:] = rollout(episode.trajectory.start,
-                                          episode.trajectory.actions)
+    episode = read_episodes(generated)[0]
+    episode.trajectory = Trajectory(episode.trajectory.start, [TURN_LEFT] * 151 + [STOP])
+    episode.image_refs = [f"r{i}" for i in range(153)]
     bad.write_text(json.dumps(episode_to_dict(episode)) + "\n")
     assert main(["validate", "--episodes", str(bad)]) == 1
     out = json.loads(capsys.readouterr().out)
@@ -515,13 +510,20 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
           (lambda doc: {**doc, "seed": 2.9}, "seed must be an integer"),
           (lambda doc: {**doc, "trees": [{**doc["trees"][0], "position": ["60", 30]}]},
            "tree position must be two finite numbers"))],
+    *[("landmarks.json", lambda spec, caption=caption: json.dumps([{
+        "id": 3, "contour": [[20, 20], [38, 20], [38, 38]], "centroid": [29, 29],
+        "height": 32.0, "area": 324.0, "cells": [[20, 20]], "caption": caption}]), message)
+      for caption, message in (
+          ({"color": 5, "feature": ["x"], "size": None, "type": "tower"},
+           "caption color must be a string"),
+          ("red", "caption must be an object"))],
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
         "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
         "cloud_not_utf8", "one_index_cell", "three_index_cell", "one_number_centroid",
         "three_number_centroid", "infinite_centroid", "string_centroid",
         "fractional_landmark_id", "string_landmark_height", "bool_landmark_area",
         "string_building_height", "int_building_label", "fractional_scene_seed",
-        "string_tree_position"])
+        "string_tree_position", "non_string_caption_fields", "string_caption"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -634,10 +636,18 @@ def _set(container, key, value):
     (lambda doc: _set(doc, "episode_id", 5), "episode_id must be a string"),
     (lambda doc: _set(doc["start"]["position"], 0, str(doc["start"]["position"][0])),
      "pose position must be three finite numbers"),
+    (lambda doc: _set(doc["poses"][1]["position"], 0, doc["poses"][1]["position"][0] + 5.0),
+     "pose 1 deviates from the action rollout"),
+    (lambda doc: _set(doc["poses"][1], "yaw", (doc["poses"][1]["yaw"] + 30.0) % 360.0),
+     "pose 1 deviates from the action rollout"),
+    (lambda doc: _set(doc, "meta", [list(item) for item in doc["meta"].items()]),
+     "meta must be an object"),
+    (lambda doc: _set(doc, "instruction", "abc"), "instruction must be an object"),
 ], ids=["no_final_stop", "one_pose_short", "one_pose_extra", "int_instruction_text",
         "string_sub_instructions", "fractional_target_landmark_id",
         "string_target_landmark_id", "bool_target_landmark_id", "int_image_ref",
-        "int_episode_id", "string_start_coordinate"])
+        "int_episode_id", "string_start_coordinate", "pose_1_moved_5_m", "pose_1_yaw_plus_30",
+        "meta_list_of_pairs", "string_instruction"])
 def test_malformed_episode_is_refused_by_every_reader(workdir, generated, tmp_path, capsys,
                                                       edit, message):
     doc = json.loads(generated.read_text().splitlines()[0])
@@ -663,14 +673,12 @@ def test_malformed_episode_is_refused_by_every_reader(workdir, generated, tmp_pa
 
 
 def test_eval_zero_length_ground_truth_exits_2(workdir, generated, tmp_path, capsys):
-    from uavnav.dataset import episode_from_dict, episode_to_dict
-    from uavnav.trajgen import rollout
-    doc = json.loads(generated.read_text().splitlines()[0])
-    doc["actions"] = [{"kind": "turn_left", "magnitude": 30.0}, {"kind": "stop"}]
-    del doc["meta"]["gt_length"]
-    doc["poses"], doc["image_refs"] = doc["poses"][:3], doc["image_refs"][:3]
-    episode = episode_from_dict(doc)
-    episode.trajectory.poses[:] = rollout(episode.trajectory.start, episode.trajectory.actions)
+    from uavnav.dataset import episode_to_dict
+    from uavnav.trajgen import STOP, TURN_LEFT, Trajectory
+    episode = read_episodes(generated)[0]
+    episode.trajectory = Trajectory(episode.trajectory.start, [TURN_LEFT, STOP])
+    episode.image_refs = episode.image_refs[:3]
+    del episode.meta["gt_length"]
     episodes = tmp_path / "episodes.jsonl"
     episodes.write_text(json.dumps(episode_to_dict(episode)) + "\n")
     preds = write_predictions(tmp_path / "preds.jsonl", [episode])

@@ -14,14 +14,14 @@ from uavnav.dataset import (DatasetReadError, Episode, IntegrityError,
 from uavnav.geometry import Point3
 from uavnav.instructions import Instruction
 from uavnav.occupancy import BevGrid, mark_vegetation
-from uavnav.trajgen import (STOP, Pose, Trajectory, forward, rollout)
+from uavnav.trajgen import STOP, Pose, Trajectory, forward
 
 
 def make_episode(eid="ep-0", scene="demo", n_forward=4, altitude=30.0,
                  instruction=True, meta=None) -> Episode:
     actions = [forward(3.0)] * n_forward + [STOP]
     start = Pose(Point3(round_sig(10.123456789), 20.0, altitude), 0.0)
-    t = Trajectory.from_actions(start, actions, target_landmark_id=1)
+    t = Trajectory(start, actions, target_landmark_id=1)
     refs = [f"{eid}/frame_{i:05d}" for i in range(len(t.poses))]
     instr = Instruction(text="go straight to the tower",
                         sub_instructions=["go straight to the tower"]) \
@@ -38,12 +38,8 @@ def random_episode(rng: np.random.Generator, eid: str, scene: str) -> Episode:
                         round_sig(float(rng.uniform(-200, 200))),
                         round_sig(float(rng.uniform(10, 120)))),
                  30.0 * int(rng.integers(0, 12)))
-    poses = rollout(start, actions)
-    rounded = [Pose(Point3(round_sig(p.position.x), round_sig(p.position.y),
-                           round_sig(p.position.z)), p.yaw) for p in poses]
-    t = Trajectory(start=rounded[0], actions=actions, poses=rounded,
-                   target_landmark_id=int(rng.integers(0, 5)))
-    refs = [f"{eid}/f{i}" for i in range(len(rounded))]
+    t = Trajectory(start, actions, target_landmark_id=int(rng.integers(0, 5)))
+    refs = [f"{eid}/f{i}" for i in range(len(t.poses))]
     instr = Instruction(text=f"go to landmark {t.target_landmark_id}",
                         sub_instructions=[f"go to landmark {t.target_landmark_id}"])
     meta = {"seed": int(rng.integers(0, 1 << 31)),

@@ -27,7 +27,7 @@ L, R, U, D, S = TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN, STOP
 
 
 def traj(actions, yaw=0.0) -> Trajectory:
-    return Trajectory.from_actions(Pose(Point3(0, 0, 30), yaw), list(actions))
+    return Trajectory(Pose(Point3(0, 0, 30), yaw), list(actions))
 
 
 def kinds(subs):
@@ -101,8 +101,7 @@ class TestSplitSubtrajectories:
         assert subs[2].landmark_hint == 2
 
     def test_hint_prefers_trajectory_target(self):
-        t = Trajectory.from_actions(Pose(Point3(0, 0, 30), 0.0), [F3, S],
-                                    target_landmark_id=7)
+        t = Trajectory(Pose(Point3(0, 0, 30), 0.0), [F3, S], target_landmark_id=7)
         subs = split_subtrajectories(t, visible={2: {2, 7, 9}}.get)
         assert subs[0].landmark_hint == 7
 
@@ -113,8 +112,7 @@ class TestSplitSubtrajectories:
                                          max_size=30)),
            st.one_of(st.none(), st.integers(0, 6)))
     def test_each_sub_reads_its_terminal_frame(self, core, n_refs, frames, target):
-        t = Trajectory.from_actions(Pose(Point3(0, 0, 30), 0.0), core + [S],
-                                    target_landmark_id=target)
+        t = Trajectory(Pose(Point3(0, 0, 30), 0.0), core + [S], target_landmark_id=target)
         refs = None if n_refs is None else [f"frame_{i}" for i in range(n_refs)]
         visibility = dict(enumerate(frames or []))
         asked: list[int] = []

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_trajgen_config, random_obstacle_grid
+from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
 from uavnav import dataset as ds
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
 from uavnav import trajgen as tg
 from uavnav.dataset import round_sig
 from uavnav.geometry import Point3
-from uavnav.occupancy import VoxelGrid, segment_free
+from uavnav.occupancy import BevGrid, VoxelGrid, segment_free
 
 SEED = 5
 
@@ -100,9 +100,51 @@ def test_sampled_episode_validates_on_its_serialized_start(desk_bundle, monkeypa
                                          np.random.default_rng(SEED))
     episode = serialized(tg.astar_search(start, goal, grid, tcfg), goal)
 
-    assert not {"collision", "kinematics", "goal"} & validate_kinds(episode, scene, cfg)
+    assert not {"collision", "schema", "goal"} & validate_kinds(episode, scene, cfg)
     t = episode.trajectory
     assert not ev.replay(t.start, t.actions, grid).collided
+
+
+def test_generated_poses_read_back_bit_for_bit(desk_bundle):
+    # A read episode's poses are the rollout of the file's start and
+    # actions: the floats generate wrote, not their 9-digit rounding.
+    bundle, cfg = desk_bundle
+    episodes = [o.episode for o in (pl.generate_episode(bundle, cfg, None, index)
+                                    for index in range(12)) if o.episode is not None]
+    assert len(episodes) >= 10
+    bits = lambda poses: [float.hex(c) for p in poses for c in (*p.position.as_tuple(), p.yaw)]
+    unrounded = 0
+    for episode in episodes:
+        read = ds.episode_from_dict(json.loads(ds.episode_to_line(episode)))
+        assert bits(read.trajectory.poses) == bits(episode.trajectory.poses)
+        unrounded += sum(p.position.x != round_sig(p.position.x) for p in read.trajectory.poses)
+    assert unrounded
+
+
+def test_filter_verdict_survives_the_file_next_to_a_vegetation_cell():
+    # One vegetation cell holds a pose's 9-digit x but not its exact x.
+    # The episode in memory and its written-and-read copy fly the same
+    # rollout, so the tree-altitude rule gives both one verdict.
+    start = tg.Pose(Point3(10.0, 10.0, 12.0), 0.0)
+    goal = Point3(40.0, 35.0, 12.0)
+    tcfg = tg.TrajGenConfig(height_range=(3.0, 27.0))
+    trajectory = tg.astar_search(start, goal, empty_grid(), tcfg)
+    exact = next(p.position for p in trajectory.poses if p.position.x != round_sig(p.position.x))
+    rounded_x = round_sig(exact.x)
+    face = (exact.x + rounded_x) / 2.0
+    assert min(exact.x, rounded_x) < face < max(exact.x, rounded_x)
+    dims = (80, 80)
+    bev = BevGrid(origin=np.array([face - 40.0, -20.0]), cell_size=1.0, dims=dims,
+                  occupancy=np.zeros(dims, dtype=bool), max_height=np.zeros(dims),
+                  vegetation=np.zeros(dims, dtype=bool))
+    bev.vegetation[bev.cell_of(rounded_x, exact.y)] = True
+    assert not bev.is_vegetation(exact.x, exact.y)
+
+    verdict = ds.filter_episode(serialized(trajectory, goal), 100.0, bev)
+    assert verdict == ds.filter_episode(ds.Episode(
+        episode_id="e-000000", scene_id="demo", trajectory=trajectory, instruction=None,
+        image_refs=[f"r{k}" for k in range(len(trajectory.poses))]), 100.0, bev)
+    assert verdict.accepted
 
 
 def record_free_edges(monkeypatch) -> set[tuple[str, ...]]:

@@ -508,26 +508,24 @@ class TestChain:
 
 
 class TestTrajectoryType:
-    def test_from_actions_requires_stop(self):
-        with pytest.raises(ValueError):
-            Trajectory.from_actions(Pose(Point3(0, 0, 10), 0.0), [forward(3.0)])
-
     def test_construction_checks_the_shape(self):
         start = Pose(Point3(0, 0, 10), 0.0)
-        poses = rollout(start, [forward(3.0), STOP])
         with pytest.raises(ValueError, match="must end with Stop"):
-            Trajectory(start, [forward(3.0)], poses[:2])
+            Trajectory(start, [forward(3.0)])
         with pytest.raises(ValueError, match="must end with Stop"):
-            Trajectory(start, [], poses[:1])
-        for wrong in (poses[:2], poses + poses[-1:]):
-            with pytest.raises(ValueError, match=f"has {len(wrong)} poses for 2 actions"):
-                Trajectory(start, [forward(3.0), STOP], wrong)
-        traj = Trajectory(start, [forward(3.0), STOP], poses)
-        with pytest.raises(ValueError, match="poses for"):
-            dataclasses.replace(traj, poses=poses[:2])
+            Trajectory(start, [])
+        traj = Trajectory(start, [forward(3.0), STOP])
+        assert traj.poses == rollout(start, [forward(3.0), STOP])
+        with pytest.raises(TypeError, match="poses"):
+            Trajectory(start, [forward(3.0), STOP], poses=traj.poses)
+        with pytest.raises(ValueError, match="poses"):
+            dataclasses.replace(traj, poses=traj.poses[:2])
+        with pytest.raises(ValueError, match="must end with Stop"):
+            dataclasses.replace(traj, actions=[forward(3.0)])
+        longer = dataclasses.replace(traj, actions=[forward(6.0), STOP])
+        assert longer.poses == rollout(start, [forward(6.0), STOP])
 
     def test_path_length_sums_translations(self):
         start = Pose(Point3(0, 0, 10), 0.0)
-        traj = Trajectory.from_actions(
-            start, [forward(3.0), TURN_LEFT, forward(6.0), MOVE_UP, STOP])
+        traj = Trajectory(start, [forward(3.0), TURN_LEFT, forward(6.0), MOVE_UP, STOP])
         assert traj.path_length() == pytest.approx(3.0 + 6.0 + 3.0)

@@ -508,20 +508,24 @@ class TestChain:
 
 
 class TestTrajectoryType:
-    def test_construction_checks_the_shape(self):
+    def test_from_actions_requires_stop(self):
         start = Pose(Point3(0, 0, 10), 0.0)
         with pytest.raises(ValueError, match="must end with Stop"):
             Trajectory(start, [forward(3.0)])
         with pytest.raises(ValueError, match="must end with Stop"):
             Trajectory(start, [])
         traj = Trajectory(start, [forward(3.0), STOP])
+        with pytest.raises(ValueError, match="must end with Stop"):
+            dataclasses.replace(traj, actions=[forward(3.0)])
+
+    def test_construction_checks_the_shape(self):
+        start = Pose(Point3(0, 0, 10), 0.0)
+        traj = Trajectory(start, [forward(3.0), STOP])
         assert traj.poses == rollout(start, [forward(3.0), STOP])
         with pytest.raises(TypeError, match="poses"):
             Trajectory(start, [forward(3.0), STOP], poses=traj.poses)
         with pytest.raises(ValueError, match="poses"):
             dataclasses.replace(traj, poses=traj.poses[:2])
-        with pytest.raises(ValueError, match="must end with Stop"):
-            dataclasses.replace(traj, actions=[forward(3.0)])
         longer = dataclasses.replace(traj, actions=[forward(6.0), STOP])
         assert longer.poses == rollout(start, [forward(6.0), STOP])
 

@@ -1,6 +1,7 @@
 """uavnav: toolchain for generating, validating, and evaluating aerial
 vision-language navigation episodes at desk scale."""
 
+import json
 import math
 import numbers
 import os
@@ -42,6 +43,7 @@ _KIND_TESTS = {
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a bool": lambda v: isinstance(v, bool),
     "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v),
     "a list of integers": lambda v: isinstance(v, list) and all(map(is_integer, v)),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)}
 
@@ -59,6 +61,22 @@ def check_kinds(obj, prefix: str, kinds: dict[str, tuple[str, ...]]) -> None:
     for kind, names in kinds.items():
         for name in names:
             check_kind(prefix + name, getattr(obj, name), kind, ConfigError)
+
+
+def load_json(path: str | Path, kind: str, build=None):
+    """The UTF-8 JSON document in ``path``, checked to be of ``kind`` (see
+    ``check_kind``), as ``build(doc)`` when ``build`` is given. Every
+    failure to read, decode, parse, check or build it, a ConfigError
+    raised by ``build`` included, is one ConfigError "<path>: <detail>"."""
+    try:
+        doc = check_kind("document", json.loads(Path(path).read_bytes().decode("utf-8")), kind)
+        return doc if build is None else build(doc)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @contextmanager

@@ -1,8 +1,13 @@
 """Command-line entry point wiring all pipeline stages.
 
 Exit codes: 0 success, 1 violations, failed episodes or other library
-errors, 2 configuration errors (bad flags, malformed config or scene
-files, missing inputs, a directory given as an input file).
+errors, 2 configuration errors (bad flags, such as an ``eval --radius``
+or ``voxelize`` size that is not finite, malformed config or scene
+files, missing inputs, a directory given as an input file). Every JSON
+side input (``--config``, ``scene.json``, ``landmarks.json``, the
+``dataset split`` assignment and the ``keyframe`` documents) is read by
+``uavnav.load_json``, so any failure to read, parse or check one prints
+``config error: <path>: <detail>``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import ConfigError, UavnavError, is_integer
+from . import ConfigError, UavnavError, check_kind, load_json
 from . import dataset as ds
 from . import evaluation as ev
 from . import keyframe as kf
@@ -37,29 +42,10 @@ def _load_config(args) -> pl.PipelineConfig:
                            if getattr(args, flag, None) is not None})
 
 
-def _read_json(path: str | Path, kind: type) -> dict | list:
-    """Parse a JSON side input of the given top-level type; anything else
-    is a ConfigError naming the file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, kind):
-        raise ConfigError(f"{path}: expected a JSON {'object' if kind is dict else 'array'}")
-    return doc
-
-
-def _read_visibility(path: str | Path) -> dict[int, set[int]]:
+def _visibility_from_dict(doc: dict) -> dict[int, set[int]]:
     """Frame index -> visible landmark ids, from a JSON object of lists."""
-    visibility = {}
-    for key, ids in _read_json(path, dict).items():
-        if not (isinstance(ids, list) and all(map(is_integer, ids))):
-            raise ConfigError(f"{path}: frame {key!r} needs a list of landmark ids")
-        try:
-            visibility[int(key)] = set(ids)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: frame key {key!r} is not an integer") from exc
-    return visibility
+    return {int(key): set(check_kind(f"frame {key!r}", ids, "a list of integers"))
+            for key, ids in doc.items()}
 
 
 def _read_predictions(path: str | Path) -> dict[str, list[tg.Action]]:
@@ -159,11 +145,8 @@ def cmd_dataset_filter(args) -> int:
 
 def cmd_dataset_split(args) -> int:
     episodes = ds.read_episodes(args.episodes)
-    assignment = _read_json(args.assignment, dict)
-    try:
-        train, seen, unseen = ds.split_dataset(episodes, assignment)
-    except ds.SplitConfigError as exc:
-        raise ConfigError(f"{args.assignment}: {exc}") from exc
+    train, seen, unseen = load_json(args.assignment, "an object",
+                                    lambda assignment: ds.split_dataset(episodes, assignment))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in (train, seen, unseen):
@@ -184,6 +167,7 @@ def cmd_dataset_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_kind("radius", args.radius, "a finite number > 0", ConfigError)
     cfg = _load_config(args)
     gt = {e.episode_id: e for e in ds.read_episodes(args.episodes)}
     predictions = _read_predictions(args.predictions)
@@ -220,17 +204,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_keyframe(args) -> int:
-    action_docs = _read_json(args.actions, list)
-    try:
-        actions = [tg.Action.from_dict(a) for a in action_docs]
-    except ValueError as exc:
-        raise ConfigError(f"{args.actions}: {exc}") from exc
-    doc = _read_json(args.config, dict) if args.config else {}
-    try:
+    actions = load_json(args.actions, "a list of objects",
+                        lambda docs: [tg.Action.from_dict(a) for a in docs])
+
+    def candidates_and_config(doc: dict):  # "window" and MemoryBankConfig fields
         candidates = kf.select_candidates(actions, doc.pop("window", kf.DEFAULT_WINDOW))
-        cfg = kf.MemoryBankConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
+        return candidates, kf.MemoryBankConfig(**doc)
+
+    candidates, cfg = (load_json(args.config, "an object", candidates_and_config)
+                       if args.config else candidates_and_config({}))
     tokens_dir = Path(args.tokens)
     frames = {}
     for k in range(len(actions) + 1):
@@ -241,7 +223,7 @@ def cmd_keyframe(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
     if args.visibility:
-        visibility = _read_visibility(args.visibility)
+        visibility = load_json(args.visibility, "an object", _visibility_from_dict)
     else:
         visibility = {k: {-1} for k in frames}  # no map: every frame counts
     sets = kf.confirm_keyframes(

@@ -48,10 +48,6 @@ class IntegrityError(DatasetError):
         self.episode_id = episode_id
 
 
-class SplitConfigError(ConfigError):
-    pass
-
-
 @dataclass
 class Episode:
     episode_id: str
@@ -137,8 +133,7 @@ def episode_from_dict(doc: dict) -> Episode:
     trajectory = Trajectory(
         start=_pose_from_doc(doc["start"]),
         actions=[Action.from_dict(a) for a in doc["actions"]],
-        target_landmark_id=check_kind("target_landmark_id", doc.get("target_landmark_id", -1),
-                                      "an integer"),
+        target_landmark_id=doc.get("target_landmark_id", -1),
     )
     if len(poses) != len(trajectory.poses):
         raise ValueError(f"trajectory has {len(poses)} poses for "
@@ -270,11 +265,11 @@ def normalize_scene_assignment(assignment: Mapping) -> dict[str, str]:
         normalized: dict[str, str] = {}
         for split, scenes in assignment.items():
             if not (isinstance(scenes, list) and all(isinstance(s, str) for s in scenes)):
-                raise SplitConfigError(f"split {split!r} must be a list of scene ids, "
-                                       f"got {scenes!r}")
+                raise ConfigError(f"split {split!r} must be a list of scene ids, "
+                                  f"got {scenes!r}")
             for scene in scenes:
                 if scene in normalized and normalized[scene] != split:
-                    raise SplitConfigError(
+                    raise ConfigError(
                         f"scene {scene!r} assigned to both "
                         f"{normalized[scene]!r} and {split!r}"
                     )
@@ -283,7 +278,7 @@ def normalize_scene_assignment(assignment: Mapping) -> dict[str, str]:
     out = {str(k): str(v) for k, v in assignment.items()}
     for scene, split in out.items():
         if split not in SPLIT_NAMES:
-            raise SplitConfigError(f"unknown split {split!r} for scene {scene!r}")
+            raise ConfigError(f"unknown split {split!r} for scene {scene!r}")
     return out
 
 
@@ -299,7 +294,7 @@ def split_dataset(
     for episode in episodes:
         split = assignment.get(episode.scene_id)
         if split is None:
-            raise SplitConfigError(
+            raise ConfigError(
                 f"episode {episode.episode_id!r} has unassigned scene "
                 f"{episode.scene_id!r}"
             )

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, check_kind
 from .geometry import Point3
 from .scene import PointCloud
 
@@ -105,9 +105,8 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     cloud bounds plus the margin; pass ``origin`` to anchor the grid's
     min corner explicitly (it must not exceed the cloud minimum).
     """
-    if voxel_size <= 0:
-        raise ConfigError(f"voxel_size must be positive, got {voxel_size}")
-    if margin < 0:
+    check_kind("voxel_size", voxel_size, "a finite number > 0", ConfigError)
+    if check_kind("margin", margin, "a number", ConfigError) < 0:
         raise ConfigError(f"margin must be non-negative, got {margin}")
     if len(cloud) == 0:
         return VoxelGrid(

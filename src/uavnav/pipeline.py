@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import ConfigError, check_kinds
+from . import ConfigError, check_kinds, load_json
 from . import dataset as ds
 from . import instructions as instr
 from . import segmentation as seg
@@ -92,8 +92,6 @@ class PipelineConfig:
 def pipeline_config_from_dict(doc: Mapping) -> PipelineConfig:
     """The config of a JSON object of fields, with ``trajgen`` and ``vlm``
     sections; a malformed one is a ConfigError naming the key or section."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("a pipeline config must be a JSON object")
     doc = dict(doc)
     doc.pop("schema_version", None)  # accepted for old documents, unused
     sections = {name: doc.pop(name, {}) for name in ("trajgen", "vlm")}
@@ -114,11 +112,7 @@ def pipeline_config_from_dict(doc: Mapping) -> PipelineConfig:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return pipeline_config_from_dict(doc)
+    return load_json(path, "an object", pipeline_config_from_dict)
 
 
 @dataclass

@@ -11,7 +11,6 @@ bit-identical for a fixed spec.
 from __future__ import annotations
 
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, check_kind
+from . import ConfigError, check_kind, load_json
 from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
@@ -193,42 +192,35 @@ def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SceneSpecError(f"{path}: {exc}") from exc
-    return scene_spec_from_dict(doc)
+    return load_json(path, "an object", scene_spec_from_dict)
 
 
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
-    try:
-        return SceneSpec(
-            extent=tuple(check_kind("extent", doc["extent"], "two finite numbers")),
-            buildings=[
-                BuildingSpec(
-                    footprint=[tuple(check_kind("footprint vertex", v, "two finite numbers"))
-                               for v in b["footprint"]],
-                    height=float(check_kind("building height", b["height"], "a number")),
-                    label=check_kind("building label", b["label"], "a string"),
-                )
-                for b in doc.get("buildings", [])
-            ],
-            trees=[
-                TreeSpec(
-                    position=tuple(check_kind("tree position", t["position"],
-                                              "two finite numbers")),
-                    canopy_height=float(check_kind("tree canopy_height", t["canopy_height"],
-                                                   "a number")),
-                    canopy_radius=float(check_kind("tree canopy_radius",
-                                                   t.get("canopy_radius", 2.0), "a number")),
-                )
-                for t in doc.get("trees", [])
-            ],
-            seed=check_kind("seed", doc.get("seed", 0), "an integer"),
-            scene_id=check_kind("scene_id", doc.get("scene_id", "scene"), "a string"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneSpecError(f"bad scene spec: {exc}") from exc
+    return SceneSpec(
+        extent=tuple(check_kind("extent", doc["extent"], "two finite numbers")),
+        buildings=[
+            BuildingSpec(
+                footprint=[tuple(check_kind("footprint vertex", v, "two finite numbers"))
+                           for v in b["footprint"]],
+                height=float(check_kind("building height", b["height"], "a number")),
+                label=check_kind("building label", b["label"], "a string"),
+            )
+            for b in doc.get("buildings", [])
+        ],
+        trees=[
+            TreeSpec(
+                position=tuple(check_kind("tree position", t["position"],
+                                          "two finite numbers")),
+                canopy_height=float(check_kind("tree canopy_height", t["canopy_height"],
+                                               "a number")),
+                canopy_radius=float(check_kind("tree canopy_radius",
+                                               t.get("canopy_radius", 2.0), "a number")),
+            )
+            for t in doc.get("trees", [])
+        ],
+        seed=check_kind("seed", doc.get("seed", 0), "an integer"),
+        scene_id=check_kind("scene_id", doc.get("scene_id", "scene"), "a string"),
+    )
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, UavnavError, check_kind, check_kinds
+from . import UavnavError, check_kind, check_kinds, load_json
 from .occupancy import BevGrid
 from .vlm import VlmClient, VlmReplyError
 
@@ -233,10 +233,9 @@ def instances_to_json(instances: list[LandmarkInstance]) -> str:
     return json.dumps(docs, indent=1)
 
 
-def instances_from_json(text: str) -> list[LandmarkInstance]:
-    """Landmarks from a landmarks.json document; a value of the wrong kind
-    (see ``check_kind``) is a ValueError naming the field."""
-    docs = json.loads(text)
+def instances_from_json(docs: list[dict]) -> list[LandmarkInstance]:
+    """Landmarks from a parsed landmarks.json document; a value of the wrong
+    kind (see ``check_kind``) is a ValueError naming the field."""
     out = []
     for doc in docs:
         caption = doc.get("caption")
@@ -257,10 +256,7 @@ def instances_from_json(text: str) -> list[LandmarkInstance]:
 
 def load_instances(path: str | Path) -> list[LandmarkInstance]:
     """Read a landmarks.json file; a malformed one is a ConfigError."""
-    try:
-        return instances_from_json(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: bad landmark entry ({exc!r})") from exc
+    return load_json(path, "a list of objects", instances_from_json)
 
 
 def save_instances(instances: list[LandmarkInstance], path: str | Path) -> None:

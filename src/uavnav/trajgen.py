@@ -15,14 +15,14 @@ discourage free spinning).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from . import ConfigError, UavnavError, check_kinds
+from . import ConfigError, UavnavError, check_kind, check_kinds
 from .geometry import Point3, round_sig
 from .occupancy import BevGrid, VoxelGrid, is_free, segment_free_coords
 from .segmentation import LandmarkInstance
@@ -268,6 +268,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.actions or self.actions[-1] is not STOP:
             raise ValueError("trajectory actions must end with Stop")
+        check_kind("target_landmark_id", self.target_landmark_id, "an integer")
         object.__setattr__(self, "poses", rollout(self.start, self.actions))
 
     def path_length(self) -> float:
@@ -327,7 +328,7 @@ class SearchStats:
 
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                  cfg: TrajGenConfig, stats: SearchStats | None = None,
-                 flown: Sequence[Action] = ()) -> Trajectory:
+                 flown: Sequence[Action] = (), target_landmark_id: int = -1) -> Trajectory:
     """A* over exact (position, heading) states.
 
     Edge costs are meters moved in 0.1 m units plus one unit per turn.
@@ -356,7 +357,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
 
     ``flown`` are actions already flown from ``start``: the search begins
     where they end, and the trajectory it returns, from ``start``, opens
-    with them.
+    with them. It carries ``target_landmark_id``.
 
     ``stats``, when given, gains this search's settled expansions and
     collision checks, also when the search fails.
@@ -411,7 +412,7 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                     s, action = parents[s]  # type: ignore[misc]
                     actions.append(action)
                 actions.reverse()
-                return Trajectory(start, [*flown, *actions, STOP])
+                return Trajectory(start, [*flown, *actions, STOP], target_landmark_id)
             key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
             best = bin_best.get(key)
             if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
@@ -540,7 +541,7 @@ def chain_trajectories(
     if segments < 1:
         raise ValueError("segments must be >= 1")
     start, goal, target = sample_endpoints(landmarks, bev, grid, cfg, rng)
-    trajectory = astar_search(start, goal, grid, cfg, stats)
+    trajectory = astar_search(start, goal, grid, cfg, stats, target_landmark_id=target)
     eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
     lo, hi = cfg.start_distance_range
     for index in range(2, segments + 1):
@@ -555,8 +556,9 @@ def chain_trajectories(
             goal = _goal_on_line((here.x, here.y), lm, here.z, bev, grid, cfg)
             if goal is None:
                 raise SamplingExhaustedError("no clear goal on the connecting line")
-            trajectory = astar_search(start, goal, grid, cfg, stats, trajectory.actions[:-1])
+            trajectory = astar_search(start, goal, grid, cfg, stats, trajectory.actions[:-1],
+                                      lm.id)
         except TrajGenError as exc:
             raise NoPathError(f"segment {index} of {segments} failed: {exc}") from exc
         target = lm.id
-    return replace(trajectory, target_landmark_id=target), goal
+    return trajectory, goal

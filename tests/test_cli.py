@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavnav import ConfigError, load_json
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
 from uavnav import segmentation as seg
@@ -517,13 +518,17 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
           ({"color": 5, "feature": ["x"], "size": None, "type": "tower"},
            "caption color must be a string"),
           ("red", "caption must be an object"))],
+    *[("landmarks.json", lambda spec, doc=doc: json.dumps(doc),
+       "landmarks.json: document must be a list of objects") for doc in ([1, 2], "x", {"a": 1})],
+    ("scene.json", lambda spec: "[1, 2]", "scene.json: document must be an object, got [1, 2]"),
 ], ids=["two_field_cloud", "negative_extent", "spec_not_json",
         "landmark_without_contour", "overlapping_footprints", "landmark_without_cells",
         "cloud_not_utf8", "one_index_cell", "three_index_cell", "one_number_centroid",
         "three_number_centroid", "infinite_centroid", "string_centroid",
         "fractional_landmark_id", "string_landmark_height", "bool_landmark_area",
         "string_building_height", "int_building_label", "fractional_scene_seed",
-        "string_tree_position", "non_string_caption_fields", "string_caption"])
+        "string_tree_position", "non_string_caption_fields", "string_caption",
+        "landmarks_list_of_numbers", "landmarks_string", "landmarks_object", "spec_list"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
     scene = tmp_path / "scene"
     scene.mkdir()
@@ -537,7 +542,7 @@ def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, mes
 
 
 @pytest.mark.parametrize("doc, message", [
-    ([1, 2], "must be a JSON object"),
+    ([1, 2], "document must be an object, got [1, 2]"),
     ({"trajgen": 5}, "'trajgen' must be a JSON object"),
     ({"vlm": 5}, "'vlm' must be a JSON object"),
     ({"seed": "x"}, "seed must be an integer"),
@@ -557,7 +562,29 @@ def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     config.write_text(json.dumps(doc))
     assert main(["trajgen", *scene_args(workdir, config), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert message in one_line_error(capsys)
+    err = one_line_error(capsys)
+    assert err.startswith(f"config error: {config}: ") and message in err
+
+
+@pytest.mark.parametrize("content, build, detail", [
+    (None, None, "No such file or directory"),
+    (b"\xff[]", None, "'utf-8' codec can't decode byte 0xff"),
+    (b"{not json", None, "Expecting property name"),
+    (b"[1]", None, "document must be an object, got [1]"),
+    (b"[" * 100_000 + b"]" * 100_000, None, "maximum recursion depth exceeded"),
+    (b"{}", lambda doc: doc["contour"], "missing key 'contour'"),
+    (b"{}", lambda doc: doc + 1, "unsupported operand type(s) for +: 'dict' and 'int'"),
+    (b'{"bogus": 1}', pl.pipeline_config_from_dict, "unknown config keys: ['bogus']"),
+], ids=["missing", "not_utf8", "not_json", "wrong_kind", "deeply_nested", "key_error",
+        "type_error", "config_error"])
+def test_load_json_failure_is_one_config_error_naming_the_file(tmp_path, content, build,
+                                                               detail):
+    path = tmp_path / "side.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        load_json(path, "an object", build)
+    assert str(info.value).startswith(f"{path}: {detail}")
 
 
 @pytest.mark.parametrize("line", [
@@ -813,6 +840,17 @@ def test_eval_without_scorable_prediction_exits_2(workdir, generated, tmp_path, 
     assert "preds.jsonl" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("radius", ["-5", "0", "nan", "inf"])
+def test_eval_radius_must_be_finite_and_positive(workdir, generated, tmp_path, capsys,
+                                                 monkeypatch, radius):
+    # Checked before the scene is loaded.
+    monkeypatch.setattr(pl, "read_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated))
+    assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
+                 "--predictions", str(preds), "--radius", radius]) == 2
+    assert "radius must be a finite number > 0" in one_line_error(capsys)
+
+
 def test_eval_with_some_predictions_missing_exits_1(workdir, generated, tmp_path):
     first = read_episodes(generated)[0]
     actions = [a.to_dict() for a in first.trajectory.actions]
@@ -837,8 +875,11 @@ def test_negative_count_exits_2(workdir, tmp_path, capsys, monkeypatch, command)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--voxel-size", "0"), ("--margin", "-1")],
-                         ids=["zero_voxel_size", "negative_margin"])
+@pytest.mark.parametrize("flag, value", [
+    ("--voxel-size", "0"), ("--margin", "-1"), ("--voxel-size", "inf"),
+    ("--voxel-size", "nan"), ("--margin", "nan"), ("--margin", "inf"),
+], ids=["zero_voxel_size", "negative_margin", "infinite_voxel_size", "nan_voxel_size",
+        "nan_margin", "infinite_margin"])
 def test_bad_voxelize_arguments_exit_2(workdir, tmp_path, capsys, flag, value):
     assert main(["voxelize", "--scene", str(workdir / "scene"), flag, value,
                  "--out", str(tmp_path / "grid.bin")]) == 2

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavnav import ConfigError
 from uavnav.dataset import (DatasetReadError, Episode, IntegrityError,
-                            SplitConfigError, compute_stats, episode_from_dict,
+                            compute_stats, episode_from_dict,
                             episode_to_dict, filter_episode, read_episodes,
                             round_sig, scan_episodes, split_dataset, write_episodes)
 from uavnav.geometry import Point3
@@ -205,13 +206,13 @@ class TestSplitDataset:
         assert seen.episodes == [] and unseen.episodes == []
 
     def test_scene_in_train_and_unseen_rejected(self):
-        with pytest.raises(SplitConfigError):
+        with pytest.raises(ConfigError):
             split_dataset([], {"train": ["s0"], "test_unseen": ["s0"],
                                "test_seen": []})
 
     def test_unassigned_scene_rejected(self):
         episodes = [make_episode(eid="e0", scene="mystery")]
-        with pytest.raises(SplitConfigError):
+        with pytest.raises(ConfigError):
             split_dataset(episodes, {"s0": "train"})
 
     def test_counting_oracle_on_five_scenes(self):
@@ -245,7 +246,7 @@ class TestSplitDataset:
                                             {"train": ["s0", 1]}],
                              ids=["count", "string", "non_string_scene"])
     def test_split_form_needs_lists_of_scene_ids(self, assignment):
-        with pytest.raises(SplitConfigError, match="must be a list of scene ids"):
+        with pytest.raises(ConfigError, match="must be a list of scene ids"):
             split_dataset([make_episode(scene="s0")], assignment)
 
 

@@ -110,7 +110,7 @@ class TestSplitSubtrajectories:
            st.one_of(st.none(), st.integers(0, 30)),
            st.one_of(st.none(), st.lists(st.sets(st.integers(0, 6), max_size=3),
                                          max_size=30)),
-           st.one_of(st.none(), st.integers(0, 6)))
+           st.one_of(st.just(-1), st.integers(0, 6)))  # -1: no target
     def test_each_sub_reads_its_terminal_frame(self, core, n_refs, frames, target):
         t = Trajectory(Pose(Point3(0, 0, 30), 0.0), core + [S], target_landmark_id=target)
         refs = None if n_refs is None else [f"frame_{i}" for i in range(n_refs)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -197,5 +199,5 @@ class TestInstanceSerialization:
             centroid=(1.5, 1.5), height=12.0, area=9.0,
             cells=[(0, 0), (0, 1)],
             caption=Caption("red", "brick", "small", "house"))
-        back = instances_from_json(instances_to_json([inst, captioned]))
+        back = instances_from_json(json.loads(instances_to_json([inst, captioned])))
         assert back == [inst, captioned]

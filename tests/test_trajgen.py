@@ -529,6 +529,15 @@ class TestTrajectoryType:
         longer = dataclasses.replace(traj, actions=[forward(6.0), STOP])
         assert longer.poses == rollout(start, [forward(6.0), STOP])
 
+    def test_target_landmark_id_must_be_an_integer(self):
+        # A pose list in the third positional field is what an old
+        # Trajectory(start, actions, poses) call passes.
+        start = Pose(Point3(0, 0, 10), 0.0)
+        with pytest.raises(ValueError, match="target_landmark_id must be an integer"):
+            Trajectory(start, [STOP], 2.7)
+        with pytest.raises(ValueError, match="target_landmark_id must be an integer"):
+            Trajectory(start, [STOP], rollout(start, [STOP]))
+
     def test_path_length_sums_translations(self):
         start = Pose(Point3(0, 0, 10), 0.0)
         traj = Trajectory(start, [forward(3.0), TURN_LEFT, forward(6.0), MOVE_UP, STOP])

@@ -62,7 +62,7 @@ def _read_predictions(path: str | Path) -> dict[str, list[tg.Action]]:
                 if not isinstance(doc["episode_id"], str):
                     raise TypeError("episode_id is not a string")
                 actions = [tg.Action.from_dict(a) for a in doc["actions"]]
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad prediction ({exc!r})") from exc
             episode_id = doc["episode_id"]
             if episode_id in first_line:

@@ -285,26 +285,46 @@ class Trajectory:
 # terms reduce to three, in |dx| and |dy| (see lattice_heuristic).
 _TAN15 = 2.0 - SQRT3  # sin 15 / cos 15
 _COS45_OVER_COS15 = SQRT3 - 1.0
-# Largest lattice norm over a ball of radius r is r * hypot(1 / cos 15, 1).
-GOAL_BALL_NORM = math.hypot(1.0 / math.cos(math.radians(15.0)), 1.0)
+_SEC15 = 1.0 / math.cos(math.radians(15.0))
+# Largest lattice norm over a ball of radius r is r * hypot(1 / cos 15, 1),
+# reached at |e_z| = r / GOAL_BALL_NORM. lattice_heuristic subtracts all
+# of it only once |dz| reaches that height; below it, phi takes less.
+GOAL_BALL_NORM = math.hypot(_SEC15, 1.0)
 
 
 def lattice_heuristic(dx: float, dy: float, dz: float, tolerance: float) -> float:
     """Lower bound, in cost units, on reaching the goal ball from offset
-    (dx, dy, dz) = position - goal.
+    v = (dx, dy, dz) = position - goal.
 
     The lattice norm N(v) = gauge(v_xy) + |v_z| changes by at most the
-    length of any forward or vertical move, so N(p - g) bounds the cost
-    to reach g; by the triangle inequality the tolerance ball is no
-    nearer than N(p - g) - GOAL_BALL_NORM * tolerance. Near the goal the
-    Euclidean bound is the tighter one. Paths move in whole 3 m steps, so
-    the larger bound rounds up to the next step (the 1e-9 guard keeps
-    float noise on an exact multiple from adding a step). The result is
-    admissible and consistent, and zero inside the goal ball.
+    length of any forward or vertical move, so N(v - e) bounds the cost
+    to reach the ball point goal + e. For |e| <= tolerance the gauge
+    drops by at most |e_xy| / cos 15 and |v_z| by at most |e_z|, down to
+    0, so N(v - e) >= gauge(v_xy) + phi(|dz|). Here phi(t) is the least
+    of max(t - w, 0) - sqrt(tolerance^2 - w^2) / cos 15 over
+    0 <= w <= tolerance:
+
+    - phi(t) = t - GOAL_BALL_NORM * tolerance when
+      t >= tolerance / GOAL_BALL_NORM: all of the ball's largest norm;
+    - phi(t) = -sqrt(tolerance^2 - t^2) / cos 15 below that, which is
+      -1.0353 * tolerance at t = 0 against -1.4394 * tolerance.
+
+    phi's slope t / (cos 15 * sqrt(tolerance^2 - t^2)) rises from 0 to
+    exactly 1 at the switch and stays 1 past it, so phi is 1-Lipschitz: a
+    3 m vertical move changes the bound by at most 3 m, and a forward
+    move leaves dz alone. Near the goal the Euclidean bound is the
+    tighter one. Paths move in whole 3 m steps, so the larger bound
+    rounds up to the next step (the 1e-9 guard keeps float noise on an
+    exact multiple from adding a step). The result is admissible and
+    consistent, and zero inside the goal ball.
     """
-    ax, ay = abs(dx), abs(dy)
-    norm = max(ax + _TAN15 * ay, _COS45_OVER_COS15 * (ax + ay), _TAN15 * ax + ay) + abs(dz)
-    bound = max(norm - GOAL_BALL_NORM * tolerance, math.hypot(dx, dy, dz) - tolerance)
+    ax, ay, az = abs(dx), abs(dy), abs(dz)
+    if az * GOAL_BALL_NORM >= tolerance:
+        phi = az - GOAL_BALL_NORM * tolerance
+    else:
+        phi = -math.sqrt(tolerance * tolerance - az * az) * _SEC15
+    norm = max(ax + _TAN15 * ay, _COS45_OVER_COS15 * (ax + ay), _TAN15 * ax + ay)
+    bound = max(norm + phi, math.hypot(dx, dy, dz) - tolerance)
     if bound <= 0.0:
         return 0.0
     return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)

@@ -10,9 +10,10 @@ reference for its NumPy path, ``visibility_per_call``, the
 ``merge_tokens_full_sort``, the ``merge_tokens`` that sorted every pair,
 ``landmark_phrases_two_parse``, the chunker whose core parse also
 returned the index after the head and whose phrase scan re-parsed the
-determiner branch itself, and ``action_by_construction``, the rule an
+determiner branch itself, ``action_by_construction``, the rule an
 action document passed when ``Action`` was a dataclass that checked
-itself.
+itself, and ``lattice_heuristic_whole_ball``, the search heuristic that
+subtracted the largest lattice norm over the whole goal ball.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back, which
 only tests need.
 """
@@ -35,7 +36,8 @@ from uavnav.scene import PointCloudParseError
 from uavnav.segmentation import LandmarkInstance
 from uavnav.textproc import (_BOUNDARY_RE, ATTACH_PREPS, LANDMARK_NOUNS, NounPhrase,
                              _is_participle, _is_proper, tag_word, word_tokens)
-from uavnav.trajgen import FORWARD_MAGNITUDES, TrajGenConfig, Pose
+from uavnav.trajgen import (FORWARD_MAGNITUDES, GOAL_BALL_NORM, VERTICAL_STEP,
+                            TrajGenConfig, Pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -154,6 +156,21 @@ _SIN = [_half_decomposition(math.sin(math.radians(30 * k))) for k in range(12)]
 
 
 DOMINANCE_MARGIN = 45  # shared state-graph semantics: see the module under test
+
+
+def lattice_heuristic_whole_ball(dx: float, dy: float, dz: float,
+                                 tolerance: float) -> float:
+    """``trajgen.lattice_heuristic`` as it was before its goal-ball term
+    depended on dz: the lattice norm of the offset minus the largest
+    lattice norm over the whole ball, GOAL_BALL_NORM * tolerance, and
+    otherwise the same Euclidean term and rounding to whole 3 m steps."""
+    tan15, cos45_over_cos15 = 2.0 - SQRT3, SQRT3 - 1.0
+    ax, ay = abs(dx), abs(dy)
+    norm = max(ax + tan15 * ay, cos45_over_cos15 * (ax + ay), tan15 * ax + ay) + abs(dz)
+    bound = max(norm - GOAL_BALL_NORM * tolerance, math.hypot(dx, dy, dz) - tolerance)
+    if bound <= 0.0:
+        return 0.0
+    return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
 
 
 def dijkstra_units(start: Pose, goal: Point3, grid: VoxelGrid,

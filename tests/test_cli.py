@@ -594,8 +594,9 @@ def test_load_json_failure_is_one_config_error_naming_the_file(tmp_path, content
     json.dumps({"episode_id": ["cli-scene-000000"], "actions": [{"kind": "stop"}]}),
     json.dumps({"episode_id": "cli-scene-000000", "actions": [{"kind": "fly"}]}),
     "\udcff",
+    "[" * 100_000,
 ], ids=["not_json", "no_episode_id", "no_actions", "list_episode_id", "bad_action",
-        "not_utf8"])
+        "not_utf8", "nested_100000_deep"])
 def test_malformed_predictions_exit_2(workdir, generated, tmp_path, capsys, line):
     first = read_episodes(generated)[0]
     good = json.dumps({"episode_id": first.episode_id,

@@ -142,13 +142,20 @@ class TestRunGenerate:
                                                 tmp_path):
         # CPython's GIL caps real scaling for this CPU-bound work; the smoke
         # check guards that fan-out at least does not collapse throughput.
-        def rate(workers: int) -> float:
-            cfg = replace(desk_cfg, workers=workers)
-            started = time.monotonic()
-            pl.run_generate(demo_bundle, cfg, 16, tmp_path / f"w{workers}.jsonl")
-            return 16 / (time.monotonic() - started)
-
-        assert rate(4) >= 0.5 * rate(1)
+        # One untimed batch builds the bundle's lazy layers, which take
+        # longer than the batch itself, and each worker count keeps its
+        # fastest of five alternating runs, so a busy host moment does not
+        # decide the ratio.
+        pl.run_generate(demo_bundle, desk_cfg, 16, tmp_path / "warm.jsonl")
+        best = {1: float("inf"), 4: float("inf")}
+        for _ in range(5):
+            for workers in best:
+                cfg = replace(desk_cfg, workers=workers)
+                started = time.perf_counter()
+                pl.run_generate(demo_bundle, cfg, 16, tmp_path / f"w{workers}.jsonl")
+                best[workers] = min(best[workers], time.perf_counter() - started)
+        rate = {workers: 16 / seconds for workers, seconds in best.items()}
+        assert rate[4] >= 0.5 * rate[1], rate
 
     def test_retry_budget_exhaustion_gives_partial_output(self, demo_bundle,
                                                           desk_cfg, tmp_path):

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
-from oracles import action_by_construction, dijkstra_units, point_blocked
+from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_whole_ball,
+                     point_blocked)
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
-from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES,
+from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES, GOAL_BALL_NORM,
                             MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
                             EligibilityError, NoPathError, Pose,
@@ -397,6 +398,65 @@ class TestLatticeHeuristic:
         h1 = lattice_heuristic(i + u1 - gx, j + v1 - gy, z, tol)
         h2 = lattice_heuristic(i + u2 - gx, j + v2 - gy, z, tol)
         assert abs(h1 - h2) < BIN_DOMINANCE_MARGIN_UNITS
+
+
+def _goal_ball_term(dx: float, dy: float, dz: float, tol: float) -> float:
+    """gauge(v_xy) + phi(|dz|), the unrounded lattice term that
+    lattice_heuristic documents."""
+    t = abs(dz)
+    if t * GOAL_BALL_NORM >= tol:
+        phi = t - GOAL_BALL_NORM * tol
+    else:
+        phi = -math.sqrt(tol * tol - t * t) / math.cos(math.radians(15))
+    return _gauge_by_definition(dx, dy) + phi
+
+
+class TestGoalBallBound:
+    @settings(max_examples=500, deadline=None)
+    @given(_coord, _coord, _coord, _tolerance)
+    def test_never_below_the_whole_ball_bound(self, dx, dy, dz, tol):
+        assert lattice_heuristic(dx, dy, dz, tol) >= lattice_heuristic_whole_ball(dx, dy, dz, tol)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-60.0, 60.0) | _coord, st.floats(-60.0, 60.0) | _coord,
+           st.floats(-30.0, 30.0) | _coord, _tolerance, st.floats(0.0, 1.0),
+           st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0), st.booleans())
+    def test_lattice_term_is_at_most_the_norm_to_every_ball_point(
+            self, dx, dy, dz, tol, frac, theta, cos_polar, nearest_z):
+        if nearest_z:
+            # The e_z that phi's minimum picks, with the rest of the ball
+            # radius in the plane: the bound is tight along an edge normal.
+            ez = math.copysign(min(abs(dz), tol / GOAL_BALL_NORM), dz)
+            r_xy = math.sqrt(max(tol * tol - ez * ez, 0.0))
+        else:
+            ez = frac * tol * cos_polar
+            r_xy = frac * tol * math.sqrt(1.0 - cos_polar * cos_polar)
+        ex, ey = r_xy * math.cos(theta), r_xy * math.sin(theta)
+        term = _goal_ball_term(dx, dy, dz, tol)
+        assert term <= _gauge_by_definition(dx - ex, dy - ey) + abs(dz - ez) + 1e-9
+        # lattice_heuristic rounds the larger of this term and the
+        # Euclidean one up to whole 3 m steps (up to float noise).
+        bound = max(term, math.hypot(dx, dy, dz) - tol)
+        allowed = {30.0 * max(0, math.ceil((bound + slack) / VERTICAL_STEP - 1e-9))
+                   for slack in (-1e-7, 1e-7)}
+        assert lattice_heuristic(dx, dy, dz, tol) in allowed
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-4.0, 4.0),
+           st.sampled_from((1.0, -1.0)), _tolerance)
+    def test_consistent_over_every_move_across_the_switch(self, dx, dy, offset, sign, tol):
+        # |dz| lies within 4 m of tol / GOAL_BALL_NORM, where phi changes
+        # formula, so vertical 3 m moves cross the switch.
+        dz = sign * abs(tol / GOAL_BALL_NORM + offset)
+        h = lattice_heuristic(dx, dy, dz, tol)
+        for k in range(12):
+            c, s = math.cos(math.radians(30 * k)), math.sin(math.radians(30 * k))
+            for m in FORWARD_MAGNITUDES:
+                cost = m * UNITS_PER_METER
+                assert h <= cost + lattice_heuristic(dx + m * c, dy + m * s, dz, tol)
+        cost = VERTICAL_STEP * UNITS_PER_METER
+        for step in (VERTICAL_STEP, -VERTICAL_STEP):
+            assert h <= cost + lattice_heuristic(dx, dy, dz + step, tol)
 
 
 @pytest.fixture(scope="module")

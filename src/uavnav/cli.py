@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 violations, failed episodes or other library
 errors, 2 configuration errors (bad flags, such as an ``eval --radius``
 or ``voxelize`` size that is not finite, malformed config or scene
-files, missing inputs, a directory given as an input file). Every JSON
+files, no landmark as tall as ``trajgen.min_landmark_height``, and every
+OSError: a missing input, a directory given as an input file, an output
+that cannot be written). Every JSON
 side input (``--config``, ``scene.json``, ``landmarks.json``, the
 ``dataset split`` assignment and the ``keyframe`` documents) is read by
 ``uavnav.load_json``, so any failure to read, parse or check one prints
@@ -92,8 +94,8 @@ def cmd_scene_synth(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
-    cloud = load_point_cloud(Path(args.scene) / "cloud.txt"
-                             if Path(args.scene).is_dir() else args.scene)
+    cloud = (pl.read_scene_dir(args.scene)[1] if Path(args.scene).is_dir()
+             else load_point_cloud(args.scene))
     grid = voxelize(cloud, args.voxel_size, args.margin)
     save_grid(grid, args.out)
     if args.debug_json:
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, scene=True, config=True, seed=False):
         if scene:
-            p.add_argument("--scene", help="scene directory (scene.json + cloud.txt)")
+            p.add_argument("--scene", help="scene directory (scene.json, optional cloud)")
             p.add_argument("--spec", help="scene spec JSON (synthesized on the fly)")
         if config:
             p.add_argument("--config", help="pipeline config JSON")
@@ -391,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UavnavError as exc:

@@ -32,17 +32,13 @@ POSE_TOLERANCE = 1e-4  # canonical 9-digit float form rounds serialized poses
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
 
 
-class DatasetError(UavnavError, RuntimeError):
-    pass
-
-
-class DatasetReadError(DatasetError):
+class DatasetReadError(UavnavError):
     def __init__(self, path: str | Path, line_number: int, message: str) -> None:
         super().__init__(f"{path}:{line_number}: {message}")
         self.line_number = line_number
 
 
-class IntegrityError(DatasetError):
+class IntegrityError(UavnavError):
     def __init__(self, episode_id: str, where: str = "") -> None:
         super().__init__(f"{where}duplicate episode_id {episode_id!r}")
         self.episode_id = episode_id

@@ -33,10 +33,6 @@ class PointCloudParseError(ConfigError):
         self.line_number = line_number
 
 
-class SceneSpecError(ConfigError):
-    pass
-
-
 @dataclass
 class PointCloud:
     """Ordered point set with optional per-point color and cached bounds."""
@@ -83,7 +79,7 @@ class TreeSpec:
 @dataclass(frozen=True)
 class SceneSpec:
     """A procedural scene. Construction, ``dataclasses.replace`` included,
-    checks it and raises SceneSpecError; footprints may not overlap, so the
+    checks it and raises ConfigError; footprints may not overlap, so the
     landmark count is well-defined."""
 
     extent: tuple[float, float]  # ground size in meters (x, y), origin at (0, 0)
@@ -95,27 +91,27 @@ class SceneSpec:
     def __post_init__(self) -> None:
         ex, ey = self.extent
         if ex <= 0 or ey <= 0:
-            raise SceneSpecError("ground extent must be positive")
+            raise ConfigError("ground extent must be positive")
         for b in self.buildings:
             if b.height <= 0:
-                raise SceneSpecError(f"building {b.label!r} has non-positive height")
+                raise ConfigError(f"building {b.label!r} has non-positive height")
             if not b.label:
-                raise SceneSpecError("building label must be nonempty")
+                raise ConfigError("building label must be nonempty")
             if len(b.footprint) < 3:
-                raise SceneSpecError(f"building {b.label!r} footprint needs >= 3 vertices")
+                raise ConfigError(f"building {b.label!r} footprint needs >= 3 vertices")
             for x, y in b.footprint:
                 if not (0.0 <= x <= ex and 0.0 <= y <= ey):
-                    raise SceneSpecError(
+                    raise ConfigError(
                         f"building {b.label!r} footprint leaves the ground extent"
                     )
         for i, a in enumerate(self.buildings):
             for b in self.buildings[i + 1:]:
                 if polygons_overlap(a.footprint, b.footprint):
-                    raise SceneSpecError(
+                    raise ConfigError(
                         f"building footprints overlap: {a.label!r} and {b.label!r}")
         for t in self.trees:
             if t.canopy_height <= 0:
-                raise SceneSpecError("tree canopy height must be positive")
+                raise ConfigError("tree canopy height must be positive")
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:

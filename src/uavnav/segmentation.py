@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import UavnavError, check_kind, check_kinds, load_json
+from . import check_kind, check_kinds, load_json
 from .occupancy import BevGrid
-from .vlm import VlmClient, VlmReplyError
+from .vlm import MAX_RETRIES, VlmClient, VlmReplyError
 
 DEFAULT_MIN_AREA = 20.0  # m^2; suppresses poles and sampling noise
 
@@ -32,14 +32,6 @@ CAPTION_PROMPT = (
 
 _CAPTION_FIELDS = ("color", "feature", "size", "type")
 _CAPTION_KEY_RE = re.compile(r"\b(color|feature|size|type)\b\s*[:=]", re.IGNORECASE)
-
-
-class CaptionError(UavnavError, RuntimeError):
-    """Caption reply failed to parse after all retries; keeps the raw reply."""
-
-    def __init__(self, message: str, raw_reply: str) -> None:
-        super().__init__(message)
-        self.raw_reply = raw_reply
 
 
 @dataclass(frozen=True)
@@ -207,15 +199,13 @@ def caption_instance(
         "image_refs": list(view_refs),
         "hint": {"label": hint_label, "area_m2": inst.area},
     }
-    last_reply = ""
-    for _ in range(max(1, vlm.max_retries + 1)):
+    for _ in range(MAX_RETRIES + 1):
         reply = vlm.complete(CAPTION_PROMPT, payload)
-        last_reply = reply
         try:
             return replace(inst, caption=parse_caption(reply))
         except VlmReplyError:
             continue
-    raise CaptionError("caption reply never parsed", last_reply)
+    raise VlmReplyError("caption reply never parsed", reply)
 
 
 def instances_to_json(instances: list[LandmarkInstance]) -> str:

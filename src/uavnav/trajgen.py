@@ -52,7 +52,7 @@ DEFAULT_GOAL_TOLERANCE = 5.0
 DEFAULT_GOAL_OFFSET = 10.0
 
 
-class TrajGenError(UavnavError, RuntimeError):
+class TrajGenError(UavnavError):
     pass
 
 
@@ -61,14 +61,6 @@ class NoPathError(TrajGenError):
 
 
 class SamplingError(TrajGenError):
-    pass
-
-
-class EligibilityError(SamplingError):
-    pass
-
-
-class SamplingExhaustedError(SamplingError):
     pass
 
 
@@ -513,12 +505,12 @@ def sample_endpoints(
     landmark; the start heading is the 30-degree bin nearest the bearing
     to the goal. Coordinates are rounded to the JSONL's 9 digits before
     any check, so the search starts from the floats that get serialized.
+    No landmark that tall is a ConfigError, since no draw can fix it;
+    running out of attempts is a SamplingError.
     """
     eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
     if not eligible:
-        raise EligibilityError(
-            f"no landmark at least {cfg.min_landmark_height} m tall"
-        )
+        raise ConfigError(f"no landmark at least {cfg.min_landmark_height} m tall")
     lo, hi = cfg.start_distance_range
     for _ in range(cfg.max_sample_attempts):
         lm = eligible[int(rng.integers(len(eligible)))]
@@ -537,9 +529,7 @@ def sample_endpoints(
             continue
         yaw = nearest_heading(_bearing_deg(goal.x - sx, goal.y - sy))
         return Pose(start_pos, yaw), goal, lm.id
-    raise SamplingExhaustedError(
-        f"no valid start/goal pair after {cfg.max_sample_attempts} attempts"
-    )
+    raise SamplingError(f"no valid start/goal pair after {cfg.max_sample_attempts} attempts")
 
 
 def chain_trajectories(
@@ -575,7 +565,7 @@ def chain_trajectories(
             lm = candidates[int(rng.integers(len(candidates)))]
             goal = _goal_on_line((here.x, here.y), lm, here.z, bev, grid, cfg)
             if goal is None:
-                raise SamplingExhaustedError("no clear goal on the connecting line")
+                raise SamplingError("no clear goal on the connecting line")
             trajectory = astar_search(start, goal, grid, cfg, stats, trajectory.actions[:-1],
                                       lm.id)
         except TrajGenError as exc:

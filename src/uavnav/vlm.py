@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import ConfigError, UavnavError, atomic_open
 
 ENDPOINT_ENV = "UAVNAV_VLM_ENDPOINT"
 API_KEY_ENV = "UAVNAV_VLM_API_KEY"
+TIMEOUT_S = 30.0  # covers connecting and each read of a live request
+MAX_RETRIES = 2  # a live request is sent at most MAX_RETRIES + 1 times
+RETRY_BACKOFF_S = 0.5  # times the attempt number, before each retry
 
 COLOR_WORDS = {
     "red", "orange", "yellow", "green", "blue", "purple", "violet", "pink",
@@ -39,23 +41,16 @@ KNOWN_SIZE_BUCKETS = ((200.0, "small"), (1000.0, "medium"))
 
 
 class VlmError(UavnavError):
-    """A request that produced no usable reply."""
+    """A request that produced no usable reply: a transport failure, a
+    persistent bad status or a replay-cache miss."""
 
 
-class VlmTransportError(VlmError, RuntimeError):
-    """Network failure or persistent bad status from the endpoint."""
-
-
-class VlmReplyError(VlmError, RuntimeError):
+class VlmReplyError(VlmError):
     """Reply received but unusable; carries the raw reply text."""
 
     def __init__(self, message: str, raw_reply: str) -> None:
         super().__init__(message)
         self.raw_reply = raw_reply
-
-
-class VlmReplayMissError(VlmError):
-    """Replay mode had no recorded reply for the request hash."""
 
 
 def size_bucket(area_m2: float) -> str:
@@ -136,18 +131,14 @@ _MOCK_HANDLERS = {
 
 @dataclass
 class VlmClient:
-    """Shared, thread-safe client; at most ``max_in_flight`` live requests."""
+    """Shared, thread-safe client. It sends each request from the calling
+    thread, so the caller's threads bound the live requests in flight."""
 
     mode: str = "mock"  # live | mock | replay
     endpoint: str = ""
     model: str = "gpt-4o"
-    timeout: float = 30.0
-    max_retries: int = 2
-    retry_backoff_s: float = 0.5
-    max_in_flight: int = 4
     cache_dir: Path | None = None
     api_key: str = ""
-    _gate: threading.Semaphore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("live", "mock", "replay"):
@@ -156,7 +147,6 @@ class VlmClient:
             raise ConfigError("replay mode requires a cache directory")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-        self._gate = threading.Semaphore(self.max_in_flight)
 
     def complete(self, system_prompt: str, payload: dict) -> str:
         """Resolve one request to reply text, per the configured mode."""
@@ -171,8 +161,7 @@ class VlmClient:
         }
         if self.mode == "replay":
             return self._replayed_reply(request)
-        with self._gate:
-            reply = self._live_reply(request)
+        reply = self._live_reply(request)
         if self.cache_dir is not None:
             self._record(request, reply)
         return reply
@@ -197,9 +186,7 @@ class VlmClient:
     def _replayed_reply(self, request: dict) -> str:
         path = self._cache_path(request)
         if not path.exists():
-            raise VlmReplayMissError(
-                f"no recorded reply for request hash {path.stem}"
-            )
+            raise VlmError(f"no recorded reply for request hash {path.stem}")
         try:
             reply = json.loads(path.read_text(encoding="utf-8"))["reply"]
         except (ValueError, KeyError, TypeError) as exc:
@@ -222,36 +209,36 @@ class VlmClient:
         import urllib.request
 
         if not self.endpoint:
-            raise VlmTransportError("live mode requires an endpoint URL")
+            raise VlmError("live mode requires an endpoint URL")
         body = json.dumps(request, allow_nan=False).encode("utf-8")
         try:
             post = urllib.request.Request(self.endpoint, data=body, method="POST",
                                           headers={"Content-Type": "application/json"})
         except ValueError as exc:  # no scheme, so not a URL urllib can open
-            raise VlmTransportError(f"bad endpoint URL: {exc}") from exc
+            raise VlmError(f"bad endpoint URL: {exc}") from exc
         if self.api_key:  # unredirected: a redirect must not carry the key elsewhere
             post.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.retry_backoff_s:
-                time.sleep(self.retry_backoff_s * attempt)
+        for attempt in range(MAX_RETRIES + 1):
+            if attempt:
+                time.sleep(RETRY_BACKOFF_S * attempt)
             try:
-                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                with urllib.request.urlopen(post, timeout=TIMEOUT_S) as resp:
                     status, raw = resp.status, resp.read()
             except urllib.error.HTTPError as exc:  # a status urllib treats as failure
                 exc.close()
-                last_error = VlmTransportError(f"endpoint returned HTTP {exc.code}")
+                last_error = VlmError(f"endpoint returned HTTP {exc.code}")
                 continue
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 # URLError and timeouts are OSErrors; a bad header value is a ValueError
                 last_error = exc
                 continue
             if status != 200:
-                last_error = VlmTransportError(f"endpoint returned HTTP {status}")
+                last_error = VlmError(f"endpoint returned HTTP {status}")
                 continue
             try:
                 return json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise VlmReplyError(f"malformed completion body: {exc}",
                                     raw.decode("utf-8", "replace")) from exc
-        raise VlmTransportError(f"request failed after {self.max_retries + 1} attempts: {last_error}")
+        raise VlmError(f"request failed after {MAX_RETRIES + 1} attempts: {last_error}")

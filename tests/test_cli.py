@@ -17,9 +17,9 @@ from uavnav import segmentation as seg
 from uavnav.cli import main
 from uavnav.dataset import read_episodes
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
-from uavnav.occupancy import load_grid
+from uavnav.occupancy import load_grid, voxelize
 from uavnav.scene import (BuildingSpec, SceneSpec, TreeSpec, load_scene_spec,
-                          scene_spec_to_dict)
+                          scene_spec_to_dict, synthesize_scene)
 
 
 def test_cli_imports_neither_scipy_nor_requests():
@@ -133,6 +133,20 @@ def test_voxelize_roundtrip(workdir):
     grid = load_grid(grid_path)
     assert grid.occupancy.any()
     assert json.loads(debug_path.read_text())["voxel_size"] == 1.0
+
+
+def test_voxelize_reads_a_spec_only_scene_dir(workdir, tmp_path):
+    # The cloud is synthesized from scene.json, as for every other command.
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    shutil.copy(workdir / "scene" / "scene.json", scene)
+    out = tmp_path / "grid.bin"
+    assert main(["voxelize", "--scene", str(scene), "--out", str(out)]) == 0
+    got = load_grid(out)
+    want = voxelize(synthesize_scene(load_scene_spec(scene / "scene.json")))
+    assert (got.dims, got.voxel_size) == (want.dims, want.voxel_size)
+    assert np.array_equal(got.origin, want.origin)
+    assert np.array_equal(got.occupancy, want.occupancy)
 
 
 def test_segment_writes_landmarks(workdir):
@@ -391,6 +405,31 @@ def test_bad_config_exits_2(workdir, tmp_path):
     assert main(["generate", "--scene", str(workdir / "scene"),
                  "--config", str(bad), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "trajgen"])
+def test_no_eligible_landmark_exits_2(workdir, tmp_path, capsys, command):
+    # No draw can make a landmark taller, so this is a config error, not a
+    # report of sampling failures.
+    doc = json.loads((workdir / "config.json").read_text())
+    doc["trajgen"]["min_landmark_height"] = 1000
+    config = tmp_path / "tall.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    assert main([command, *scene_args(workdir, config), "--count", "3",
+                 "--out", str(out)]) == 2
+    assert one_line_error(capsys) == "config error: no landmark at least 1000 m tall"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["read", "write"])
+def test_overlong_path_exits_2(workdir, generated, tmp_path, capsys, command):
+    overlong = str(tmp_path / ("a" * 5000))
+    argv = {"read": ["validate", "--episodes", overlong],
+            "write": ["dataset", "stats", "--episodes", str(generated),
+                      "--json", overlong]}[command]
+    assert main(argv) == 2
+    assert one_line_error(capsys).startswith("config error: [Errno ")
 
 
 def test_missing_scene_exits_2(tmp_path):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,24 @@ class TestRunGenerate:
         pl.run_generate(demo_bundle, single, 12, a)
         pl.run_generate(demo_bundle, many, 12, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stamp_outputs_changes_only_created_at(self, demo_bundle, desk_cfg, tmp_path):
+        def docs_and_stamps(cfg, name):
+            out = tmp_path / name
+            pl.run_generate(demo_bundle, cfg, 4, out)
+            docs = [json.loads(line) for line in out.read_text().splitlines()]
+            return docs, [doc["meta"].pop("created_at") for doc in docs]
+
+        plain, plain_stamps = docs_and_stamps(desk_cfg, "plain.jsonl")
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamped, stamps = docs_and_stamps(replace(desk_cfg, stamp_outputs=True),
+                                          "stamped.jsonl")
+        after = datetime.now(timezone.utc)
+        assert len(stamps) == 4 and plain_stamps == [None] * 4
+        for stamp in stamps:  # ISO 8601, UTC, to the second
+            assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp), stamp
+            assert before <= datetime.fromisoformat(stamp[:-1] + "+00:00") <= after
+        assert stamped == plain
 
     def test_episodes_aim_with_the_bundles_sight_targets(self, demo_bundle, tmp_path,
                                                         monkeypatch):

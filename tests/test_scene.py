@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_point_cloud_lines
+from uavnav import ConfigError
 from uavnav.scene import (BuildingSpec, PointCloud, PointCloudParseError,
-                          SceneSpec, SceneSpecError, TreeSpec,
+                          SceneSpec, TreeSpec,
                           load_point_cloud, save_point_cloud,
                           scene_spec_from_dict, scene_spec_to_dict,
                           synthesize_scene)
@@ -205,7 +206,7 @@ class TestSynthesize:
         assert np.array_equal(a.points, b.points)
 
     def test_overlapping_footprints_rejected(self):
-        with pytest.raises(SceneSpecError, match="overlap"):
+        with pytest.raises(ConfigError, match="building footprints overlap"):
             SceneSpec(extent=(40.0, 40.0), buildings=[
                 BuildingSpec(box(5, 5, 10, 10), 10.0, "a"),
                 BuildingSpec(box(10, 10, 10, 10), 10.0, "b"),
@@ -233,7 +234,7 @@ class TestSynthesize:
         assert cloud.points[:, 1].max() <= 80.0 + 1e-9
 
     def test_footprint_outside_extent_rejected(self):
-        with pytest.raises(SceneSpecError):
+        with pytest.raises(ConfigError, match="footprint leaves the ground extent"):
             SceneSpec(extent=(20.0, 20.0),
                       buildings=[BuildingSpec(box(15, 15, 10, 10), 5.0, "a")])
 

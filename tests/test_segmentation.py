@@ -10,7 +10,7 @@ from uavnav.geometry import point_in_polygon
 from uavnav.occupancy import BevGrid, bev_project, voxelize
 from uavnav.pipeline import demo_scene_spec
 from uavnav.scene import synthesize_scene
-from uavnav.segmentation import (Caption, CaptionError, LandmarkInstance,
+from uavnav.segmentation import (Caption, LandmarkInstance,
                                  caption_instance, extract_instances,
                                  instances_from_json, instances_to_json,
                                  parse_caption)
@@ -150,7 +150,6 @@ class TestCaptionParsing:
 
 class _BrokenClient:
     mode = "mock"
-    max_retries = 2
 
     def __init__(self):
         self.calls = 0
@@ -185,7 +184,7 @@ class TestCaptionInstance:
 
     def test_malformed_reply_raises_after_retries(self):
         client = _BrokenClient()
-        with pytest.raises(CaptionError) as err:
+        with pytest.raises(VlmReplyError, match="caption reply never parsed") as err:
             caption_instance(make_instance(), [], client)
         assert client.calls == 3
         assert "size: medium" in err.value.raw_reply

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
 from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_whole_ball,
                      point_blocked)
+from uavnav import ConfigError
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
 from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES, GOAL_BALL_NORM,
                             MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
-                            EligibilityError, NoPathError, Pose,
-                            SamplingExhaustedError, SearchStats, Trajectory,
+                            NoPathError, Pose, SamplingError, SearchStats, Trajectory,
                             TrajGenConfig, astar_search, chain_trajectories,
                             forward, lattice_heuristic,
                             path_cost_units, rollout, sample_endpoints)
@@ -469,7 +469,7 @@ class TestSampleEndpoints:
     def test_eligibility_error_when_all_landmarks_too_low(self, demo_bundle_small):
         bundle, cfg = demo_bundle_small
         high = desk_trajgen_config(min_landmark_height=100.0)
-        with pytest.raises(EligibilityError):
+        with pytest.raises(ConfigError, match="no landmark at least 100.0 m tall"):
             sample_endpoints(bundle.landmarks, bundle.bev, bundle.nav_grid,
                              high, np.random.default_rng(0))
 
@@ -526,7 +526,7 @@ class TestSampleEndpoints:
         # those cells are inflated.
         cfg = desk_trajgen_config(start_distance_range=(1.0, 2.0),
                                   max_sample_attempts=50)
-        with pytest.raises(SamplingExhaustedError):
+        with pytest.raises(SamplingError, match="no valid start/goal pair after 50 attempts"):
             sample_endpoints(bundle.landmarks, bundle.bev, bundle.nav_grid,
                              cfg, np.random.default_rng(4))
 

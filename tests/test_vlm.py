@@ -9,8 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from uavnav.vlm import (VlmClient, VlmReplayMissError, VlmReplyError,
-                        VlmTransportError, size_bucket)
+from uavnav import vlm as vlm_module
+from uavnav.vlm import VlmClient, VlmError, VlmReplyError, size_bucket
 
 
 def completion(content: str) -> bytes:
@@ -27,23 +27,14 @@ class Endpoint:
         self.url = f"http://127.0.0.1:{port}/v1/chat"
         self.script: list = []
         self.default = completion("ok")
-        self.delay = 0.0
         self.seen: list[tuple[str, dict, bytes]] = []  # path, headers, body
-        self.active = 0
-        self.peak = 0
         self.lock = threading.Lock()
         self.released = threading.Event()
 
     def next_reply(self, path: str, headers: dict, body: bytes):
         with self.lock:
             self.seen.append((path, headers, body))
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-            reply = self.script.pop(0) if self.script else (200, self.default)
-        time.sleep(self.delay)
-        with self.lock:
-            self.active -= 1
-        return reply
+            return self.script.pop(0) if self.script else (200, self.default)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -98,8 +89,13 @@ def endpoint(monkeypatch):
         yield ep
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(vlm_module, "RETRY_BACKOFF_S", 0.0)
+
+
 def live(url: str, **kwargs) -> VlmClient:
-    return VlmClient(mode="live", endpoint=url, retry_backoff_s=0.0, **kwargs)
+    return VlmClient(mode="live", endpoint=url, **kwargs)
 
 
 FUSE = {"task": "fuse", "clauses": ["x"]}
@@ -196,7 +192,7 @@ class TestReplayMode:
 
     def test_replay_miss_raises(self, tmp_path):
         replay = VlmClient(mode="replay", cache_dir=tmp_path)
-        with pytest.raises(VlmReplayMissError):
+        with pytest.raises(VlmError, match="no recorded reply for request hash "):
             replay.complete("p", {"task": "fuse", "clauses": ["nothing recorded"]})
 
     @pytest.mark.parametrize("entry", [
@@ -255,23 +251,24 @@ class TestLiveMode:
 
     def test_retries_then_transport_error(self, endpoint):
         endpoint.script = ["drop"] * 3
-        vlm = live(endpoint.url, max_retries=2)
-        with pytest.raises(VlmTransportError):
+        vlm = live(endpoint.url)
+        with pytest.raises(VlmError, match="request failed after 3 attempts: "):
             vlm.complete("p", FUSE)
         assert len(endpoint.seen) == 3
 
     def test_bad_status_retried(self, endpoint):
         endpoint.script = [(503, b"busy")]
         endpoint.default = completion("later")
-        vlm = live(endpoint.url, max_retries=2)
+        vlm = live(endpoint.url)
         assert vlm.complete("p", FUSE) == "later"
         assert len(endpoint.seen) == 2
 
     @pytest.mark.parametrize("status", [503, 201, 307])
-    def test_persistent_bad_status_names_it(self, endpoint, status):
+    def test_persistent_bad_status_names_it(self, endpoint, monkeypatch, status):
+        monkeypatch.setattr(vlm_module, "MAX_RETRIES", 1)
         endpoint.script = [(status, completion("no"))] * 2
-        vlm = live(endpoint.url, max_retries=1)
-        with pytest.raises(VlmTransportError, match=f"HTTP {status}"):
+        vlm = live(endpoint.url)
+        with pytest.raises(VlmError, match=f"after 2 attempts: endpoint returned HTTP {status}"):
             vlm.complete("p", FUSE)
         assert len(endpoint.seen) == 2
 
@@ -282,47 +279,35 @@ class TestLiveMode:
     def test_malformed_body_is_reply_error(self, endpoint, body):
         endpoint.script = [(200, body)]
         with pytest.raises(VlmReplyError) as info:
-            live(endpoint.url, max_retries=2).complete("p", FUSE)
+            live(endpoint.url).complete("p", FUSE)
         assert info.value.raw_reply == body.decode("utf-8", "replace")
         assert len(endpoint.seen) == 1  # a usable status is not retried
 
-    def test_slow_endpoint_times_out(self, endpoint):
+    def test_slow_endpoint_times_out(self, endpoint, monkeypatch):
+        monkeypatch.setattr(vlm_module, "MAX_RETRIES", 1)
+        monkeypatch.setattr(vlm_module, "TIMEOUT_S", 0.2)
         endpoint.script = [("stall", 5.0)] * 2
-        vlm = live(endpoint.url, max_retries=1, timeout=0.2)
+        vlm = live(endpoint.url)
         start = time.monotonic()
-        with pytest.raises(VlmTransportError, match="timed out"):
+        with pytest.raises(VlmError, match="timed out"):
             vlm.complete("p", FUSE)
         assert time.monotonic() - start < 2.0
         assert len(endpoint.seen) == 2
 
-    def test_refused_port_is_transport_error(self):
+    def test_refused_port_is_transport_error(self, monkeypatch):
+        monkeypatch.setattr(vlm_module, "MAX_RETRIES", 1)
         with socket.socket() as sock:  # a port nothing listens on once closed
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        with pytest.raises(VlmTransportError, match="refused"):
-            live(f"http://127.0.0.1:{port}/v1/chat", max_retries=1).complete("p", FUSE)
+        with pytest.raises(VlmError, match="refused"):
+            live(f"http://127.0.0.1:{port}/v1/chat").complete("p", FUSE)
 
     def test_scheme_less_endpoint_is_transport_error(self):
         vlm = live("example.invalid/v1/chat")
-        with pytest.raises(VlmTransportError, match="bad endpoint URL"):
+        with pytest.raises(VlmError, match="bad endpoint URL"):
             vlm.complete("p", FUSE)
 
     def test_live_requires_endpoint(self):
         vlm = VlmClient(mode="live")
-        with pytest.raises(VlmTransportError):
+        with pytest.raises(VlmError, match="live mode requires an endpoint URL"):
             vlm.complete("p", {"task": "fuse", "clauses": ["x"]})
-
-    def test_in_flight_bound_respected(self, endpoint):
-        endpoint.delay = 0.05
-        endpoint.default = completion("done")
-        vlm = live(endpoint.url, max_in_flight=2)
-        threads = [threading.Thread(target=vlm.complete,
-                                    args=("p", {"task": "fuse", "clauses": [str(i)]}))
-                   for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(endpoint.seen) == 6
-        assert 1 <= endpoint.peak <= 2

@@ -33,7 +33,10 @@ def is_integer(v) -> bool:
 
 _KIND_TESTS = {
     "an integer": is_integer,
+    "an integer >= 0": lambda v: is_integer(v) and v >= 0,
+    "an integer >= 1": lambda v: is_integer(v) and v >= 1,
     "a number": is_number,
+    "a number >= 0": lambda v: is_number(v) and v >= 0,
     "a finite number > 0": lambda v: is_number(v) and v > 0,
     "two numbers": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(is_number, v)),
     "two integers": lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integer, v)),
@@ -80,16 +83,30 @@ def load_json(path: str | Path, kind: str, build=None):
 
 
 @contextmanager
-def atomic_open(path: str | Path):
-    """Text handle on a temp file next to ``path`` that replaces ``path``
-    when the block completes; if the block raises, the temp file is
-    removed and ``path`` is left as it was."""
-    path = Path(path)
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Text ("w") or binary ("wb") handle whose bytes reach the file ``path``
+    names, a symlink followed, whole or not at all: a temp file next to it
+    replaces it when the block completes and is removed if the block raises.
+    An existing target that is not a regular file, such as a FIFO or a
+    device, is written in place, since a rename would replace the node."""
+    path, encoding = Path(path), None if "b" in mode else "utf-8"
+    if path.exists() and not path.is_file():
+        with path.open(mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open(mode, encoding=encoding) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as indented JSON through ``atomic_open``; the writing
+    counterpart of ``load_json`` and the one place that knows the form."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=1))

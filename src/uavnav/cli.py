@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import ConfigError, UavnavError, check_kind, load_json
+from . import ConfigError, UavnavError, atomic_open, check_kind, load_json, save_json
 from . import dataset as ds
 from . import evaluation as ev
 from . import keyframe as kf
@@ -99,7 +99,8 @@ def cmd_voxelize(args) -> int:
     grid = voxelize(cloud, args.voxel_size, args.margin)
     save_grid(grid, args.out)
     if args.debug_json:
-        Path(args.debug_json).write_text(grid_debug_dump(grid), encoding="utf-8")
+        with atomic_open(args.debug_json) as fh:
+            fh.write(grid_debug_dump(grid))
     print(f"voxelized {len(cloud)} points -> dims {grid.dims}, "
           f"{int(grid.occupancy.sum())} occupied cells -> {args.out}")
     return 0
@@ -137,7 +138,7 @@ def cmd_dataset_filter(args) -> int:
         (kept if verdict.accepted else rejected).append((episode, verdict))
     ds.write_episodes([e for e, _ in kept], args.out)
     if args.rejects:
-        with Path(args.rejects).open("w", encoding="utf-8") as fh:
+        with atomic_open(args.rejects) as fh:
             for episode, verdict in rejected:
                 fh.write(json.dumps({"episode_id": episode.episode_id,
                                      "reason": verdict.reason}) + "\n")
@@ -162,8 +163,7 @@ def cmd_dataset_stats(args) -> int:
     episodes = ds.read_episodes(args.episodes)
     stats = ds.compute_stats(episodes)
     if args.json:
-        Path(args.json).write_text(json.dumps(stats.to_dict(), indent=1),
-                                   encoding="utf-8")
+        save_json(args.json, stats.to_dict())
     print(stats.to_text())
     return 0
 
@@ -196,10 +196,9 @@ def cmd_eval(args) -> int:
     summary = ev.aggregate(results).to_dict()
     summary["missing_predictions"] = missing
     summary["unpredicted"] = len(gt) - len(results)
-    report = json.dumps(summary, indent=1)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-    print(report)
+        save_json(args.out, summary)
+    print(json.dumps(summary, indent=1))
     print(f"NE {summary['ne']:.2f} m | SR {summary['sr']:.3f} | "
           f"OSR {summary['osr']:.3f} | SPL {summary['spl']:.3f}")
     return 0 if missing == 0 else 1
@@ -244,10 +243,10 @@ def cmd_keyframe(args) -> int:
         raise ConfigError(f"{tokens_dir}: {exc}") from exc
     kf.save_tokens(observation, args.out)
     if args.log:
-        Path(args.log).write_text(json.dumps([
+        save_json(args.log, [
             {"frame_index": e.frame_index, "reference_token": e.reference_token,
              "frame_token": e.frame_token, "similarity": e.similarity}
-            for e in events], indent=1), encoding="utf-8")
+            for e in events])
     print(f"assembled observation: {observation.count} tokens "
           f"({len(bank)} bank keyframes + current) -> {args.out}")
     return 0
@@ -256,13 +255,11 @@ def cmd_keyframe(args) -> int:
 def cmd_generate(args) -> int:
     """``generate``, and ``trajgen`` (the same run without narration)."""
     cfg = _load_config(args)
-    if args.count < 0:  # run_generate checks too, but only after the scene loads
-        raise ConfigError(f"count must be non-negative, got {args.count}")
+    check_kind("count", args.count, "an integer >= 0", ConfigError)  # before the scene loads
     bundle = _bundle(args, cfg)
     report = pl.run_generate(bundle, cfg, args.count, args.out, narrate=args.narrate)
     if args.report:
-        Path(args.report).write_text(json.dumps(report.to_dict(), indent=1),
-                                     encoding="utf-8")
+        save_json(args.report, report.to_dict())
     print(json.dumps(report.to_dict(), indent=1))
     return 0 if report.ok else 1
 

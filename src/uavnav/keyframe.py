@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import ConfigError, check_kinds, is_integer
+from . import ConfigError, atomic_open, check_kind, check_kinds
 from .geometry import Point3
 from .instructions import group_action_runs
 from .occupancy import VoxelGrid, traverse_segment
@@ -82,11 +82,9 @@ class MemoryBankConfig:
     current_tokens: int = 256
 
     def __post_init__(self) -> None:
-        sizes = ("capacity", "pooled_tokens", "current_tokens")
-        check_kinds(self, "", {"an integer": sizes, "a number": ("similarity_threshold",)})
-        for name in sizes:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_kinds(self, "", {
+            "an integer >= 1": ("capacity", "pooled_tokens", "current_tokens"),
+            "a number": ("similarity_threshold",)})
         if not (0.0 < self.similarity_threshold <= 1.0):
             raise ValueError("similarity threshold must lie in (0, 1]")
 
@@ -109,10 +107,7 @@ def select_candidates(actions: Sequence[Action], window: int = DEFAULT_WINDOW,
     forward motion does not produce a transition. Frame i is the pose
     after action i-1; windows clip to [0, len(actions)].
     """
-    if not is_integer(window):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    if window < 0:
-        raise ValueError("window must be non-negative")
+    check_kind("window", window, "an integer >= 0")
     core = list(actions)
     if core and core[-1].kind is ActionKind.STOP:
         core = core[:-1]
@@ -350,7 +345,7 @@ def landmark_visibility(
 
 def save_tokens(matrix: TokenMatrix, path: str | Path) -> None:
     """Binary token file: little-endian (N, D) int64 header, float32 rows."""
-    with Path(path).open("wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_TOKENS_HEADER.pack(matrix.count, matrix.dim))
         fh.write(matrix.tokens.astype("<f4").tobytes(order="C"))
 

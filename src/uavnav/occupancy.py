@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ConfigError, check_kind
+from . import ConfigError, atomic_open, check_kind
 from .geometry import Point3
 from .scene import PointCloud
 
@@ -106,8 +106,7 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     min corner explicitly (it must not exceed the cloud minimum).
     """
     check_kind("voxel_size", voxel_size, "a finite number > 0", ConfigError)
-    if check_kind("margin", margin, "a number", ConfigError) < 0:
-        raise ConfigError(f"margin must be non-negative, got {margin}")
+    check_kind("margin", margin, "a number >= 0", ConfigError)
     if len(cloud) == 0:
         return VoxelGrid(
             origin=np.zeros(3) if origin is None else np.asarray(origin, dtype=float),
@@ -279,7 +278,7 @@ def segment_free(grid: VoxelGrid, a: Point3, b: Point3) -> bool:
 def save_grid(grid: VoxelGrid, path: str | Path) -> None:
     """Binary export: little-endian header then the packed occupancy bits."""
     packed = np.packbits(grid.occupancy.reshape(-1).astype(np.uint8))
-    with Path(path).open("wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_GRID_HEADER.pack(*grid.origin, grid.voxel_size, *grid.dims))
         fh.write(packed.tobytes())
 

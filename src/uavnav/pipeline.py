@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import ConfigError, check_kinds, load_json
+from . import ConfigError, check_kind, check_kinds, load_json, save_json
 from . import dataset as ds
 from . import instructions as instr
 from . import segmentation as seg
@@ -63,20 +63,16 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_kinds(self, "", {
-            "an integer": ("seed", "segments", "workers"),
-            "a number": ("voxel_size", "margin", "bev_min_height", "min_area",
-                         "tree_height", "coref_threshold"),
+            "an integer >= 0": ("seed",),
+            "an integer >= 1": ("segments", "workers"),
+            "a finite number > 0": ("voxel_size",),
+            "a number >= 0": ("margin", "min_area"),
+            "a number": ("bev_min_height", "tree_height", "coref_threshold"),
             "a string": ("vlm_mode", "vlm_endpoint", "vlm_model"),
             "a string or null": ("vlm_cache_dir",),
             "a bool": ("stamp_outputs",)})
-        if self.seed < 0 or not (0.0 < self.coref_threshold <= 1.0):
-            raise ConfigError("seed must be non-negative and coref_threshold in (0, 1]")
-        if self.voxel_size <= 0 or self.margin < 0:
-            raise ConfigError("voxel_size must be positive and margin non-negative")
-        if self.segments < 1:
-            raise ConfigError("segments must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not (0.0 < self.coref_threshold <= 1.0):
+            raise ConfigError("coref_threshold must be in (0, 1]")
 
     def make_vlm(self) -> VlmClient:
         """Build the client; endpoint and key env vars override the config,
@@ -215,8 +211,7 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     if cloud is None:
         cloud = synthesize_scene(spec)
-    (out_dir / "scene.json").write_text(
-        json.dumps(scene_spec_to_dict(spec), indent=1), encoding="utf-8")
+    save_json(out_dir / "scene.json", scene_spec_to_dict(spec))
     save_point_cloud(cloud, out_dir / "cloud.txt")
     return out_dir
 
@@ -354,8 +349,8 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     """Produce ``count`` accepted episodes (resampling rejected ones) and
     write them as canonical JSONL; ``narrate=False`` leaves instructions
     out and needs no VLM."""
-    if count < 0:
-        raise ConfigError(f"count must be non-negative, got {count}")
+    check_kind("count", count, "an integer >= 0", ConfigError)
+    tg.eligible_landmarks(bundle.landmarks, cfg.trajgen)  # refused before any episode runs
     vlm = (vlm or cfg.make_vlm()) if narrate else None
     bundle.nav_grid, bundle.bev, bundle.sight_targets  # built here, not raced for by workers
     started = time.monotonic()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, check_kind, load_json
+from . import ConfigError, atomic_open, check_kind, load_json
 from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
@@ -177,8 +177,7 @@ def load_point_cloud(path: str | Path) -> PointCloud:
 
 def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
     """Write the ASCII format; floats use repr so a reload is exact."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for i, p in enumerate(cloud.points):
             line = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
             if cloud.colors is not None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import check_kind, check_kinds, load_json
+from . import atomic_open, check_kind, check_kinds, load_json
 from .occupancy import BevGrid
 from .vlm import MAX_RETRIES, VlmClient, VlmReplyError
 
@@ -121,8 +121,7 @@ def _component_cells(occupancy: np.ndarray) -> list[list[tuple[int, int]]]:
 
 def extract_instances(bev: BevGrid, min_area: float = DEFAULT_MIN_AREA) -> list[LandmarkInstance]:
     """One instance per 4-connected occupied component with area >= min_area."""
-    if min_area < 0:
-        raise ValueError("min_area must be non-negative")
+    check_kind("min_area", min_area, "a number >= 0")
     cell_area = bev.cell_size * bev.cell_size
     instances: list[LandmarkInstance] = []
     for comp in _component_cells(bev.occupancy):
@@ -250,4 +249,5 @@ def load_instances(path: str | Path) -> list[LandmarkInstance]:
 
 
 def save_instances(instances: list[LandmarkInstance], path: str | Path) -> None:
-    Path(path).write_text(instances_to_json(instances), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(instances_to_json(instances))

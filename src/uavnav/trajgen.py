@@ -239,15 +239,15 @@ class TrajGenConfig:
     def __post_init__(self) -> None:
         check_kinds(self, "trajgen.", {
             "two numbers": ("height_range", "start_distance_range"),
-            "a number": ("min_landmark_height", "goal_tolerance", "goal_offset"),
-            "an integer": ("max_expansions", "max_sample_attempts")})
+            "a number": ("min_landmark_height",),
+            "a finite number > 0": ("goal_tolerance",),
+            "a number >= 0": ("goal_offset",),
+            "an integer >= 1": ("max_expansions", "max_sample_attempts")})
         lo, hi = self.start_distance_range
         if not (0 < lo <= hi):
             raise ConfigError("trajgen.start_distance_range must satisfy 0 < min <= max")
         if self.height_range[0] > self.height_range[1]:
             raise ConfigError("trajgen.height_range min must not exceed max")
-        if self.goal_tolerance <= 0 or self.goal_offset < 0:
-            raise ConfigError("trajgen.goal_tolerance must be > 0 and goal_offset >= 0")
 
 
 @dataclass(frozen=True)
@@ -489,6 +489,15 @@ def _goal_on_line(from_xy: tuple[float, float], landmark: LandmarkInstance,
     return None
 
 
+def eligible_landmarks(landmarks: list[LandmarkInstance],
+                       cfg: TrajGenConfig) -> list[LandmarkInstance]:
+    """The targets: landmarks at least ``cfg.min_landmark_height`` tall."""
+    eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
+    if not eligible:
+        raise ConfigError(f"no landmark at least {cfg.min_landmark_height} m tall")
+    return eligible
+
+
 def sample_endpoints(
     landmarks: list[LandmarkInstance],
     bev: BevGrid,
@@ -505,12 +514,10 @@ def sample_endpoints(
     landmark; the start heading is the 30-degree bin nearest the bearing
     to the goal. Coordinates are rounded to the JSONL's 9 digits before
     any check, so the search starts from the floats that get serialized.
-    No landmark that tall is a ConfigError, since no draw can fix it;
+    No landmark that tall is a ConfigError (see ``eligible_landmarks``);
     running out of attempts is a SamplingError.
     """
-    eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
-    if not eligible:
-        raise ConfigError(f"no landmark at least {cfg.min_landmark_height} m tall")
+    eligible = eligible_landmarks(landmarks, cfg)
     lo, hi = cfg.start_distance_range
     for _ in range(cfg.max_sample_attempts):
         lm = eligible[int(rng.integers(len(eligible)))]
@@ -548,11 +555,10 @@ def chain_trajectories(
     landmark and no intermediate Stop, and the goal point given to the
     last segment's search. Every segment's search adds to ``stats``.
     """
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    start, goal, target = sample_endpoints(landmarks, bev, grid, cfg, rng)
+    check_kind("segments", segments, "an integer >= 1")
+    eligible = eligible_landmarks(landmarks, cfg)
+    start, goal, target = sample_endpoints(eligible, bev, grid, cfg, rng)
     trajectory = astar_search(start, goal, grid, cfg, stats, target_landmark_id=target)
-    eligible = [lm for lm in landmarks if lm.height >= cfg.min_landmark_height]
     lo, hi = cfg.start_distance_range
     for index in range(2, segments + 1):
         here = trajectory.poses[-1].position

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -593,9 +594,14 @@ def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, mes
     ({"vlm": {"modle": "live"}}, "vlm.modle"),
     ({"vlm": {"cache_dir": 5}}, "vlm_cache_dir must be a string or null"),
     ({"stamp_outputs": "no"}, "stamp_outputs must be a bool"),
+    ({"min_area": -1}, "min_area must be a number >= 0"),
+    ({"trajgen": {"max_sample_attempts": 0}},
+     "trajgen.max_sample_attempts must be an integer >= 1"),
+    ({"trajgen": {"max_expansions": 0}}, "trajgen.max_expansions must be an integer >= 1"),
 ], ids=["list", "trajgen_not_object", "vlm_not_object", "string_seed", "bool_seed",
         "float_segments", "string_workers", "scalar_range", "three_field_range",
-        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs"])
+        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs", "negative_min_area",
+        "zero_sample_attempts", "zero_expansions"])
 def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -924,3 +930,62 @@ def test_bad_voxelize_arguments_exit_2(workdir, tmp_path, capsys, flag, value):
     assert main(["voxelize", "--scene", str(workdir / "scene"), flag, value,
                  "--out", str(tmp_path / "grid.bin")]) == 2
     assert flag.lstrip("-").replace("-", "_") in one_line_error(capsys)
+
+
+# -- outputs: every file appears whole or not at all ---------------------------
+
+def run_capped(argv: list, limit: int) -> subprocess.CompletedProcess:
+    """``uavnav <argv>`` in a child process that may not grow a file past
+    ``limit`` bytes; the limit is set in the child only."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import resource, sys; from uavnav.cli import main; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_capped_scene_synth_leaves_no_partial_cloud(tmp_path):
+    out = tmp_path / "capped"
+    done = run_capped(["scene", "synth", "--out", out], 500 * 1024)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.strip() == "config error: [Errno 27] File too large"
+    assert [p.name for p in out.iterdir()] == ["scene.json"]  # no cloud.txt, no temp file
+    spec, cloud = pl.read_scene_dir(out)  # the cloud is synthesized from scene.json
+    assert spec == pl.demo_scene_spec() and len(cloud) > 0
+
+
+def test_capped_binary_output_keeps_the_earlier_file(workdir, tmp_path):
+    out = tmp_path / "grid.bin"
+    out.write_bytes(b"earlier")
+    done = run_capped(["voxelize", "--scene", workdir / "scene", "--out", out], 4096)
+    assert done.returncode == 2, done.stderr
+    assert out.read_bytes() == b"earlier"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_fifo_output_is_written_in_place(trajs, tmp_path):
+    plain, fifo = tmp_path / "kept.jsonl", tmp_path / "kept.fifo"
+    assert main(["dataset", "filter", "--episodes", str(trajs), "--out", str(plain)]) == 0
+    assert plain.stat().st_size < 65536  # fits the pipe: the writer never blocks
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        assert main(["dataset", "filter", "--episodes", str(trajs), "--out", str(fifo)]) == 0
+        received = os.read(reader, 65536)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == plain.read_bytes()
+
+
+def test_symlinked_output_stays_a_symlink(trajs, tmp_path):
+    plain, target, link = tmp_path / "kept.jsonl", tmp_path / "real.jsonl", tmp_path / "link"
+    target.write_text("earlier\n")
+    link.symlink_to(target.name)  # relative, as ``ln -s real.jsonl link`` makes it
+    for out in (plain, link):
+        assert main(["dataset", "filter", "--episodes", str(trajs), "--out", str(out)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl", "link", "real.jsonl"]

@@ -89,6 +89,21 @@ class TestRunGenerate:
         assert report.accepted == 0
         assert read_episodes(out) == []
 
+    def test_no_eligible_landmark_runs_no_episode(self, demo_bundle, desk_cfg, tmp_path,
+                                                  monkeypatch):
+        calls, generate_episode = Counter(), pl.generate_episode
+
+        def counting(*args):
+            calls["episodes"] += 1
+            return generate_episode(*args)
+
+        monkeypatch.setattr(pl, "generate_episode", counting)
+        tall = replace(desk_cfg, trajgen=replace(desk_cfg.trajgen, min_landmark_height=1000))
+        out = tmp_path / "none.jsonl"
+        with pytest.raises(pl.ConfigError, match="no landmark at least 1000 m tall"):
+            pl.run_generate(demo_bundle, tall, 50, out)
+        assert calls["episodes"] == 0 and not out.exists()
+
     def test_byte_identical_across_worker_counts(self, demo_bundle, desk_cfg,
                                                  tmp_path):
         single = replace(desk_cfg, workers=1)

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import ConfigError, check_kind, check_kinds, load_json, save_json
+from . import ConfigError, atomic_open, check_kind, check_kinds, load_json, save_json
 from . import dataset as ds
 from . import instructions as instr
 from . import segmentation as seg
@@ -32,7 +32,7 @@ from .geometry import Point3, point_in_polygon
 from .keyframe import SightTarget, landmark_visibility, sight_targets
 from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, segment_free, voxelize
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
-                    load_scene_spec, save_point_cloud, scene_spec_to_dict, synthesize_scene)
+                    load_scene_spec, scene_spec_to_dict, synthesize_scene)
 from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
 
 log = logging.getLogger("uavnav")
@@ -185,21 +185,26 @@ def build_scene_bundle(spec: SceneSpec, cfg: PipelineConfig) -> SceneBundle:
 
 
 def read_scene_dir(scene_dir: str | Path) -> tuple[SceneSpec, PointCloud]:
-    """A scene directory's spec (scene.json, required) and point cloud
-    (cloud.txt, synthesized from the spec when absent)."""
+    """A scene directory's spec (scene.json, required) and point cloud:
+    cloud.npy or a text cloud.txt, synthesized from the spec when neither is
+    there. A directory holding both is a ConfigError, so a stale one never
+    wins silently."""
     scene_dir = Path(scene_dir)
     spec_path = scene_dir / "scene.json"
     if not spec_path.exists():
         raise ConfigError(f"{scene_dir} has no scene.json")
     spec = load_scene_spec(spec_path)
-    cloud_path = scene_dir / "cloud.txt"
-    cloud = (load_point_cloud(cloud_path) if cloud_path.exists()
-             else synthesize_scene(spec))
+    clouds = [p for p in (scene_dir / "cloud.npy", scene_dir / "cloud.txt") if p.exists()]
+    if len(clouds) == 2:
+        raise ConfigError(f"{scene_dir} holds both cloud.npy and cloud.txt; "
+                          "remove the stale one")
+    cloud = load_point_cloud(clouds[0]) if clouds else synthesize_scene(spec)
     return spec, cloud
 
 
 def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig) -> SceneBundle:
-    """Load a scene directory: scene.json, cloud.txt, optional landmarks.json."""
+    """Load a scene directory: scene.json, its cloud as ``read_scene_dir``
+    reads it, optional landmarks.json."""
     spec, cloud = read_scene_dir(scene_dir)
     lm_path = Path(scene_dir) / "landmarks.json"
     return SceneBundle(spec, cloud, cfg, lm_path if lm_path.exists() else None)
@@ -207,12 +212,23 @@ def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig) -> SceneBundle:
 
 def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
                     cloud: PointCloud | None = None) -> Path:
+    """Write ``spec`` as scene.json and its cloud as cloud.npy, float64 x y z
+    [r g b] columns. A directory that already holds a cloud.txt is refused
+    before anything is written, as it would then hold both."""
     out_dir = Path(out_dir)
+    if (out_dir / "cloud.txt").exists():
+        raise ConfigError(f"{out_dir / 'cloud.txt'} is already there; "
+                          "a scene directory holds one cloud")
     out_dir.mkdir(parents=True, exist_ok=True)
     if cloud is None:
         cloud = synthesize_scene(spec)
     save_json(out_dir / "scene.json", scene_spec_to_dict(spec))
-    save_point_cloud(cloud, out_dir / "cloud.txt")
+    a = np.ascontiguousarray(cloud.points if cloud.colors is None
+                             else np.hstack([cloud.points, cloud.colors]))
+    # np.save's bytes, written by the file object so that a failed write keeps its errno
+    with atomic_open(out_dir / "cloud.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(a))
+        fh.write(a.data)
     return out_dir
 
 

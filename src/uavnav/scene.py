@@ -1,7 +1,9 @@
 """Scene loading and procedural synthesis.
 
-Point clouds are stored as plain ASCII, one point per line: "x y z"
-or "x y z r g b" with '#' comment lines ignored. Procedural scenes
+A point cloud is an (n, 3) or (n, 6) array of x y z [r g b]. Scene
+directories keep it as a float64 ``.npy`` file; clouds made elsewhere
+are read as plain ASCII, one point per line with '#' comment lines
+ignored. ``load_point_cloud`` picks the format by suffix. Procedural scenes
 stand in for a rendering engine at desk scale: a flat ground plane,
 box-extruded building footprints, and cylindrical tree canopies, all
 sampled as surface points on a fixed lattice so that results are
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, atomic_open, check_kind, load_json
+from . import ConfigError, check_kind, load_json
 from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
@@ -115,15 +118,20 @@ class SceneSpec:
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
-    """Parse an ASCII point cloud file. An empty file yields an empty cloud.
+    """Read a point cloud file: ``.npy`` as ``_read_npy`` checks it, any
+    other suffix as ASCII. An empty ASCII file yields an empty cloud.
 
-    A file with no '#' anywhere is parsed in one NumPy call; if that fails,
-    or yields other than 3 or 6 columns or a non-finite value, the line loop
-    parses the same bytes and raises PointCloudParseError with the line
-    number. Files with '#' take the loop, with the same result. A file that
-    is not UTF-8 raises PointCloudParseError at the line of its first bad byte.
+    An ASCII file with no '#' anywhere is parsed in one NumPy call; if that
+    fails, or yields other than 3 or 6 columns or a non-finite value, the
+    line loop parses the same bytes and raises PointCloudParseError with the
+    line number. Files with '#' take the loop, with the same result. A file
+    that is not UTF-8 raises PointCloudParseError at the line of its first
+    bad byte.
     """
     path = Path(path)
+    if path.suffix == ".npy":
+        a = _read_npy(path)
+        return PointCloud(points=a[:, :3], colors=a[:, 3:] if a.shape[1] == 6 else None)
     data = path.read_bytes()
     try:
         data.decode("utf-8")
@@ -175,15 +183,38 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     )
 
 
-def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
-    """Write the ASCII format; floats use repr so a reload is exact."""
-    with atomic_open(path) as fh:
-        for i, p in enumerate(cloud.points):
-            line = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
-            if cloud.colors is not None:
-                c = cloud.colors[i]
-                line += f" {float(c[0])!r} {float(c[1])!r} {float(c[2])!r}"
-            fh.write(line + "\n")
+def _read_npy(path: Path) -> np.ndarray:
+    """The (n, 3) or (n, 6) float64 array in the ``.npy`` file ``path``.
+
+    Nothing is unpickled, and the header's shape is checked against the
+    file size before the payload is allocated. Every other file, an
+    ``.npz`` archive, another dtype or shape, a size the header does not
+    claim, or a non-finite value included, is one ConfigError naming it.
+    """
+    fmt = np.lib.format
+    with path.open("rb") as fh:
+        try:
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = (fmt.read_array_header_1_0(fh) if version == (1, 0)
+                                           else fmt.read_array_header_2_0(fh))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a .npy array: {exc}") from None
+        if dtype.kind != "f" or dtype.itemsize != 8:
+            raise ConfigError(f"{path}: dtype {dtype.str}, expected float64")
+        if len(shape) != 2 or shape[1] not in (3, 6):
+            raise ConfigError(f"{path}: shape {shape}, expected (n, 3) or (n, 6)")
+        count = shape[0] * shape[1]
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * count:
+            raise ConfigError(f"{path}: shape {shape} needs {8 * count} bytes of data, "
+                              f"the file holds {size}")
+        a = np.fromfile(fh, dtype, count).reshape(shape, order="F" if fortran_order else "C")
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{path}: row {int(np.argmin(finite))}: non-finite value")
+    return a
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:

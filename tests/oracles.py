@@ -14,8 +14,8 @@ determiner branch itself, ``action_by_construction``, the rule an
 action document passed when ``Action`` was a dataclass that checked
 itself, and ``lattice_heuristic_whole_ball``, the search heuristic that
 subtracted the largest lattice norm over the whole goal ball.
-``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back, which
-only tests need.
+``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
+``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from uavnav.geometry import Point3
 from uavnav.keyframe import (KeyframeSet, MergeEvent, TokenMatrix, _cosine_matrix,
                              aim_cell)
 from uavnav.occupancy import VoxelGrid, segment_free, traverse_segment
-from uavnav.scene import PointCloudParseError
+from uavnav.scene import PointCloud, PointCloudParseError
 from uavnav.segmentation import LandmarkInstance
 from uavnav.textproc import (_BOUNDARY_RE, ATTACH_PREPS, LANDMARK_NOUNS, NounPhrase,
                              _is_participle, _is_proper, tag_word, word_tokens)
@@ -384,6 +384,18 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
                 colors.append(values[3:])
     return (np.array(pts, dtype=np.float64).reshape(-1, 3),
             np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None)
+
+
+def save_point_cloud(cloud: PointCloud, path: Path) -> None:
+    """Write ``cloud`` in the ASCII format ``load_point_cloud`` reads, as
+    clouds made elsewhere come; floats use repr so a reload is exact."""
+    with path.open("w", encoding="utf-8") as fh:
+        for i, p in enumerate(cloud.points):
+            line = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
+            if cloud.colors is not None:
+                c = cloud.colors[i]
+                line += f" {float(c[0])!r} {float(c[1])!r} {float(c[2])!r}"
+            fh.write(line + "\n")
 
 
 def visibility_per_call(poses: list[Pose], landmarks: list[LandmarkInstance],

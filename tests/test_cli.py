@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import save_point_cloud
 from uavnav import ConfigError, load_json
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
@@ -110,13 +112,13 @@ def with_schema_version(src: Path, dst: Path, version) -> Path:
 
 def test_scene_synth_writes_inputs(workdir):
     assert (workdir / "scene" / "scene.json").exists()
-    assert (workdir / "scene" / "cloud.txt").exists()
+    assert (workdir / "scene" / "cloud.npy").exists()
 
 
 def test_scene_synth_demo_scene(tmp_path):
     out = tmp_path / "demo"
     assert main(["scene", "synth", "--out", str(out)]) == 0
-    assert (out / "cloud.txt").exists()
+    assert (out / "cloud.npy").exists()
     assert json.loads((out / "scene.json").read_text())["seed"] == 7
 
 
@@ -148,6 +150,15 @@ def test_voxelize_reads_a_spec_only_scene_dir(workdir, tmp_path):
     assert (got.dims, got.voxel_size) == (want.dims, want.voxel_size)
     assert np.array_equal(got.origin, want.origin)
     assert np.array_equal(got.occupancy, want.occupancy)
+
+
+def test_voxelize_reads_an_npy_cloud_file(workdir, tmp_path):
+    grids = []
+    for scene in (workdir / "scene", workdir / "scene" / "cloud.npy"):
+        out = tmp_path / "grid.bin"
+        assert main(["voxelize", "--scene", str(scene), "--out", str(out)]) == 0
+        grids.append(out.read_bytes())
+    assert grids[0] == grids[1]
 
 
 def test_segment_writes_landmarks(workdir):
@@ -310,7 +321,7 @@ def bare_scene(workdir, root: Path) -> Path:
     """The CLI scene without landmarks.json."""
     scene = root / "scene"
     scene.mkdir()
-    for name in ("scene.json", "cloud.txt"):
+    for name in ("scene.json", "cloud.npy"):
         shutil.copy(workdir / "scene" / name, scene)
     return scene
 
@@ -574,11 +585,161 @@ def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, mes
     scene.mkdir()
     spec = (workdir / "scene" / "scene.json").read_text()
     (scene / "scene.json").write_text(spec)
-    shutil.copy(workdir / "scene" / "cloud.txt", scene)
+    shutil.copy(workdir / "scene" / "cloud.npy", scene)
+    if name == "cloud.txt":
+        (scene / "cloud.npy").unlink()  # the text cloud replaces it
     (scene / name).write_bytes(edit(spec).encode("utf-8", "surrogateescape"))  # \udcff: 0xff
     assert main(["trajgen", "--scene", str(scene), "--count", "1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     assert message in one_line_error(capsys)
+
+
+# -- scene clouds: cloud.npy, checked before it is allocated -------------------
+
+def saved(save, *args, **kwargs) -> bytes:
+    """The bytes ``save(file, *args, **kwargs)`` writes, as ``np.save`` or ``np.savez``."""
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+def huge_header_npy() -> bytes:
+    """A header claiming (10**9, 3) float64, 22.4 GiB, over 48 bytes of payload."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 3)})
+    return buf.getvalue() + bytes(48)
+
+
+POINTS = np.arange(12.0).reshape(4, 3)
+BAD_NPY = {
+    "empty": (lambda: b"", "not a .npy array"),
+    "truncated": (lambda: saved(np.save, POINTS)[:-8],
+                  "needs 96 bytes of data, the file holds 88"),
+    "pickled_objects": (lambda: saved(np.save, np.full((2, 3), None, dtype=object),
+                                      allow_pickle=True), "dtype |O, expected float64"),
+    "npz_archive": (lambda: saved(np.savez, points=POINTS), "not a .npy array"),
+    "text": (lambda: b"1 2 3\n4 5 6\n", "not a .npy array"),
+    "float32": (lambda: saved(np.save, POINTS.astype(np.float32)), "dtype <f4, expected float64"),
+    "one_dimensional": (lambda: saved(np.save, POINTS.ravel()), "shape (12,), expected (n, 3)"),
+    "four_columns": (lambda: saved(np.save, POINTS.reshape(3, 4)),
+                     "shape (3, 4), expected (n, 3)"),
+    "nan": (lambda: saved(np.save, np.where(POINTS == 7.0, np.nan, POINTS)),
+            "row 2: non-finite value"),
+    "inf": (lambda: saved(np.save, np.where(POINTS == 0.0, -np.inf, POINTS)),
+            "row 0: non-finite value"),
+}
+
+
+def scene_with_cloud(workdir, root: Path, data: bytes) -> Path:
+    """The CLI scene's scene.json beside a cloud.npy holding ``data``."""
+    scene = root / "scene"
+    scene.mkdir()
+    shutil.copy(workdir / "scene" / "scene.json", scene)
+    (scene / "cloud.npy").write_bytes(data)
+    return scene
+
+
+@pytest.mark.parametrize("case", BAD_NPY)
+def test_malformed_npy_cloud_exits_2(workdir, generated, tmp_path, capsys, case):
+    data, message = BAD_NPY[case]
+    scene = scene_with_cloud(workdir, tmp_path, data())
+    assert main(["validate", "--scene", str(scene), "--episodes", str(generated)]) == 2
+    err = one_line_error(capsys)
+    assert err.startswith(f"config error: {scene / 'cloud.npy'}: ") and message in err, err
+
+
+def test_npy_header_larger_than_memory_exits_2(workdir, generated, tmp_path):
+    # A reader that allocates the header's shape first, as np.load does,
+    # dies of a MemoryError traceback under the cap.
+    scene = scene_with_cloud(workdir, tmp_path, huge_header_npy())
+    done = run_capped(["validate", "--scene", scene, "--episodes", generated], 2 << 30,
+                      "RLIMIT_AS")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.strip() == (f"config error: {scene / 'cloud.npy'}: shape (1000000000, 3) "
+                                   "needs 24000000000 bytes of data, the file holds 48")
+
+
+def test_scene_dir_with_both_clouds_exits_2(workdir, generated, tmp_path, capsys):
+    scene = bare_scene(workdir, tmp_path)
+    (scene / "cloud.txt").write_text("1 2 3\n")
+    assert main(["validate", "--scene", str(scene), "--episodes", str(generated)]) == 2
+    assert f"{scene} holds both cloud.npy and cloud.txt" in one_line_error(capsys)
+
+
+def test_scene_synth_refuses_a_dir_with_a_text_cloud(tmp_path, capsys):
+    out = tmp_path / "scene"
+    out.mkdir()
+    (out / "cloud.txt").write_text("1 2 3\n")
+    assert main(["scene", "synth", "--out", str(out)]) == 2
+    assert f"{out / 'cloud.txt'} is already there" in one_line_error(capsys)
+    assert [p.name for p in out.iterdir()] == ["cloud.txt"]
+    assert (out / "cloud.txt").read_text() == "1 2 3\n"
+
+
+DESK_CONFIG = {"seed": 7, "trajgen": {"height_range": [15.0, 40.0], "min_landmark_height": 20.0,
+                                     "start_distance_range": [40.0, 90.0]}}  # README run_config
+DEFAULT_CONFIG = {"seed": 7}  # the CLI's default TrajGenConfig ranges
+
+
+@pytest.fixture(scope="module")
+def demo_scenes(tmp_path_factory) -> tuple[Path, Path]:
+    """The demo scene twice: as ``scene synth`` writes it (cloud.npy), and
+    with the same cloud as text (cloud.txt), as clouds made elsewhere come."""
+    root = tmp_path_factory.mktemp("demo")
+    binary, text = root / "npy", root / "txt"
+    assert main(["scene", "synth", "--out", str(binary)]) == 0
+    text.mkdir()
+    shutil.copy(binary / "scene.json", text)
+    save_point_cloud(synthesize_scene(pl.demo_scene_spec()), text / "cloud.txt")
+    return binary, text
+
+
+@pytest.fixture(scope="module")
+def demo_config(demo_scenes) -> Path:
+    path = demo_scenes[0].parent / "desk.json"
+    path.write_text(json.dumps(DESK_CONFIG))
+    return path
+
+
+@pytest.fixture(scope="module")
+def demo_episodes(demo_scenes, demo_config) -> Path:
+    out = demo_scenes[0].parent / "episodes.jsonl"
+    assert main(["generate", "--scene", str(demo_scenes[0]), "--config", str(demo_config),
+                 "--count", "20", "--out", str(out)]) == 0
+    return out
+
+
+def test_npy_and_text_clouds_load_bit_identical(demo_scenes):
+    (spec, binary), (text_spec, text) = map(pl.read_scene_dir, demo_scenes)
+    assert spec == text_spec and binary.colors is None and text.colors is None
+    assert binary.points.shape == text.points.shape
+    assert binary.points.tobytes() == text.points.tobytes()
+
+
+@pytest.mark.parametrize("doc, count", [(DESK_CONFIG, 20), (DEFAULT_CONFIG, 3)],
+                         ids=["gen_desk", "cli_default"])
+def test_generate_is_byte_identical_on_npy_and_text_clouds(demo_scenes, tmp_path, doc, count):
+    outputs = set()
+    for workers in (1, 2):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**doc, "workers": workers}))
+        for scene in demo_scenes:
+            out = tmp_path / "out.jsonl"
+            assert main(["generate", "--scene", str(scene), "--config", str(config),
+                         "--count", str(count), "--out", str(out)]) == 0
+            assert len(out.read_bytes().splitlines()) == count
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("command", SCENE_READERS)
+def test_scene_readers_are_byte_identical_on_npy_and_text_clouds(
+        demo_scenes, demo_config, demo_episodes, tmp_path, capsys, command):
+    capsys.readouterr()
+    binary, text = (scene_reader_output(command, scene, demo_config, demo_episodes,
+                                        tmp_path, capsys) for scene in demo_scenes)
+    assert binary == text
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -934,13 +1095,15 @@ def test_bad_voxelize_arguments_exit_2(workdir, tmp_path, capsys, flag, value):
 
 # -- outputs: every file appears whole or not at all ---------------------------
 
-def run_capped(argv: list, limit: int) -> subprocess.CompletedProcess:
-    """``uavnav <argv>`` in a child process that may not grow a file past
-    ``limit`` bytes; the limit is set in the child only."""
+def run_capped(argv: list, limit: int, rlimit: str = "RLIMIT_FSIZE"
+               ) -> subprocess.CompletedProcess:
+    """``uavnav <argv>`` in a child process that may not grow a file (or,
+    with "RLIMIT_AS", its address space) past ``limit`` bytes; the limit
+    is set in the child only."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = ("import resource, sys; from uavnav.cli import main; "
-            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+            f"resource.setrlimit(resource.{rlimit}, ({limit}, {limit})); "
             "sys.exit(main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -951,7 +1114,7 @@ def test_capped_scene_synth_leaves_no_partial_cloud(tmp_path):
     done = run_capped(["scene", "synth", "--out", out], 500 * 1024)
     assert done.returncode == 2, done.stderr
     assert done.stderr.strip() == "config error: [Errno 27] File too large"
-    assert [p.name for p in out.iterdir()] == ["scene.json"]  # no cloud.txt, no temp file
+    assert [p.name for p in out.iterdir()] == ["scene.json"]  # no cloud.npy, no temp file
     spec, cloud = pl.read_scene_dir(out)  # the cloud is synthesized from scene.json
     assert spec == pl.demo_scene_spec() and len(cloud) > 0
 

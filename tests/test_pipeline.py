@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import io
 import json
 import re
 import threading
@@ -10,6 +11,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import desk_trajgen_config
@@ -21,6 +23,7 @@ from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
 from uavnav.instructions import split_subtrajectories
 from uavnav.occupancy import VoxelGrid
+from uavnav.scene import PointCloud
 from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
 
@@ -320,6 +323,21 @@ class TestSceneBundle:
         assert len(bundle.landmarks) == 6
         assert all(lm.caption is not None for lm in bundle.landmarks)
         assert [t.id for t in bundle.sight_targets] == [lm.id for lm in bundle.landmarks]
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_scene_dir_cloud_is_what_np_save_writes(self, tmp_path, colored):
+        rng = np.random.default_rng(5)
+        cloud = PointCloud(points=rng.uniform(-50, 50, size=(40, 3)),
+                           colors=rng.uniform(0, 1, size=(40, 3)) if colored else None)
+        scene_dir = pl.write_scene_dir(pl.demo_scene_spec(), tmp_path / "scene", cloud=cloud)
+        assert sorted(p.name for p in scene_dir.iterdir()) == ["cloud.npy", "scene.json"]
+        columns = (lambda c: np.hstack([c.points, c.colors])) if colored else (lambda c: c.points)
+        buf = io.BytesIO()
+        np.save(buf, columns(cloud), allow_pickle=False)
+        assert (scene_dir / "cloud.npy").read_bytes() == buf.getvalue()
+        back = pl.read_scene_dir(scene_dir)[1]
+        assert (back.colors is not None) == colored
+        assert columns(back).tobytes() == columns(cloud).tobytes()
 
     def test_captions_reflect_ground_truth_labels(self, demo_bundle):
         colors = {lm.caption.color for lm in demo_bundle.landmarks}

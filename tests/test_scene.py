@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_point_cloud_lines
+from oracles import parse_point_cloud_lines, save_point_cloud
 from uavnav import ConfigError
 from uavnav.scene import (BuildingSpec, PointCloud, PointCloudParseError,
                           SceneSpec, TreeSpec,
-                          load_point_cloud, save_point_cloud,
+                          load_point_cloud,
                           scene_spec_from_dict, scene_spec_to_dict,
                           synthesize_scene)
 
@@ -180,6 +180,19 @@ class TestRoundTrip:
         back = load_point_cloud(path)
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.colors, cloud.colors)
+
+
+    @pytest.mark.parametrize("layout", [
+        lambda a: a, lambda a: np.asfortranarray(a), lambda a: a.astype(">f8"),
+        lambda a: a[:0]], ids=["c_order", "fortran_order", "big_endian", "empty"])
+    def test_any_float64_npy_layout_loads_exactly(self, tmp_path, layout):
+        rng = np.random.default_rng(13)
+        array = rng.normal(size=(30, 6))
+        path = tmp_path / "cloud.npy"
+        np.save(path, layout(array), allow_pickle=False)
+        cloud = load_point_cloud(path)
+        assert np.array_equal(cloud.points, layout(array)[:, :3])
+        assert np.array_equal(cloud.colors, layout(array)[:, 3:])
 
 
 class TestSynthesize:

@@ -351,13 +351,17 @@ def save_tokens(matrix: TokenMatrix, path: str | Path) -> None:
 
 
 def load_tokens(path: str | Path, frame_index: int = 0) -> TokenMatrix:
+    """Read a ``save_tokens`` file; a header count below 1, or a payload
+    of any length but the header's, is a ValueError."""
     raw = Path(path).read_bytes()
     if len(raw) < _TOKENS_HEADER.size:
         raise ValueError("truncated token file")
     n, d = _TOKENS_HEADER.unpack_from(raw)
+    if n < 1 or d < 1:
+        raise ValueError(f"header counts ({n}, {d}) must both be >= 1")
     expected = _TOKENS_HEADER.size + 4 * n * d
-    if len(raw) < expected:
-        raise ValueError("token payload too short")
+    if len(raw) != expected:
+        raise ValueError(f"header ({n}, {d}) needs {expected} bytes, the file holds {len(raw)}")
     tokens = np.frombuffer(raw, dtype="<f4", count=n * d,
                            offset=_TOKENS_HEADER.size).reshape(n, d)
     return TokenMatrix(tokens=tokens.astype(np.float64), frame_index=frame_index)

@@ -23,6 +23,7 @@ from .scene import PointCloud
 
 DEFAULT_VOXEL_SIZE = 1.0  # meters
 DEFAULT_MARGIN = 2.0  # meters of safety inflation around occupied cells
+MAX_VOXELS = 10**9  # cells per grid: 1 GB of occupancy, a few times that while dilating
 
 _GRID_HEADER = struct.Struct("<3dd3q")  # origin xyz, voxel_size, dims xyz
 
@@ -103,7 +104,8 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     the 6-neighborhood (face) structuring element, with cells outside the
     grid counted as free. The grid covers the
     cloud bounds plus the margin; pass ``origin`` to anchor the grid's
-    min corner explicitly (it must not exceed the cloud minimum).
+    min corner explicitly (it must not exceed the cloud minimum). A grid
+    of more than ``MAX_VOXELS`` cells is a ConfigError.
     """
     check_kind("voxel_size", voxel_size, "a finite number > 0", ConfigError)
     check_kind("margin", margin, "a number >= 0", ConfigError)
@@ -113,7 +115,7 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
             voxel_size=voxel_size, dims=(1, 1, 1),
             occupancy=np.zeros((1, 1, 1), dtype=bool),
         )
-    margin_cells = int(np.ceil(margin / voxel_size))
+    margin_cells = float(np.ceil(margin / voxel_size))  # float: an inf one fails the cap below
     lo, hi = cloud.bounds
     if origin is None:
         anchor = lo - margin_cells * voxel_size
@@ -121,14 +123,16 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
         anchor = np.asarray(origin, dtype=np.float64)
         if (anchor > lo + 1e-12).any():
             raise ValueError("explicit origin must not exceed the cloud minimum")
-    dims = tuple(int(d) for d in
-                 np.floor((hi - anchor) / voxel_size).astype(np.int64)
-                 + 1 + margin_cells)
+    dims = [float(d) + 1 + margin_cells for d in np.floor((hi - anchor) / voxel_size)]
+    if not math.prod(dims) <= MAX_VOXELS:  # counted in floats, before any allocation
+        raise ConfigError(f"a {voxel_size} m grid over this cloud needs "
+                          f"{math.prod(dims):.3g} voxels, more than MAX_VOXELS ({MAX_VOXELS:.0e})")
+    dims = tuple(map(int, dims))
     origin = anchor
     occ = np.zeros(dims, dtype=bool)
     idx = np.floor((cloud.points - origin) / voxel_size).astype(np.int64)
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    for _ in range(margin_cells):  # one face-neighbour ring; cells past the edge are free
+    for _ in range(int(margin_cells)):  # one face-neighbour ring; cells past the edge are free
         grown = occ.copy()
         grown[1:] |= occ[:-1]
         grown[:-1] |= occ[1:]

@@ -14,12 +14,12 @@ import logging
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
 log = logging.getLogger("uavnav")
 
 RETRY_BUDGET_FACTOR = 5
+IN_FLIGHT_PER_WORKER = 2  # pool episodes submitted and not yet consumed, per thread
 
 
 @dataclass(frozen=True)
@@ -256,15 +257,34 @@ def demo_scene_spec(seed: int = 7, scene_id: str = "demo") -> SceneSpec:
 
 @dataclass
 class GenerationReport:
-    requested: int
-    accepted: int
-    failed_episodes: int
-    rejections: dict[str, int]
-    sampling_failures: int
-    search_failures: int
-    vlm_failures: int
-    search: tg.SearchStats
-    wall_time_s: float
+    """The counts of a run, or of one episode as ``generate_episode``
+    returns it, with its accepted ``episode``. Searches add their work to
+    ``expansions`` and ``collision_checks``; ``add`` sums in a record's."""
+
+    requested: int = 0
+    accepted: int = 0
+    rejections: Counter = field(default_factory=Counter)
+    sampling_failures: int = 0
+    search_failures: int = 0
+    vlm_failures: int = 0
+    expansions: int = 0
+    collision_checks: int = 0
+    wall_time_s: float = 0.0
+    episode: ds.Episode | None = None
+
+    @property
+    def failed_episodes(self) -> int:
+        return self.requested - self.accepted
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_episodes == 0
+
+    def add(self, other: GenerationReport) -> None:
+        for name, value in vars(other).items():
+            if type(value) is int:  # every count but the rejections
+                setattr(self, name, getattr(self, name) + value)
+        self.rejections.update(other.rejections)
 
     def to_dict(self) -> dict:
         return {
@@ -275,28 +295,9 @@ class GenerationReport:
             "sampling_failures": self.sampling_failures,
             "search_failures": self.search_failures,
             "vlm_failures": self.vlm_failures,
-            "search": self.search.to_dict(),
+            "search": {"expansions": self.expansions, "collision_checks": self.collision_checks},
             "wall_time_s": round(self.wall_time_s, 3),
         }
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_episodes == 0
-
-
-def _episode_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(index,)))
-
-
-@dataclass
-class _EpisodeOutcome:
-    episode: ds.Episode | None
-    rejections: list[str]
-    sampling_failures: int = 0
-    search_failures: int = 0
-    vlm_failures: int = 0
-    search: tg.SearchStats = field(default_factory=tg.SearchStats)
 
 
 def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
@@ -311,20 +312,22 @@ def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
 
 
 def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
-                     vlm: VlmClient | None, index: int) -> _EpisodeOutcome:
+                     vlm: VlmClient | None, index: int) -> GenerationReport:
     """Sample, search, narrate, and filter one episode; retry within budget.
+    Returns its counts and wall time, with ``episode`` if one was accepted.
 
     Without a VLM client the episode carries no instruction. A failed VLM
     request fails only the attempt it belongs to.
     """
-    rng = _episode_rng(cfg.seed, index)
-    outcome = _EpisodeOutcome(episode=None, rejections=[])
+    started = time.monotonic()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
+    outcome = GenerationReport(requested=1)
     episode_id = f"{bundle.scene_id}-{index:06d}"
     for _ in range(RETRY_BUDGET_FACTOR):
         try:
             trajectory, goal = tg.chain_trajectories(
                 cfg.segments, bundle.landmarks, bundle.bev, bundle.nav_grid,
-                cfg.trajgen, rng, outcome.search)
+                cfg.trajgen, rng, outcome)
         except tg.SamplingError:
             outcome.sampling_failures += 1
             continue
@@ -353,9 +356,10 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
                              image_refs=image_refs, meta=meta)
         verdict = ds.filter_episode(episode, cfg.tree_height, bundle.bev)
         if verdict.accepted:
-            outcome.episode = episode
-            return outcome
-        outcome.rejections.append(verdict.reason or "rejected")
+            outcome.accepted, outcome.episode = 1, episode
+            break
+        outcome.rejections[verdict.reason or "rejected"] += 1
+    outcome.wall_time_s = time.monotonic() - started
     return outcome
 
 
@@ -364,39 +368,50 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
                  narrate: bool = True) -> GenerationReport:
     """Produce ``count`` accepted episodes (resampling rejected ones) and
     write them as canonical JSONL; ``narrate=False`` leaves instructions
-    out and needs no VLM."""
+    out and needs no VLM. Episodes stream in index order: each is counted
+    and written as it comes, and an exception in one, a ConfigError say,
+    ends the run at once with no output file."""
     check_kind("count", count, "an integer >= 0", ConfigError)
     tg.eligible_landmarks(bundle.landmarks, cfg.trajgen)  # refused before any episode runs
     vlm = (vlm or cfg.make_vlm()) if narrate else None
     bundle.nav_grid, bundle.bev, bundle.sight_targets  # built here, not raced for by workers
     started = time.monotonic()
+    report = GenerationReport()
 
-    def job(index: int) -> _EpisodeOutcome:
-        t0 = time.monotonic()
-        outcome = generate_episode(bundle, cfg, vlm, index)
-        log.debug(json.dumps({
-            "stage": "episode", "episode_index": index,
-            "accepted": outcome.episode is not None,
-            "search": outcome.search.to_dict(),
-            "duration_s": round(time.monotonic() - t0, 4),
-        }))
-        return outcome
+    def accepted() -> Iterator[ds.Episode]:
+        job = partial(generate_episode, bundle, cfg, vlm)
+        outcomes = (map(job, range(count)) if cfg.workers == 1  # no pool for one worker
+                    else _in_order(job, count, cfg.workers))
+        for index, outcome in enumerate(outcomes):
+            report.add(outcome)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug(json.dumps({"stage": "episode", "episode_index": index,
+                                      "accepted": outcome.episode is not None,
+                                      "search": outcome.to_dict()["search"],
+                                      "duration_s": round(outcome.wall_time_s, 4)}))
+            if outcome.episode is not None:
+                yield outcome.episode
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        outcomes = list(pool.map(job, range(count)))
-    search = tg.SearchStats()
-    for outcome in outcomes:
-        search.add(outcome.search)
-    episodes = [o.episode for o in outcomes if o.episode is not None]
-    ds.write_episodes(episodes, out_path)
-    return GenerationReport(
-        requested=count, accepted=len(episodes), failed_episodes=count - len(episodes),
-        rejections=dict(Counter(r for o in outcomes for r in o.rejections)),
-        sampling_failures=sum(o.sampling_failures for o in outcomes),
-        search_failures=sum(o.search_failures for o in outcomes),
-        vlm_failures=sum(o.vlm_failures for o in outcomes),
-        search=search, wall_time_s=time.monotonic() - started,
-    )
+    ds.write_episodes(accepted(), out_path)
+    report.wall_time_s = time.monotonic() - started
+    return report
+
+
+def _in_order(job, count: int, workers: int) -> Iterator:
+    """``job(0)``, ..., ``job(count - 1)`` in index order, run on ``workers``
+    pool threads with at most ``IN_FLIGHT_PER_WORKER * workers`` of them
+    submitted and not yet taken. An exception, or closing the iterator,
+    cancels the jobs not yet started."""
+    pool, window = ThreadPoolExecutor(max_workers=workers), deque()
+    try:
+        for index in range(count):
+            if len(window) == IN_FLIGHT_PER_WORKER * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(job, index))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # and waits for the running ones
 
 
 @dataclass

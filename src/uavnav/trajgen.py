@@ -322,24 +322,8 @@ def lattice_heuristic(dx: float, dy: float, dz: float, tolerance: float) -> floa
     return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
 
 
-@dataclass
-class SearchStats:
-    """Work counters that ``astar_search`` adds to, failed searches too:
-    settled states and swept-segment collision checks."""
-
-    expansions: int = 0
-    collision_checks: int = 0
-
-    def add(self, other: "SearchStats") -> None:
-        self.expansions += other.expansions
-        self.collision_checks += other.collision_checks
-
-    def to_dict(self) -> dict:
-        return {"expansions": self.expansions, "collision_checks": self.collision_checks}
-
-
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
-                 cfg: TrajGenConfig, stats: SearchStats | None = None,
+                 cfg: TrajGenConfig, stats=None,
                  flown: Sequence[Action] = (), target_landmark_id: int = -1) -> Trajectory:
     """A* over exact (position, heading) states.
 
@@ -371,8 +355,9 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     where they end, and the trajectory it returns, from ``start``, opens
     with them. It carries ``target_landmark_id``.
 
-    ``stats``, when given, gains this search's settled expansions and
-    collision checks, also when the search fails.
+    ``stats`` (a ``pipeline.GenerationReport``, say), when given, gains
+    this search's settled ``expansions`` and swept-segment
+    ``collision_checks``, also when the search fails.
     """
     first = initial_state(start)
     for action in flown:
@@ -546,7 +531,7 @@ def chain_trajectories(
     grid: VoxelGrid,
     cfg: TrajGenConfig,
     rng: np.random.Generator,
-    stats: SearchStats | None = None,
+    stats=None,
 ) -> tuple[Trajectory, Point3]:
     """Chain A* segments, each starting where the previous one stopped,
     all searched from the episode's start with ``flown`` (see astar_search).

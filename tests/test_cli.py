@@ -660,6 +660,26 @@ def test_npy_header_larger_than_memory_exits_2(workdir, generated, tmp_path):
                                    "needs 24000000000 bytes of data, the file holds 48")
 
 
+@pytest.mark.parametrize("cloud, flags, message", [
+    (None, ["--voxel-size", "0.001"], "a 0.001 m grid over this cloud needs 5.54e+14 voxels"),
+    ([[0.0, 0.0, 0.0], [1e9, 0.0, 0.0]], [], "a 1.0 m grid over this cloud needs 2.5e+10 voxels"),
+    ([[0.0, 0.0, 0.0], [1e300, 1e300, 1e300]], [], "a 1.0 m grid over this cloud needs inf voxels"),
+    (None, ["--voxel-size", "1e-10", "--margin", "1e300"],
+     "a 1e-10 m grid over this cloud needs inf voxels"),
+], ids=["millimetre_voxels", "cloud_spanning_1e9_m", "point_at_1e300", "margin_of_1e310_voxels"])
+def test_grid_past_the_voxel_cap_exits_2(workdir, tmp_path, cloud, flags, message):
+    # The cell count is checked before anything is allocated. Under the cap,
+    # a MemoryError, "array is too big" or "negative dimensions" traceback
+    # ended these runs before.
+    scene = (workdir / "scene" if cloud is None
+             else scene_with_cloud(workdir, tmp_path, saved(np.save, np.array(cloud))))
+    done = run_capped(["voxelize", "--scene", scene, *flags, "--out", tmp_path / "grid.bin"],
+                      2 << 30, "RLIMIT_AS")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.strip() == f"config error: {message}, more than MAX_VOXELS (1e+09)"
+    assert not (tmp_path / "grid.bin").exists()
+
+
 def test_scene_dir_with_both_clouds_exits_2(workdir, generated, tmp_path, capsys):
     scene = bare_scene(workdir, tmp_path)
     (scene / "cloud.txt").write_text("1 2 3\n")
@@ -985,11 +1005,15 @@ def test_malformed_visibility_exit_2(tmp_path, capsys, visibility):
 
 @pytest.mark.parametrize("actions, frames, culprit", [
     ([{"kind": "stop"}], [b"\x01\x00"], "frame_00000.bin"),
+    *[([{"kind": "stop"}], [np.array(header, "<i8").tobytes() + np.ones(16, "<f4").tobytes()],
+       f"frame_00000.bin: header {message}") for header, message in
+      (((-4, 4), "counts (-4, 4) must both be >= 1"),
+       ((2, 2), "(2, 2) needs 32 bytes, the file holds 80"))],
     ([{"kind": "stop"}], [np.ones((4, 2)), np.ones((4, 2))], ""),
     ([{"kind": "forward", "magnitude": 3.0}, {"kind": "move_up", "magnitude": 3.0},
       {"kind": "stop"}],
      [np.ones((4, 2)), np.ones((4, 3)), np.ones((4, 2)), np.ones((256, 2))], ""),
-], ids=["truncated", "row_count", "dim_mismatch"])
+], ids=["truncated", "negative_header_rows", "short_header", "row_count", "dim_mismatch"])
 def test_malformed_tokens_exit_2(tmp_path, capsys, actions, frames, culprit):
     (tmp_path / "actions.json").write_text(json.dumps(actions))
     for k, frame in enumerate(frames):

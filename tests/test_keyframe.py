@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -385,6 +387,18 @@ class TestTokenIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x01\x00")
         with pytest.raises(ValueError):
+            load_tokens(path)
+
+    @pytest.mark.parametrize("header, floats, message", [
+        ((-4, 4), 16, "header counts (-4, 4) must both be >= 1"),
+        ((4, 0), 0, "header counts (4, 0) must both be >= 1"),
+        ((2, 2), 16, "header (2, 2) needs 32 bytes, the file holds 80"),
+        ((4, 4), 15, "header (4, 4) needs 80 bytes, the file holds 76"),
+    ], ids=["negative_rows", "zero_columns", "long_payload", "short_payload"])
+    def test_header_must_match_the_payload(self, tmp_path, header, floats, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<2q", *header) + np.ones(floats, "<f4").tobytes())
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_tokens(path)
 
 

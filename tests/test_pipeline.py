@@ -3,9 +3,9 @@ from __future__ import annotations
 import importlib
 import io
 import json
+import logging
 import re
 import threading
-import time
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -176,24 +176,78 @@ class TestRunGenerate:
             walked += len(starts)
         assert walked > 0
 
-    def test_throughput_smoke_with_more_workers(self, demo_bundle, desk_cfg,
-                                                tmp_path):
-        # CPython's GIL caps real scaling for this CPU-bound work; the smoke
-        # check guards that fan-out at least does not collapse throughput.
-        # One untimed batch builds the bundle's lazy layers, which take
-        # longer than the batch itself, and each worker count keeps its
-        # fastest of five alternating runs, so a busy host moment does not
-        # decide the ratio.
-        pl.run_generate(demo_bundle, desk_cfg, 16, tmp_path / "warm.jsonl")
-        best = {1: float("inf"), 4: float("inf")}
-        for _ in range(5):
-            for workers in best:
-                cfg = replace(desk_cfg, workers=workers)
-                started = time.perf_counter()
-                pl.run_generate(demo_bundle, cfg, 16, tmp_path / f"w{workers}.jsonl")
-                best[workers] = min(best[workers], time.perf_counter() - started)
-        rate = {workers: 16 / seconds for workers, seconds in best.items()}
-        assert rate[4] >= 0.5 * rate[1], rate
+    def test_a_second_episode_starts_while_the_first_runs(self, demo_bundle, desk_cfg,
+                                                          tmp_path, monkeypatch):
+        # Episode 0 waits for another one to start; without fan-out it
+        # gives up after the timeout, so the test fails rather than hangs.
+        second, generate_episode, waited = threading.Event(), pl.generate_episode, []
+
+        def gated(bundle, cfg, vlm, index):
+            if index == 0:
+                waited.append(second.wait(timeout=10))
+            else:
+                second.set()
+            return generate_episode(bundle, cfg, vlm, index)
+
+        monkeypatch.setattr(pl, "generate_episode", gated)
+        report = pl.run_generate(demo_bundle, replace(desk_cfg, workers=4), 8,
+                                 tmp_path / "fan_out.jsonl")
+        assert waited == [True] and report.accepted == 8
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_episodes_in_flight_are_bounded(self, demo_bundle, desk_cfg, tmp_path,
+                                            monkeypatch, workers):
+        # Episode i starts only after outcome i - B is consumed, that is
+        # written, as every episode here is accepted.
+        bound = 1 if workers == 1 else pl.IN_FLIGHT_PER_WORKER * workers
+        consumed, early = [], []
+        generate_episode, write_episodes = pl.generate_episode, pl.ds.write_episodes
+
+        def counting(bundle, cfg, vlm, index):
+            if len(consumed) < index - bound + 1:
+                early.append((index, len(consumed)))
+            return generate_episode(bundle, cfg, vlm, index)
+
+        def writing(episodes, path):
+            def seen():
+                for episode in episodes:
+                    consumed.append(episode.meta["episode_index"])
+                    yield episode
+            return write_episodes(seen(), path)
+
+        monkeypatch.setattr(pl, "generate_episode", counting)
+        monkeypatch.setattr(pl.ds, "write_episodes", writing)
+        report = pl.run_generate(demo_bundle, replace(desk_cfg, workers=workers), 16,
+                                 tmp_path / "bounded.jsonl")
+        assert report.accepted == 16 and consumed == list(range(16))
+        assert early == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_config_error_in_an_episode_stops_the_run(self, demo_bundle, desk_cfg, tmp_path,
+                                                      monkeypatch, workers):
+        calls, generate_episode = [], pl.generate_episode
+
+        def failing(bundle, cfg, vlm, index):
+            calls.append(index)
+            if index == 3:
+                raise pl.ConfigError("episode 3 is misconfigured")
+            return generate_episode(bundle, cfg, vlm, index)
+
+        monkeypatch.setattr(pl, "generate_episode", failing)
+        with pytest.raises(pl.ConfigError, match="episode 3"):
+            pl.run_generate(demo_bundle, replace(desk_cfg, workers=workers), 10_000,
+                            tmp_path / "stopped.jsonl")
+        assert len(calls) <= 4 + pl.IN_FLIGHT_PER_WORKER * workers
+        assert list(tmp_path.iterdir()) == []  # no output, no temp file
+
+    def test_verbose_lines_come_in_index_order(self, demo_bundle, desk_cfg, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="uavnav"):
+            report = pl.run_generate(demo_bundle, replace(desk_cfg, workers=2), 8,
+                                     tmp_path / "verbose.jsonl")
+        lines = [json.loads(r.getMessage()) for r in caplog.records]
+        assert [line["episode_index"] for line in lines] == list(range(8))
+        search = report.to_dict()["search"]
+        assert {key: sum(line["search"][key] for line in lines) for key in search} == search
 
     def test_retry_budget_exhaustion_gives_partial_output(self, demo_bundle,
                                                           desk_cfg, tmp_path):

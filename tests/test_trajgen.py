@@ -17,11 +17,12 @@ from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_w
 from uavnav import ConfigError
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
-from uavnav.pipeline import PipelineConfig, build_scene_bundle, demo_scene_spec
+from uavnav.pipeline import (GenerationReport, PipelineConfig, build_scene_bundle,
+                             demo_scene_spec)
 from uavnav.trajgen import (BIN_DOMINANCE_MARGIN_UNITS, FORWARD_MAGNITUDES, GOAL_BALL_NORM,
                             MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
                             UNITS_PER_METER, VERTICAL_STEP, Action, ActionKind,
-                            NoPathError, Pose, SamplingError, SearchStats, Trajectory,
+                            NoPathError, Pose, SamplingError, Trajectory,
                             TrajGenConfig, astar_search, chain_trajectories,
                             forward, lattice_heuristic,
                             path_cost_units, rollout, sample_endpoints)
@@ -324,7 +325,7 @@ class TestAstar:
         monkeypatch.setattr(tg, "heappop", counting_pop)
         grid = random_obstacle_grid(np.random.default_rng(4))
         cfg = TrajGenConfig(height_range=(3.0, 27.0))
-        stats = SearchStats()
+        stats = GenerationReport()
         astar_search(Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0),
                      grid, cfg, stats)
         assert False in verdicts  # the case does hit obstacles
@@ -336,7 +337,7 @@ class TestAstar:
         grid.occupancy[18:23, 18:23, :] = True  # the goal is inside the block
         cfg = TrajGenConfig(height_range=(0.0, 11.0), goal_tolerance=1.0,
                             max_expansions=200)
-        stats = SearchStats()
+        stats = GenerationReport()
         with pytest.raises(NoPathError):
             astar_search(Pose(Point3(5, 5, 5), 0.0), Point3(20.5, 20.5, 5.5), grid, cfg,
                          stats)

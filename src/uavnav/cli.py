@@ -182,7 +182,7 @@ def cmd_eval(args) -> int:
         episode = gt.get(episode_id)
         if episode is None:
             continue
-        result = ev.replay(episode.trajectory.start, actions, nav_grid)
+        result = ev.replay(episode.trajectory.start, actions[:ev.STEP_CAP], nav_grid)
         goal = episode.meta.get("goal")
         goal_point = (Point3(*goal) if goal
                       else episode.trajectory.poses[-1].position)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import Point3
-from .occupancy import VoxelGrid, segment_free
+from .occupancy import VoxelGrid, is_free, segment_free
 from .trajgen import Action, ActionKind, Pose, advance, initial_state, lattice_pose
 
 SUCCESS_RADIUS = 20.0
-STEP_CAP = 500  # bounds runaway agents; generated trajectories max out at 150
+STEP_CAP = 500  # eval replays at most this many actions; generated trajectories max out at 150
 
 _TRANSLATING = (ActionKind.FORWARD, ActionKind.MOVE_UP, ActionKind.MOVE_DOWN)
 
@@ -54,20 +54,18 @@ class EvalSummary:
                 "spl": self.spl, "count": self.count}
 
 
-def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid,
-           step_cap: int = STEP_CAP) -> ReplayResult:
-    """Walk the lattice states of ``trajgen.rollout``; a move whose swept
-    segment is blocked keeps the state (the agent halts in place).
-
-    Consumption ends at the first Stop or at the step cap. The executed
-    length sums the translations that actually happened.
+def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid) -> ReplayResult:
+    """Walk the lattice states of ``trajgen.rollout`` up to the first Stop;
+    a move whose swept segment is blocked keeps the state (the agent halts
+    in place), and a start that ``is_free`` refuses is a collision at
+    index 0. The executed length sums the translations that happened.
     """
     state = initial_state(start)
     pose = start
     path = [start]
     executed = 0.0
-    first_collision: int | None = None
-    for index, action in enumerate(actions[:step_cap]):
+    first_collision = None if is_free(grid, start.position) else 0
+    for index, action in enumerate(actions):
         if action.kind is ActionKind.STOP:
             path.append(pose)
             break

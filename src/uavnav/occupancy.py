@@ -95,40 +95,28 @@ class BevGrid:
 
 
 def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
-             margin: float = DEFAULT_MARGIN,
-             origin: tuple[float, float, float] | None = None) -> VoxelGrid:
+             margin: float = DEFAULT_MARGIN) -> VoxelGrid:
     """Build the global voxel map from a point cloud.
 
     A voxel is occupied iff at least one point falls inside it; the
     occupied set is then dilated by ceil(margin / voxel_size) cells using
     the 6-neighborhood (face) structuring element, with cells outside the
-    grid counted as free. The grid covers the
-    cloud bounds plus the margin; pass ``origin`` to anchor the grid's
-    min corner explicitly (it must not exceed the cloud minimum). A grid
-    of more than ``MAX_VOXELS`` cells is a ConfigError.
+    grid counted as free. The grid covers the cloud bounds plus the
+    margin. A grid of more than ``MAX_VOXELS`` cells is a ConfigError.
     """
     check_kind("voxel_size", voxel_size, "a finite number > 0", ConfigError)
     check_kind("margin", margin, "a number >= 0", ConfigError)
     if len(cloud) == 0:
-        return VoxelGrid(
-            origin=np.zeros(3) if origin is None else np.asarray(origin, dtype=float),
-            voxel_size=voxel_size, dims=(1, 1, 1),
-            occupancy=np.zeros((1, 1, 1), dtype=bool),
-        )
+        return VoxelGrid(origin=np.zeros(3), voxel_size=voxel_size, dims=(1, 1, 1),
+                         occupancy=np.zeros((1, 1, 1), dtype=bool))
     margin_cells = float(np.ceil(margin / voxel_size))  # float: an inf one fails the cap below
     lo, hi = cloud.bounds
-    if origin is None:
-        anchor = lo - margin_cells * voxel_size
-    else:
-        anchor = np.asarray(origin, dtype=np.float64)
-        if (anchor > lo + 1e-12).any():
-            raise ValueError("explicit origin must not exceed the cloud minimum")
-    dims = [float(d) + 1 + margin_cells for d in np.floor((hi - anchor) / voxel_size)]
+    origin = lo - margin_cells * voxel_size
+    dims = [float(d) + 1 + margin_cells for d in np.floor((hi - origin) / voxel_size)]
     if not math.prod(dims) <= MAX_VOXELS:  # counted in floats, before any allocation
         raise ConfigError(f"a {voxel_size} m grid over this cloud needs "
                           f"{math.prod(dims):.3g} voxels, more than MAX_VOXELS ({MAX_VOXELS:.0e})")
     dims = tuple(map(int, dims))
-    origin = anchor
     occ = np.zeros(dims, dtype=bool)
     idx = np.floor((cloud.points - origin) / voxel_size).astype(np.int64)
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
@@ -288,15 +276,25 @@ def save_grid(grid: VoxelGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> VoxelGrid:
-    """Read a grid that ``save_grid`` (``uavnav voxelize --out``) wrote."""
+    """Read a grid that ``save_grid`` (``uavnav voxelize --out``) wrote.
+
+    The header must hold dims >= 1, a finite origin and a finite voxel
+    size > 0, and the payload must be exactly ``ceil(nx*ny*nz / 8)``
+    bytes of packed bits; anything else raises ValueError.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _GRID_HEADER.size:
         raise ValueError(f"{path}: truncated grid file")
     ox, oy, oz, size, nx, ny, nz = _GRID_HEADER.unpack_from(raw)
+    if min(nx, ny, nz) < 1 or not all(map(math.isfinite, (ox, oy, oz, size))) or size <= 0:
+        raise ValueError(f"{path}: bad grid header: origin ({ox}, {oy}, {oz}), "
+                         f"voxel size {size}, dims ({nx}, {ny}, {nz})")
     n_cells = nx * ny * nz
-    bits = np.unpackbits(np.frombuffer(raw[_GRID_HEADER.size:], dtype=np.uint8))
-    if len(bits) < n_cells:
-        raise ValueError(f"{path}: occupancy payload too short")
+    need, payload = (n_cells + 7) // 8, len(raw) - _GRID_HEADER.size
+    if payload != need:
+        raise ValueError(f"{path}: dims ({nx}, {ny}, {nz}) need {need} bytes "
+                         f"of occupancy, the file holds {payload}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=_GRID_HEADER.size))
     occ = bits[:n_cells].astype(bool).reshape((nx, ny, nz))
     return VoxelGrid(origin=np.array([ox, oy, oz]), voxel_size=size,
                      dims=(int(nx), int(ny), int(nz)), occupancy=occ)

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import ConfigError, atomic_open, check_kind, check_kinds, load_json, save_json
 from . import dataset as ds
+from . import evaluation as ev
 from . import instructions as instr
 from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3, point_in_polygon
 from .keyframe import SightTarget, landmark_visibility, sight_targets
-from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, segment_free, voxelize
+from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, voxelize
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
                     load_scene_spec, scene_spec_to_dict, synthesize_scene)
 from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
@@ -445,8 +446,8 @@ def run_validate(path: str | Path, cfg: PipelineConfig,
     """Re-check every episode invariant in a dataset file.
 
     A line the episode reader refuses, a pose off the action rollout
-    included, is a ``schema`` violation at ``line N``. Collision and goal
-    checks run on the rollout, the poses the search checked; they and the
+    included, is a ``schema`` violation at ``line N``. Collisions come
+    from ``evaluation.replay``, as in ``eval``; they, the goal and the
     vegetation check need the scene bundle.
     """
     violations: list[Violation] = []
@@ -473,12 +474,10 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
     if episode.instruction is not None and not episode.instruction.text:
         out.append(Violation(episode.episode_id, "instruction", "empty text"))
     if bundle is not None:
-        for k in range(len(t.poses) - 1):
-            if not segment_free(bundle.nav_grid, t.poses[k].position,
-                                t.poses[k + 1].position):
-                out.append(Violation(episode.episode_id, "collision",
-                                     f"segment {k} crosses occupied space"))
-                break
+        k = ev.replay(t.start, t.actions, bundle.nav_grid).first_collision_index
+        if k is not None:
+            out.append(Violation(episode.episode_id, "collision",
+                                 f"segment {k} crosses occupied space"))
         goal = episode.meta.get("goal")
         if goal is not None:
             d = t.poses[-1].position.distance_to(Point3(*goal))

@@ -26,6 +26,7 @@ from . import ConfigError, check_kind, load_json
 from .geometry import point_in_polygon, polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
+MAX_POINTS = 4 * 10**7  # per synthesized cloud: ~1 GB of float64, a few times that to build
 
 
 class PointCloudParseError(ConfigError):
@@ -273,6 +274,24 @@ def _linspace_count(length: float, spacing: float) -> int:
     return max(2, int(math.ceil(length / spacing)) + 1)
 
 
+def _point_bound(spec: SceneSpec, spacing: float) -> float:
+    """An upper bound on the points ``synthesize_scene`` samples: each
+    ``arange`` and ``_linspace_count`` below takes at most
+    ``length / spacing + 2`` samples, and a ring at least 8."""
+    def count(length: float) -> float:
+        return length / spacing + 2
+
+    total = count(spec.extent[0]) * count(spec.extent[1])
+    for b in spec.buildings:
+        xs, ys = zip(*b.footprint)
+        ring = b.footprint[1:] + b.footprint[:1]
+        total += (count(b.height) * sum(count(math.dist(u, v)) for u, v in zip(b.footprint, ring))
+                  + count(max(xs) - min(xs)) * count(max(ys) - min(ys)))
+    for t in spec.trees:
+        total += count(t.canopy_height) * (count(2 * math.pi * t.canopy_radius) + 8) + 1
+    return total
+
+
 def _sample_edge(a: tuple[float, float], b: tuple[float, float], spacing: float) -> np.ndarray:
     n = _linspace_count(math.dist(a, b), spacing)
     t = np.linspace(0.0, 1.0, n)
@@ -295,9 +314,14 @@ def synthesize_scene(spec: SceneSpec) -> PointCloud:
 
     Buildings become wall + roof points at <= SURFACE_SAMPLE_SPACING
     spacing. Only the cloud is returned: the spec's buildings (footprint,
-    height, label) are the landmark ground truth.
+    height, label) are the landmark ground truth. A spec that may sample
+    more than ``MAX_POINTS`` points is a ConfigError.
     """
     spacing = SURFACE_SAMPLE_SPACING
+    bound = _point_bound(spec, spacing)
+    if not bound <= MAX_POINTS:  # counted in floats, before any allocation
+        raise ConfigError(f"scene {spec.scene_id!r} samples up to {bound:.3g} points, "
+                          f"more than MAX_POINTS ({MAX_POINTS:.0e})")
     chunks: list[np.ndarray] = []
 
     ex, ey = spec.extent

@@ -253,13 +253,15 @@ class TrajGenConfig:
 @dataclass(frozen=True)
 class Trajectory:
     start: Pose
-    actions: list[Action]  # always ends with Stop
+    actions: list[Action]  # ends with Stop, and holds no other
     target_landmark_id: int = -1
     poses: list[Pose] = field(init=False, repr=False, compare=False)  # rollout, set once
 
     def __post_init__(self) -> None:
         if not self.actions or self.actions[-1] is not STOP:
             raise ValueError("trajectory actions must end with Stop")
+        if STOP in self.actions[:-1]:
+            raise ValueError("trajectory actions hold a Stop before the last action")
         check_kind("target_landmark_id", self.target_landmark_id, "an integer")
         object.__setattr__(self, "poses", rollout(self.start, self.actions))
 

@@ -12,8 +12,10 @@ reference for its NumPy path, ``visibility_per_call``, the
 returned the index after the head and whose phrase scan re-parsed the
 determiner branch itself, ``action_by_construction``, the rule an
 action document passed when ``Action`` was a dataclass that checked
-itself, and ``lattice_heuristic_whole_ball``, the search heuristic that
-subtracted the largest lattice norm over the whole goal ball.
+itself, ``lattice_heuristic_whole_ball``, the search heuristic that
+subtracted the largest lattice norm over the whole goal ball, and
+``first_blocked_pose_pair``, the walk over an episode's pose pairs that
+``validate`` made before it replayed the actions as ``eval`` does.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
@@ -96,6 +98,16 @@ def dense_segment_free(grid: VoxelGrid, a: Point3, b: Point3,
                          a.z + t * (b.z - a.z)):
             return False
     return True
+
+
+def first_blocked_pose_pair(grid: VoxelGrid, poses: list[Pose]) -> int | None:
+    """The first k whose segment ``poses[k] -> poses[k + 1]`` is not
+    ``segment_free``, or None. A turn or Stop leaves the position, so its
+    pair checks the voxel the drone stays in."""
+    for k in range(len(poses) - 1):
+        if not segment_free(grid, poses[k].position, poses[k + 1].position):
+            return k
+    return None
 
 
 def bev_columns(grid: VoxelGrid) -> dict[tuple[int, int], float]:

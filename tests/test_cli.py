@@ -17,8 +17,10 @@ from uavnav import ConfigError, load_json
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
 from uavnav import segmentation as seg
+from uavnav import trajgen as tg
 from uavnav.cli import main
 from uavnav.dataset import read_episodes
+from uavnav.geometry import Point3
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
 from uavnav.occupancy import load_grid, voxelize
 from uavnav.scene import (BuildingSpec, SceneSpec, TreeSpec, load_scene_spec,
@@ -270,6 +272,27 @@ def test_eval_ground_truth_predictions_score_perfectly(workdir, generated, capsy
     assert report["osr"] == 1.0
     assert report["spl"] > 0.9
     assert (report["count"], report["missing_predictions"], report["unpredicted"]) == (5, 0, 0)
+
+
+def test_eval_replays_at_most_step_cap_actions(workdir, generated, tmp_path):
+    # Twelve turns face the drone as before, so the episode's own actions
+    # still reach its goal after 12 of them; after STEP_CAP + 4 of them
+    # (a multiple of 12), eval has replayed only turns: the drone never
+    # left its start. `validate` replays every action (test_pipeline).
+    episode = read_episodes(generated)[0]
+    own = [a.to_dict() for a in episode.trajectory.actions]
+    start_to_goal = episode.trajectory.start.position.distance_to(Point3(*episode.meta["goal"]))
+    summaries = []
+    for turns in (12, ev.STEP_CAP + 4):
+        preds = tmp_path / f"preds_{turns}.jsonl"
+        preds.write_text(json.dumps({"episode_id": episode.episode_id,
+                                     "actions": [tg.TURN_LEFT.to_dict()] * turns + own}))
+        assert main(["eval", *scene_args(workdir), "--episodes", str(generated),
+                     "--predictions", str(preds), "--out", str(tmp_path / "eval.json")]) == 0
+        summaries.append(json.loads((tmp_path / "eval.json").read_text()))
+    assert summaries[0]["sr"] == 1.0
+    assert (summaries[1]["sr"], summaries[1]["osr"]) == (0.0, 0.0)
+    assert summaries[1]["ne"] == pytest.approx(start_to_goal)
 
 
 @pytest.mark.parametrize("source", ["scene", "spec"])
@@ -680,6 +703,26 @@ def test_grid_past_the_voxel_cap_exits_2(workdir, tmp_path, cloud, flags, messag
     assert not (tmp_path / "grid.bin").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(extent=[1e7, 1e7]), "samples up to 4e+14 points"),
+    (lambda doc: doc["buildings"][0].update(height=1e12), "samples up to 3.04e+14 points"),
+], ids=["extent_of_1e7_m", "building_1e12_m_tall"])
+def test_scene_past_the_point_cap_exits_2(tmp_path, edit, message):
+    # The point count is bounded from the spec before anything is
+    # allocated: sampling these specs needs an 8.5 PiB ground grid or
+    # 14.6 TiB of wall.
+    doc = scene_spec_to_dict(small_spec())
+    edit(doc)
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(doc))
+    done = run_capped(["scene", "synth", "--spec", spec, "--out", tmp_path / "out"],
+                      2 << 30, "RLIMIT_AS")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.strip() == (f"config error: scene 'cli-scene' {message}, "
+                                   "more than MAX_POINTS (4e+07)")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scene_dir_with_both_clouds_exits_2(workdir, generated, tmp_path, capsys):
     scene = bare_scene(workdir, tmp_path)
     (scene / "cloud.txt").write_text("1 2 3\n")
@@ -877,6 +920,10 @@ def _set(container, key, value):
     (lambda doc: doc.update(actions=doc["actions"][:-1], poses=doc["poses"][:-1],
                             image_refs=doc["image_refs"][:-1]),
      "trajectory actions must end with Stop"),
+    (lambda doc: doc.update(actions=doc["actions"][:1] + doc["actions"][-1:] + doc["actions"][1:],
+                            poses=doc["poses"][:2] + doc["poses"][1:],
+                            image_refs=doc["image_refs"][:2] + doc["image_refs"][1:]),
+     "trajectory actions hold a Stop before the last action"),
     (lambda doc: doc.update(poses=doc["poses"][:-1], image_refs=doc["image_refs"][:-1]),
      "trajectory has"),
     (lambda doc: doc.update(poses=doc["poses"] + doc["poses"][-1:],
@@ -897,7 +944,7 @@ def _set(container, key, value):
     (lambda doc: _set(doc, "meta", [list(item) for item in doc["meta"].items()]),
      "meta must be an object"),
     (lambda doc: _set(doc, "instruction", "abc"), "instruction must be an object"),
-], ids=["no_final_stop", "one_pose_short", "one_pose_extra", "int_instruction_text",
+], ids=["no_final_stop", "mid_stop", "one_pose_short", "one_pose_extra", "int_instruction_text",
         "string_sub_instructions", "fractional_target_landmark_id",
         "string_target_landmark_id", "bool_target_landmark_id", "int_image_ref",
         "int_episode_id", "string_start_coordinate", "pose_1_moved_5_m", "pose_1_yaw_plus_30",

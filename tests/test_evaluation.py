@@ -63,10 +63,19 @@ class TestReplay:
         result = replay(start_pose(), [F3, STOP, F3, F3], empty_grid())
         assert result.executed_length == pytest.approx(3.0)
 
-    def test_step_cap(self):
-        actions = [TURN_LEFT] * 1000
-        result = replay(start_pose(), actions, empty_grid(), step_cap=12)
-        assert len(result.path) == 13
+    def test_replays_every_action_up_to_stop(self):
+        # The step cap is eval's (cli.cmd_eval); validate replays it all.
+        result = replay(start_pose(), [TURN_LEFT] * 1000 + [STOP], empty_grid())
+        assert len(result.path) == 1002
+
+    def test_start_not_free_is_a_collision_at_index_zero(self):
+        grid = empty_grid()
+        grid.occupancy[grid.cell_of(start_pose().position)] = True
+        result = replay(start_pose(), [TURN_LEFT, F3, STOP], grid)
+        assert (result.collided, result.first_collision_index) == (True, 0)
+        # the turn still happens and the move halts, as from any blocked move
+        assert result.final == Pose(start_pose().position, 30.0)
+        assert result.executed_length == 0.0
 
 
 class TestScore:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
+from oracles import first_blocked_pose_pair
 from uavnav import dataset as ds
 from uavnav import evaluation as ev
 from uavnav import pipeline as pl
@@ -71,12 +72,17 @@ def over_grid(bundle: pl.SceneBundle, grid: VoxelGrid) -> pl.SceneBundle:
     return scene
 
 
-def validate_kinds(episode: ds.Episode, bundle: pl.SceneBundle,
-                   cfg: pl.PipelineConfig) -> set[str]:
+def validate_violations(episode: ds.Episode, bundle: pl.SceneBundle,
+                        cfg: pl.PipelineConfig) -> list[pl.Violation]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "episodes.jsonl"
         ds.write_episodes([episode], path)
-        return {v.kind for v in pl.run_validate(path, cfg, bundle).violations}
+        return pl.run_validate(path, cfg, bundle).violations
+
+
+def validate_kinds(episode: ds.Episode, bundle: pl.SceneBundle,
+                   cfg: pl.PipelineConfig) -> set[str]:
+    return {v.kind for v in validate_violations(episode, bundle, cfg)}
 
 
 def test_sampled_episode_validates_on_its_serialized_start(desk_bundle, monkeypatch):
@@ -261,6 +267,38 @@ def test_search_validate_and_replay_agree_next_to_a_voxel_face(
         assert search_free == validate_free == replay_free
         assert search_free or traj is first
         event(f"{'first' if traj is first else 'new'} path free: {search_free}")
+
+
+MOVES = [tg.forward(3.0), tg.forward(6.0), tg.forward(9.0), tg.TURN_LEFT, tg.TURN_RIGHT,
+         tg.MOVE_UP, tg.MOVE_DOWN]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-5.0, 105.0), y=st.floats(-5.0, 105.0),
+       z=st.floats(-3.0, 33.0), yaw=st.integers(0, 11),
+       turns=st.lists(st.sampled_from([tg.TURN_LEFT, tg.TURN_RIGHT]), max_size=3),
+       moves=st.lists(st.sampled_from(MOVES), max_size=25))
+def test_validate_collision_is_the_first_blocked_pose_pair(desk_bundle, seed, x, y, z, yaw,
+                                                           turns, moves):
+    # Differential: `validate` finds collisions by replay, as `eval` does;
+    # its violation is the one the walk over every pose pair gives, also
+    # for a start in a box or off the grid, turns before the first move
+    # and moves that leave the grid.
+    bundle, cfg = desk_bundle
+    grid = random_obstacle_grid(np.random.default_rng(seed))
+    start = tg.Pose(Point3(x, y, z), 30.0 * yaw)
+    episode = ds.episode_from_dict(ds.episode_to_dict(ds.Episode(
+        episode_id="e-000000", scene_id="demo",
+        trajectory=tg.Trajectory(start, [*turns, *moves, tg.STOP]), instruction=None,
+        image_refs=[f"r{k}" for k in range(len(turns) + len(moves) + 2)])))
+    k = first_blocked_pose_pair(grid, episode.trajectory.poses)
+    violations = validate_violations(episode, over_grid(bundle, grid), cfg)
+    collisions = [(v.kind, v.detail) for v in violations if v.kind == "collision"]
+    assert collisions == ([] if k is None else
+                          [("collision", f"segment {k} crosses occupied space")])
+    event(f"start free: {tg.is_free(grid, episode.trajectory.start.position)}")
+    event(f"collision: {'none' if k is None else 'at 0' if k == 0 else 'later'}")
 
 
 @settings(max_examples=2000, deadline=None)

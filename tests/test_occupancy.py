@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -28,9 +30,11 @@ def occupied_set(grid: VoxelGrid) -> set:
 
 class TestVoxelize:
     def test_single_point_flooring(self):
-        grid = voxelize(cloud_of([[1.5, 1.5, 1.5]]), 1.0, 0.0, origin=(0.0, 0.0, 0.0))
+        # With no margin the grid's min corner is the cloud minimum, here
+        # the origin, so the point at 1.5 m floors into cell 1 on each axis.
+        grid = voxelize(cloud_of([[0.0, 0.0, 0.0], [1.5, 1.5, 1.5]]), 1.0, 0.0)
         assert np.array_equal(grid.origin, [0.0, 0.0, 0.0])
-        assert occupied_set(grid) == {(1, 1, 1)}
+        assert occupied_set(grid) == {(0, 0, 0), (1, 1, 1)}
 
     def test_single_point_margin_one_dilates_to_seven_cells(self):
         grid = voxelize(cloud_of([[1.5, 1.5, 1.5]]), 1.0, 1.0)
@@ -58,11 +62,12 @@ class TestVoxelize:
 
     def test_monotone_in_point_set(self):
         rng = np.random.default_rng(8)
-        base = rng.uniform(0, 20, size=(60, 3))
+        # Both clouds hold the origin, their minimum, so both grids start there.
+        base = np.vstack([np.zeros(3), rng.uniform(0, 20, size=(60, 3))])
         extra = rng.uniform(0, 20, size=(40, 3))
-        origin = (0.0, 0.0, 0.0)
-        small = voxelize(cloud_of(base), 1.0, 0.0, origin=origin)
-        big = voxelize(cloud_of(np.vstack([base, extra])), 1.0, 0.0, origin=origin)
+        small = voxelize(cloud_of(base), 1.0, 0.0)
+        big = voxelize(cloud_of(np.vstack([base, extra])), 1.0, 0.0)
+        assert np.array_equal(small.origin, big.origin)
         assert occupied_set(small) <= occupied_set(big)
 
     def test_invalid_arguments(self):
@@ -74,29 +79,24 @@ class TestVoxelize:
 
 @st.composite
 def dilation_cases(draw):
-    """Points on a half-metre lattice (many on voxel faces), a voxel size, a
-    margin that is often not a multiple of it and, half the time, an
-    explicit origin at or just below the cloud minimum, which leaves
-    occupied cells on the grid's low faces before dilation."""
+    """Points on a half-metre lattice (many on voxel faces), a voxel size
+    and a margin that is often not a multiple of it."""
     size = draw(st.sampled_from([0.5, 1.0, 2.0]))
     coord = st.integers(0, 16).map(lambda v: v * 0.5)
     pts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)))
     margin = draw(st.sampled_from([0.0, 0.5, 1.0, 1.9, 2.0, 3.5]))
-    origin = None
-    if draw(st.booleans()):
-        origin = tuple(pts.min(axis=0) - draw(st.sampled_from([0.0, 0.25 * size])))
-    return pts, size, margin, origin
+    return pts, size, margin
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=dilation_cases())
 def test_dilation_matches_l1_oracle(case):
-    pts, size, margin, origin = case
-    grid = voxelize(cloud_of(pts), size, margin, origin=origin)
+    pts, size, margin = case
+    grid = voxelize(cloud_of(pts), size, margin)
     seeds = np.zeros(grid.dims, dtype=bool)
     for cell in brute_force_cells(pts, grid.origin, size):
         seeds[cell] = True
-    if origin is not None:  # the case reaches the grid border on every axis
+    if margin == 0:  # the grid starts at the cloud minimum on every axis
         assert seeds[0].any() and seeds[:, 0].any() and seeds[:, :, 0].any()
     assert np.array_equal(grid.occupancy, dilate_l1(seeds, math.ceil(margin / size)))
 
@@ -265,6 +265,23 @@ class TestGridIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 10)
         with pytest.raises(ValueError, match="truncated"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("header, payload, message", [
+        ((0.0, 0.0, 0.0, 1.0, 2, 2, 2), 1000, "dims (2, 2, 2) need 1 bytes of occupancy, "
+                                              "the file holds 1000"),
+        ((0.0, 0.0, 0.0, 1.0, 9, 7, 5), 39, "need 40 bytes of occupancy, the file holds 39"),
+        ((0.0, 0.0, 0.0, 1.0, -2, -2, 2), 1, "bad grid header"),
+        ((0.0, 0.0, 0.0, 1.0, 0, 4, 4), 0, "bad grid header"),
+        ((0.0, 0.0, 0.0, math.nan, 2, 2, 2), 1, "bad grid header"),
+        ((0.0, 0.0, 0.0, -1.0, 2, 2, 2), 1, "bad grid header"),
+        ((0.0, math.inf, 0.0, 1.0, 2, 2, 2), 1, "bad grid header"),
+    ], ids=["payload_too_long", "payload_too_short", "negative_dims", "zero_dim",
+            "nan_voxel_size", "negative_voxel_size", "infinite_origin"])
+    def test_malformed_header_rejected(self, tmp_path, header, payload, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<3dd3q", *header) + bytes(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_grid(path)
 
     def test_json_debug_dump_lossless(self):

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import desk_trajgen_config
-from oracles import visibility_per_call
+from oracles import first_blocked_pose_pair, visibility_per_call
 from uavnav import keyframe as kf
+from uavnav import dataset as ds
 from uavnav import pipeline as pl
 from uavnav import segmentation as seg
 from uavnav import trajgen as tg
 from uavnav.dataset import read_episodes
+from uavnav.geometry import Point3
 from uavnav.instructions import split_subtrajectories
 from uavnav.occupancy import VoxelGrid
 from uavnav.scene import PointCloud
@@ -350,6 +352,29 @@ class TestRunValidate:
         assert report.episodes_checked == 2
         assert [v.to_dict() for v in report.violations] == [
             {"episode_id": episode_id, "kind": "integrity", "detail": "duplicate episode_id"}]
+
+    @pytest.mark.parametrize("start, actions, segment", [
+        ((30.0, 40.0, 10.0), [tg.TURN_LEFT, tg.STOP], 0),
+        ((30.0, 40.0, 10.0), [tg.TURN_LEFT, tg.TURN_LEFT, tg.forward(3.0), tg.STOP], 0),
+        ((20.0, 42.0, 10.0), [tg.TURN_LEFT] * 504 + [tg.forward(3.0)] * 3 + [tg.STOP], 506),
+    ], ids=["turn_in_a_wall", "turns_then_forward_in_a_wall", "collision_past_eval_step_cap"])
+    def test_collision_is_the_first_blocked_pose_pair(self, demo_bundle, desk_cfg, tmp_path,
+                                                      start, actions, segment):
+        # (30, 40, 10) is inside a wall of the demo nav grid: replay halts
+        # every move from it, and a start that is not free is a collision
+        # at index 0 even before the first translation. Eval's step cap
+        # does not bound validate: 504 turns leave the heading as it was,
+        # and the third forward from (20, 42, 10) enters the wall.
+        trajectory = tg.Trajectory(tg.Pose(Point3(*start), 0.0), actions)
+        path = tmp_path / "crafted.jsonl"
+        ds.write_episodes([ds.Episode(
+            episode_id="e-crafted", scene_id="demo", trajectory=trajectory, instruction=None,
+            image_refs=[f"r{k}" for k in range(len(trajectory.poses))])], path)
+        report = pl.run_validate(path, desk_cfg, demo_bundle)
+        assert segment == first_blocked_pose_pair(demo_bundle.nav_grid, trajectory.poses)
+        assert [v.to_dict() for v in report.violations if v.kind != "filter"] == [
+            {"episode_id": "e-crafted", "kind": "collision",
+             "detail": f"segment {segment} crosses occupied space"}]
 
     @pytest.mark.parametrize("meta", [{"goal": [1.0, 2.0]}, {"gt_length": "abc"},
                                       {"gt_length": -1.0}],

@@ -579,6 +579,15 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="must end with Stop"):
             dataclasses.replace(traj, actions=[forward(3.0)])
 
+    def test_stop_comes_only_last(self):
+        # Replay ends at the first Stop, so actions after an earlier one
+        # would fly in the rollout and never in validate or eval.
+        start = Pose(Point3(0, 0, 10), 0.0)
+        with pytest.raises(ValueError, match="Stop before the last action"):
+            Trajectory(start, [forward(3.0), STOP, forward(3.0), STOP])
+        with pytest.raises(ValueError, match="Stop before the last action"):
+            Trajectory(start, [STOP, STOP])
+
     def test_construction_checks_the_shape(self):
         start = Pose(Point3(0, 0, 10), 0.0)
         traj = Trajectory(start, [forward(3.0), STOP])

@@ -14,7 +14,8 @@ from typing import Sequence
 
 from .geometry import Point3
 from .occupancy import VoxelGrid, is_free, segment_free
-from .trajgen import Action, ActionKind, Pose, advance, initial_state, lattice_pose
+from .trajgen import (_MOVES, SQRT3, TURN_DEGREES, VERTICAL_STEP, Action, ActionKind, Pose,
+                      initial_state)
 
 SUCCESS_RADIUS = 20.0
 STEP_CAP = 500  # eval replays at most this many actions; generated trajectories max out at 150
@@ -59,8 +60,11 @@ def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid) -> ReplayRes
     a move whose swept segment is blocked keeps the state (the agent halts
     in place), and a start that ``is_free`` refuses is a collision at
     index 0. The executed length sums the translations that happened.
+    A move ends where ``lattice_pose`` places its integer state, bit for
+    bit, and a turn keeps the position it has.
     """
-    state = initial_state(start)
+    ox, oy, oz = start.position.as_tuple()
+    a, b, c, d, kz, yaw = initial_state(start)
     pose = start
     path = [start]
     executed = 0.0
@@ -69,14 +73,19 @@ def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid) -> ReplayRes
         if action.kind is ActionKind.STOP:
             path.append(pose)
             break
-        nstate = advance(state, action)
-        nxt = lattice_pose(start.position, nstate)
-        if action.kind in _TRANSLATING and not segment_free(grid, pose.position, nxt.position):
-            if first_collision is None:
-                first_collision = index
+        da, db, dc, dd, dkz, yaw = _MOVES[yaw, action]
+        if action.kind not in _TRANSLATING:  # a turn; a move keeps the heading
+            pose = Pose(pose.position, TURN_DEGREES * yaw)
         else:
-            executed += pose.position.distance_to(nxt.position)  # 0 for turns
-            state, pose = nstate, nxt
+            na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
+            nxt = Point3(ox + 1.5 * (na + nb * SQRT3), oy + 1.5 * (nc + nd * SQRT3),
+                         oz + VERTICAL_STEP * nkz)
+            if segment_free(grid, pose.position, nxt):
+                executed += pose.position.distance_to(nxt)
+                a, b, c, d, kz = na, nb, nc, nd, nkz
+                pose = Pose(nxt, TURN_DEGREES * yaw)
+            elif first_collision is None:
+                first_collision = index
         path.append(pose)
     return ReplayResult(final=pose, path=path, executed_length=executed,
                         collided=first_collision is not None,

@@ -118,8 +118,8 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
                           f"{math.prod(dims):.3g} voxels, more than MAX_VOXELS ({MAX_VOXELS:.0e})")
     dims = tuple(map(int, dims))
     occ = np.zeros(dims, dtype=bool)
-    idx = np.floor((cloud.points - origin) / voxel_size).astype(np.int64)
-    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    occ[tuple(np.floor((cloud.points[:, k] - origin[k]) / voxel_size).astype(np.int64)
+              for k in range(3))] = True  # per column: no (n, 3) temporaries
     for _ in range(int(margin_cells)):  # one face-neighbour ring; cells past the edge are free
         grown = occ.copy()
         grown[1:] |= occ[:-1]
@@ -140,14 +140,11 @@ def bev_project(grid: VoxelGrid, min_height: float = 0.0) -> BevGrid:
     one component: only columns occupied above the band count.
     """
     k_min = int(np.floor(min_height / grid.voxel_size))
-    occ = grid.occupancy.copy()
-    if k_min > 0:
-        occ[:, :, :k_min] = False
+    occ = grid.occupancy[:, :, max(k_min, 0):]  # a view; empty at or above the grid top
     occupied = occ.any(axis=2)
-    # Highest occupied z index per column, as height above the grid base.
-    ks = np.arange(grid.dims[2], dtype=np.int64)
-    top_index = np.where(occ, ks[None, None, :], -1).max(axis=2)
-    heights = np.where(occupied, (top_index + 1) * grid.voxel_size, 0.0)
+    # Highest occupied z index + 1 per column: nz less the first hit from the top.
+    top = grid.dims[2] - occ[:, :, ::-1].argmax(axis=2) if occ.shape[2] else 0
+    heights = np.where(occupied, top * grid.voxel_size, 0.0)
     return BevGrid(
         origin=grid.origin[:2].copy(),
         cell_size=grid.voxel_size,

@@ -5,7 +5,8 @@ TurnRight (30 degrees), MoveUp / MoveDown (3 m), Stop. Headings are
 quantized to 12 bins, which makes every reachable horizontal offset an
 exact element of the lattice 1.5 * (a + b * sqrt(3)). That lattice is
 the one kinematics: the search, ``rollout`` and ``evaluation.replay`` all
-move integer states with ``advance`` and place them with ``lattice_pose``.
+move integer states by the per-heading deltas of ``_SUCCESSORS`` and
+place them with the expressions of ``lattice_pose``.
 A ``Trajectory`` is its start and its actions; its poses are their
 ``rollout``, so whoever builds or reads one sees the same floats.
 Edge costs are exact (tenths of a meter, with turns costing one unit to
@@ -204,8 +205,9 @@ def advance(state: SearchState, action: Action) -> SearchState:
 
 
 def lattice_pose(origin: Point3, state: SearchState) -> Pose:
-    """The pose of a lattice state; ``astar_search`` inlines the same
-    expressions, so both give bit-identical coordinates."""
+    """The pose of a lattice state; ``astar_search`` and
+    ``evaluation.replay`` inline the same expressions, so all three give
+    bit-identical coordinates."""
     a, b, c, d, kz, yaw = state
     return Pose(Point3(origin.x + 1.5 * (a + b * SQRT3),
                        origin.y + 1.5 * (c + d * SQRT3),

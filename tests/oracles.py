@@ -15,7 +15,10 @@ action document passed when ``Action`` was a dataclass that checked
 itself, ``lattice_heuristic_whole_ball``, the search heuristic that
 subtracted the largest lattice norm over the whole goal ball, and
 ``first_blocked_pose_pair``, the walk over an episode's pose pairs that
-``validate`` made before it replayed the actions as ``eval`` does.
+``validate`` made before it replayed the actions as ``eval`` does, and
+four scene-layer forms kept as the references for their column-pass
+and lattice-state rewrites: ``voxelize_broadcast``, ``bev_where_max``,
+``replay_lattice_walk`` and ``roof_points_loop``.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
@@ -30,16 +33,18 @@ from pathlib import Path
 
 import numpy as np
 
-from uavnav.geometry import Point3
+from uavnav.evaluation import ReplayResult
+from uavnav.geometry import Point3, point_in_polygon
 from uavnav.keyframe import (KeyframeSet, MergeEvent, TokenMatrix, _cosine_matrix,
                              aim_cell)
-from uavnav.occupancy import VoxelGrid, segment_free, traverse_segment
+from uavnav.occupancy import VoxelGrid, is_free, segment_free, traverse_segment
 from uavnav.scene import PointCloud, PointCloudParseError
 from uavnav.segmentation import LandmarkInstance
 from uavnav.textproc import (_BOUNDARY_RE, ATTACH_PREPS, LANDMARK_NOUNS, NounPhrase,
                              _is_participle, _is_proper, tag_word, word_tokens)
-from uavnav.trajgen import (FORWARD_MAGNITUDES, GOAL_BALL_NORM, VERTICAL_STEP,
-                            TrajGenConfig, Pose)
+from uavnav.trajgen import (FORWARD_MAGNITUDES, GOAL_BALL_NORM, VERTICAL_STEP, Action,
+                            ActionKind, TrajGenConfig, Pose, advance, initial_state,
+                            lattice_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -557,3 +562,72 @@ def action_by_construction(doc) -> dict:
     if magnitude not in allowed:
         raise ValueError(f"{kind} magnitude must be one of {allowed}")
     return {"kind": kind} if magnitude is None else {"kind": kind, "magnitude": magnitude}
+
+
+def voxelize_broadcast(cloud: PointCloud, voxel_size: float, margin: float) -> VoxelGrid:
+    """``occupancy.voxelize`` as it was before it worked column by column:
+    bounds from one axis-0 reduction of the (n, 3) array and cell indices
+    from one (n, 3) broadcast floor, then ``dilate_l1``."""
+    k = math.ceil(margin / voxel_size)
+    points = cloud.points
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    origin = lo - k * voxel_size
+    dims = tuple(int(d) + 1 + k for d in np.floor((hi - origin) / voxel_size))
+    occ = np.zeros(dims, dtype=bool)
+    idx = np.floor((points - origin) / voxel_size).astype(np.int64)
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return VoxelGrid(origin=origin, voxel_size=voxel_size, dims=dims,
+                     occupancy=dilate_l1(occ, k))
+
+
+def bev_where_max(grid: VoxelGrid, min_height: float) -> tuple[np.ndarray, np.ndarray]:
+    """``occupancy.bev_project``'s (occupancy, max_height) as it was before
+    it sliced the band and took a reversed ``argmax``: a masked copy of the
+    grid and the max of an int64 ``where`` over it."""
+    k_min = int(np.floor(min_height / grid.voxel_size))
+    occ = grid.occupancy.copy()
+    if k_min > 0:
+        occ[:, :, :k_min] = False
+    occupied = occ.any(axis=2)
+    ks = np.arange(grid.dims[2], dtype=np.int64)
+    top_index = np.where(occ, ks[None, None, :], -1).max(axis=2)
+    return occupied, np.where(occupied, (top_index + 1) * grid.voxel_size, 0.0)
+
+
+def replay_lattice_walk(start: Pose, actions: list[Action], grid: VoxelGrid) -> ReplayResult:
+    """``evaluation.replay`` as it was before it kept the integer state
+    itself: every action goes through ``advance`` and ``lattice_pose``."""
+    state = initial_state(start)
+    pose = start
+    path = [start]
+    executed = 0.0
+    first_collision = None if is_free(grid, start.position) else 0
+    for index, action in enumerate(actions):
+        if action.kind is ActionKind.STOP:
+            path.append(pose)
+            break
+        nstate = advance(state, action)
+        nxt = lattice_pose(start.position, nstate)
+        translating = action.kind in (ActionKind.FORWARD, ActionKind.MOVE_UP,
+                                      ActionKind.MOVE_DOWN)
+        if translating and not segment_free(grid, pose.position, nxt.position):
+            if first_collision is None:
+                first_collision = index
+        else:
+            executed += pose.position.distance_to(nxt.position)
+            state, pose = nstate, nxt
+        path.append(pose)
+    return ReplayResult(final=pose, path=path, executed_length=executed,
+                        collided=first_collision is not None,
+                        first_collision_index=first_collision)
+
+
+def roof_points_loop(footprint: list[tuple[float, float]], spacing: float) -> np.ndarray:
+    """``scene._sample_polygon_interior`` as it was before it built one
+    NumPy mask: a ``point_in_polygon`` call per lattice point, x-major."""
+    xs = [v[0] for v in footprint]
+    ys = [v[1] for v in footprint]
+    gx = np.arange(min(xs), max(xs) + spacing / 2, spacing)
+    gy = np.arange(min(ys), max(ys) + spacing / 2, spacing)
+    pts = [(x, y) for x in gx for y in gy if point_in_polygon((x, y), footprint)]
+    return np.array(pts, dtype=np.float64).reshape(-1, 2)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_grid
+from conftest import empty_grid, random_obstacle_grid
+from oracles import replay_lattice_walk
 from uavnav.evaluation import (EvalResult, ReplayResult, aggregate, replay,
                                score)
 from uavnav.geometry import Point3
 from uavnav.occupancy import VoxelGrid
 from uavnav.trajgen import (MOVE_DOWN, MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT,
-                            Pose, forward, rollout)
+                            Action, Pose, forward, rollout)
 
 F3, F6 = forward(3.0), forward(6.0)
 
@@ -76,6 +77,24 @@ class TestReplay:
         # the turn still happens and the move halts, as from any blocked move
         assert result.final == Pose(start_pose().position, 30.0)
         assert result.executed_length == 0.0
+
+
+REPLAY_GRID = random_obstacle_grid(np.random.default_rng(29), dims=(60, 60, 24), n_boxes=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.tuples(st.integers(0, 59), st.integers(0, 59), st.integers(0, 23)),
+       offset=st.tuples(*[st.floats(0.0, 0.999)] * 3), heading=st.integers(0, 11),
+       actions=st.lists(st.sampled_from([a for a in Action if a is not STOP]), max_size=60),
+       tail=st.sampled_from([[STOP], [STOP, F3, TURN_LEFT], []]))
+def test_replay_equals_lattice_pose_walk(cell, offset, heading, actions, tail):
+    # Starts anywhere in the grid, occupied cells included; random moves
+    # leave the grid or hit boxes, and a Stop may end the list or not.
+    start = Pose(Point3(*(c + o for c, o in zip(cell, offset))), 30.0 * heading)
+    got = replay(start, actions + tail, REPLAY_GRID)
+    want = replay_lattice_walk(start, actions + tail, REPLAY_GRID)
+    assert got == want
+    assert repr(got) == repr(want)  # every float bit for bit, the sign of zero included
 
 
 class TestScore:

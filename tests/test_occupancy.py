@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bev_columns, brute_force_cells, dense_segment_free, dilate_l1,
-                     grid_from_debug_dump, point_blocked)
+from oracles import (bev_columns, bev_where_max, brute_force_cells, dense_segment_free,
+                     dilate_l1, grid_from_debug_dump, point_blocked, voxelize_broadcast)
 from uavnav.geometry import Point3
 from uavnav.occupancy import (BevGrid, VoxelGrid, bev_project, grid_debug_dump,
                               is_free, load_grid, mark_vegetation, save_grid,
                               segment_free, traverse_segment, voxelize)
-from uavnav.scene import PointCloud
+from uavnav.scene import PointCloud, load_point_cloud
 
 
 def cloud_of(points) -> PointCloud:
@@ -101,6 +101,51 @@ def test_dilation_matches_l1_oracle(case):
     assert np.array_equal(grid.occupancy, dilate_l1(seeds, math.ceil(margin / size)))
 
 
+COORDS = (st.integers(-90, 90).map(lambda k: k / 10)  # tenths: none is dyadic but 0 and .5
+          | st.floats(-9.0, 9.0, allow_subnormal=False))
+
+
+@st.composite
+def layer_clouds(draw) -> tuple[str, np.ndarray]:
+    """One to 40 points, or one point repeated; kept as an (n, 3) array
+    or as the (n, 6) array of a colored ``cloud.npy``."""
+    n = draw(st.integers(1, 40))
+    points = draw(st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        points = points[:1] * n
+    layout = draw(st.sampled_from(["n3", "n6_npy"]))
+    a = np.array(points, dtype=np.float64)
+    return layout, np.hstack([a, np.full((n, 3), 0.5)]) if layout == "n6_npy" else a
+
+
+@pytest.fixture(scope="module")
+def npy_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("layers") / "cloud.npy"
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=layer_clouds(), size=st.sampled_from([0.3, 0.7, 1.0, 1.3]),
+       min_height=st.sampled_from([-2.5, 0.0, 0.7, 3.0, 1e3]))
+def test_scene_layers_equal_parent_formulas(npy_path, case, size, min_height):
+    layout, a = case
+    if layout == "n6_npy":
+        np.save(npy_path, a, allow_pickle=False)
+        cloud = load_point_cloud(npy_path)
+        assert len(a) == 1 or not cloud.points.flags.c_contiguous  # a[:, :3], a strided view
+    else:
+        cloud = PointCloud(points=a)
+    lo, hi = cloud.bounds
+    assert np.array_equal(lo, a[:, :3].min(axis=0)) and np.array_equal(hi, a[:, :3].max(axis=0))
+    for margin in (0.0, 2.0):
+        grid, want = voxelize(cloud, size, margin), voxelize_broadcast(cloud, size, margin)
+        assert np.array_equal(grid.origin, want.origin) and grid.dims == want.dims
+        assert np.array_equal(grid.occupancy, want.occupancy)
+        bev = bev_project(grid, min_height)
+        occupied, heights = bev_where_max(grid, min_height)
+        assert bev.occupancy.tobytes() == occupied.tobytes()
+        assert bev.max_height.tobytes() == heights.tobytes()
+
+
 class TestBevProject:
     def test_all_free(self):
         grid = VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=(4, 4, 4),
@@ -148,6 +193,21 @@ class TestBevProject:
         assert bev.occupancy.sum() == 1
         assert bev.occupancy[1, 1]
         assert bev.max_height[1, 1] == 6.0
+
+    @pytest.mark.parametrize("min_height", [-7.5, -0.5, 11.5, 12.0, 40.0])
+    def test_band_outside_the_grid_equals_parent(self, min_height):
+        # At or above the grid top the band is empty and every column is
+        # free; below the base it holds the whole grid.
+        occ = np.random.default_rng(12).random((5, 4, 12)) < 0.3
+        grid = VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=(5, 4, 12), occupancy=occ)
+        bev = bev_project(grid, min_height)
+        occupied, heights = bev_where_max(grid, min_height)
+        assert bev.occupancy.tobytes() == occupied.tobytes()
+        assert bev.max_height.tobytes() == heights.tobytes()
+        if min_height >= 12.0:
+            assert not bev.occupancy.any() and not bev.max_height.any()
+        if min_height < 0:
+            assert np.array_equal(bev.max_height, bev_project(grid).max_height)
 
     def test_occupied_iff_positive_height(self):
         rng = np.random.default_rng(11)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_point_cloud_lines, save_point_cloud
+from oracles import parse_point_cloud_lines, roof_points_loop, save_point_cloud
 from uavnav import ConfigError
-from uavnav.scene import (BuildingSpec, PointCloud, PointCloudParseError,
-                          SceneSpec, TreeSpec,
+from uavnav.scene import (SURFACE_SAMPLE_SPACING, BuildingSpec, PointCloud,
+                          PointCloudParseError, SceneSpec, TreeSpec,
+                          _sample_polygon_interior,
                           load_point_cloud,
                           scene_spec_from_dict, scene_spec_to_dict,
                           synthesize_scene)
@@ -258,3 +259,32 @@ class TestSynthesize:
                          seed=5, scene_id="rt")
         again = scene_spec_from_dict(scene_spec_to_dict(spec))
         assert again == spec
+
+
+def _on_lattice(v: float):
+    v = round(v * 2) / 2  # the 0.5 m sampling lattice, as an int where whole
+    return int(v) if v == int(v) else v
+
+
+@st.composite
+def footprints(draw) -> list:
+    """A star-shaped polygon of 3-9 vertices around (20, 20), with its
+    vertices on the 0.5 m sampling lattice (so lattice points fall on its
+    edges and vertices), at tenths or anywhere; or a box, whose
+    horizontal edges cross no ray."""
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from([5, 5.5, 5.3])), draw(st.sampled_from([7, 6.5, 6.1]))
+        return box(x, y, draw(st.sampled_from([4, 7.5, 3.7])), draw(st.sampled_from([6, 2.5])))
+    n = draw(st.integers(3, 9))
+    angles = sorted(draw(st.lists(st.floats(0.0, 6.28), min_size=n, max_size=n, unique=True)))
+    radii = draw(st.lists(st.floats(1.0, 15.0), min_size=n, max_size=n))
+    snap = draw(st.sampled_from([_on_lattice, lambda v: round(v, 1), float]))
+    return [(snap(20 + r * np.cos(t)), snap(20 + r * np.sin(t))) for r, t in zip(radii, angles)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(footprint=footprints())
+def test_roof_sampling_equals_point_in_polygon_loop(footprint):
+    got = _sample_polygon_interior(footprint, SURFACE_SAMPLE_SPACING)
+    want = roof_points_loop(footprint, SURFACE_SAMPLE_SPACING)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -332,14 +332,12 @@ def landmark_visibility(
         if abs((bearing - yaw + 180.0) % 360.0 - 180.0) > fov_half_angle:
             continue
         target = Point3(ax, ay, min(max(pz, z_floor), top))
-        for i, j, k in traverse_segment(grid, p, target):
+        for i, j, k in traverse_segment(grid, p, target):  # ends in the aim cell, in cells
             if (i, j) in cells:
                 seen.add(lm_id)  # reached the landmark's own footprint
                 break
             if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz) or occupancy[i, j, k]:
                 break
-        else:
-            seen.add(lm_id)
     return seen
 
 

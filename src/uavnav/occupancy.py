@@ -173,27 +173,22 @@ def mark_vegetation(bev: BevGrid, centers: list[tuple[float, float]],
 
 def is_free(grid: VoxelGrid, p: Point3) -> bool:
     """True iff p maps to an in-bounds, unoccupied voxel (out of bounds is not free)."""
-    size = grid.voxel_size
-    i = math.floor((p.x - grid.origin[0]) / size)
-    if not 0 <= i < grid.dims[0]:
-        return False
-    j = math.floor((p.y - grid.origin[1]) / size)
-    if not 0 <= j < grid.dims[1]:
-        return False
-    k = math.floor((p.z - grid.origin[2]) / size)
-    if not 0 <= k < grid.dims[2]:
-        return False
-    return not grid.occupancy[i, j, k]
+    return segment_free_coords(grid, p.x, p.y, p.z, p.x, p.y, p.z)
 
 
 def traverse_coords(grid: VoxelGrid, ax: float, ay: float, az: float,
                     bx_: float, by_: float, bz_: float,
                     ) -> Iterator[tuple[int, int, int]]:
-    """Yield every voxel cell intersected by the segment, in order.
+    """Yield the voxel cells the segment crosses, from its start cell to
+    its end cell.
 
-    Amanatides-Woo 3D DDA; cells are yielded whether or not they are in
-    bounds, so callers decide how to treat boundary exits. Ties pick the
-    x axis first, then y, then z.
+    Amanatides-Woo 3D DDA that steps each axis only until it reaches the
+    end cell's index, after which that axis's next crossing is at
+    infinity. So the walk takes exactly ``|bx-ix| + |by-iy| + |bz-iz|``
+    face steps, each toward the end cell, and stays in the box from the
+    start cell to the end cell. Cells are yielded whether or not they
+    are in bounds, so callers decide how to treat boundary exits. Ties
+    pick the x axis first, then y, then z.
     """
     size = grid.voxel_size
     ox, oy, oz = float(grid.origin[0]), float(grid.origin[1]), float(grid.origin[2])
@@ -204,44 +199,28 @@ def traverse_coords(grid: VoxelGrid, ax: float, ay: float, az: float,
     by = math.floor((by_ - oy) / size)
     bz = math.floor((bz_ - oz) / size)
     yield (ix, iy, iz)
-    if ix == bx and iy == by and iz == bz:
-        return
-    dx, dy, dz = bx_ - ax, by_ - ay, bz_ - az
+    dx, dy, dz = bx_ - ax, by_ - ay, bz_ - az  # on an axis with steps left: nonzero, toward b
     inf = math.inf
     sx = 1 if dx > 0 else -1
     sy = 1 if dy > 0 else -1
     sz = 1 if dz > 0 else -1
-    if dx:
-        tmx = (ox + (ix + (dx > 0)) * size - ax) / dx
-        tdx = size / abs(dx)
-    else:
-        tmx, tdx = inf, inf
-    if dy:
-        tmy = (oy + (iy + (dy > 0)) * size - ay) / dy
-        tdy = size / abs(dy)
-    else:
-        tmy, tdy = inf, inf
-    if dz:
-        tmz = (oz + (iz + (dz > 0)) * size - az) / dz
-        tdz = size / abs(dz)
-    else:
-        tmz, tdz = inf, inf
-    max_steps = abs(bx - ix) + abs(by - iy) + abs(bz - iz) + 3
-    for _ in range(max_steps):
+    tmx = (ox + (ix + (dx > 0)) * size - ax) / dx if ix != bx else inf
+    tmy = (oy + (iy + (dy > 0)) * size - ay) / dy if iy != by else inf
+    tmz = (oz + (iz + (dz > 0)) * size - az) / dz if iz != bz else inf
+    tdx = size / abs(dx) if dx else inf
+    tdy = size / abs(dy) if dy else inf
+    tdz = size / abs(dz) if dz else inf
+    for _ in range(abs(bx - ix) + abs(by - iy) + abs(bz - iz)):
         if tmx <= tmy and tmx <= tmz:
             ix += sx
-            tmx += tdx
+            tmx = tmx + tdx if ix != bx else inf
         elif tmy <= tmz:
             iy += sy
-            tmy += tdy
+            tmy = tmy + tdy if iy != by else inf
         else:
             iz += sz
-            tmz += tdz
+            tmz = tmz + tdz if iz != bz else inf
         yield (ix, iy, iz)
-        if ix == bx and iy == by and iz == bz:
-            return
-    # Step budget exhausted (float tie pathologies); cover the endpoint cell.
-    yield (bx, by, bz)
 
 
 def traverse_segment(grid: VoxelGrid, a: Point3, b: Point3) -> Iterator[tuple[int, int, int]]:

@@ -141,9 +141,8 @@ class SceneBundle:
     @cached_property
     def bev(self) -> BevGrid:  # of the raw grid, trees marked as vegetation
         bev = bev_project(self.raw_grid, min_height=self.cfg.bev_min_height)
-        if self.spec.trees:
-            bev = mark_vegetation(bev, [t.position for t in self.spec.trees],
-                                  radius=max(t.canopy_radius for t in self.spec.trees))
+        for t in self.spec.trees:  # each with its own canopy
+            bev = mark_vegetation(bev, [t.position], radius=t.canopy_radius)
         return bev
 
     @cached_property
@@ -215,7 +214,7 @@ def load_scene_dir(scene_dir: str | Path, cfg: PipelineConfig) -> SceneBundle:
 def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
                     cloud: PointCloud | None = None) -> Path:
     """Write ``spec`` as scene.json and its cloud as cloud.npy, float64 x y z
-    [r g b] columns. A directory that already holds a cloud.txt is refused
+    columns. A directory that already holds a cloud.txt is refused
     before anything is written, as it would then hold both."""
     out_dir = Path(out_dir)
     if (out_dir / "cloud.txt").exists():
@@ -225,8 +224,7 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
     if cloud is None:
         cloud = synthesize_scene(spec)
     save_json(out_dir / "scene.json", scene_spec_to_dict(spec))
-    a = np.ascontiguousarray(cloud.points if cloud.colors is None
-                             else np.hstack([cloud.points, cloud.colors]))
+    a = np.ascontiguousarray(cloud.points)
     # np.save's bytes, written by the file object so that a failed write keeps its errno
     with atomic_open(out_dir / "cloud.npy", "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(a))

@@ -1,9 +1,10 @@
 """Scene loading and procedural synthesis.
 
-A point cloud is an (n, 3) or (n, 6) array of x y z [r g b]. Scene
-directories keep it as a float64 ``.npy`` file; clouds made elsewhere
-are read as plain ASCII, one point per line with '#' comment lines
-ignored. ``load_point_cloud`` picks the format by suffix. Procedural scenes
+A point cloud is an (n, 3) array of x y z. Scene directories keep it as
+a float64 ``.npy`` file; clouds made elsewhere are read as plain ASCII,
+one point per line with '#' comment lines ignored. Either may carry
+three more columns, r g b, which are checked and dropped.
+``load_point_cloud`` picks the format by suffix. Procedural scenes
 stand in for a rendering engine at desk scale: a flat ground plane,
 box-extruded building footprints, and cylindrical tree canopies, all
 sampled as surface points on a fixed lattice so that results are
@@ -39,17 +40,12 @@ class PointCloudParseError(ConfigError):
 
 @dataclass
 class PointCloud:
-    """Ordered point set with optional per-point color and cached bounds."""
+    """Ordered point set with cached bounds."""
 
     points: np.ndarray  # (N, 3) float64
-    colors: np.ndarray | None = None  # (N, 3) float64 in [0, 1]
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-            if len(self.colors) != len(self.points):
-                raise ValueError("color count does not match point count")
         if len(self.points) and not np.isfinite(self.points).all():
             raise ValueError("point cloud contains non-finite coordinates")
 
@@ -132,8 +128,7 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     """
     path = Path(path)
     if path.suffix == ".npy":
-        a = _read_npy(path)
-        return PointCloud(points=a[:, :3], colors=a[:, 3:] if a.shape[1] == 6 else None)
+        return PointCloud(points=_read_npy(path)[:, :3])
     data = path.read_bytes()
     try:
         data.decode("utf-8")
@@ -153,9 +148,8 @@ def load_point_cloud(path: str | Path) -> PointCloud:
         except (ValueError, UserWarning):
             a = None
         if a is not None and a.shape[1] in (3, 6) and np.isfinite(a).all():
-            return PointCloud(points=a[:, :3], colors=a[:, 3:] if a.shape[1] == 6 else None)
+            return PointCloud(points=a[:, :3])
     pts: list[tuple[float, float, float]] = []
-    colors: list[tuple[float, float, float]] = []
     width = 0
     with text() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -177,12 +171,7 @@ def load_point_cloud(path: str | Path) -> PointCloud:
             if not all(math.isfinite(v) for v in values):
                 raise PointCloudParseError(path, lineno, "non-finite value")
             pts.append((values[0], values[1], values[2]))
-            if len(values) == 6:
-                colors.append((values[3], values[4], values[5]))
-    return PointCloud(
-        points=np.array(pts, dtype=np.float64).reshape(-1, 3),
-        colors=np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None,
-    )
+    return PointCloud(points=np.array(pts, dtype=np.float64).reshape(-1, 3))
 
 
 def _read_npy(path: Path) -> np.ndarray:

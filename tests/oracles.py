@@ -18,7 +18,9 @@ subtracted the largest lattice norm over the whole goal ball, and
 ``validate`` made before it replayed the actions as ``eval`` does, and
 four scene-layer forms kept as the references for their column-pass
 and lattice-state rewrites: ``voxelize_broadcast``, ``bev_where_max``,
-``replay_lattice_walk`` and ``roof_points_loop``.
+``replay_lattice_walk`` and ``roof_points_loop``, and
+``traverse_step_budget``, the voxel walk as it was before it stopped
+each axis at the end cell.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
@@ -83,7 +85,9 @@ def grid_from_debug_dump(text: str) -> VoxelGrid:
 
 
 def point_blocked(grid: VoxelGrid, x: float, y: float, z: float) -> bool:
-    """Direct point-in-occupied-voxel check (conservative out of bounds)."""
+    """Direct point-in-occupied-voxel check (conservative out of bounds):
+    the negation of the formula ``occupancy.is_free`` computed by hand
+    before it became the zero-length walk."""
     i = math.floor((x - grid.origin[0]) / grid.voxel_size)
     j = math.floor((y - grid.origin[1]) / grid.voxel_size)
     k = math.floor((z - grid.origin[2]) / grid.voxel_size)
@@ -373,12 +377,11 @@ def merge_tokens_full_sort(keyframe_set: KeyframeSet, threshold: float,
     return TokenMatrix(tokens=running, frame_index=reference.frame_index)
 
 
-def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """(points, colors or None) of a point cloud file, one text-mode line at
-    a time with ``str.split`` and ``float``: the reference for
-    ``load_point_cloud``, raising PointCloudParseError with the 1-based
-    line number."""
-    pts, colors = [], []
+def parse_point_cloud_lines(path: Path) -> np.ndarray:
+    """The (n, 3) points of a point cloud file, one text-mode line at a time
+    with ``str.split`` and ``float``: the reference for ``load_point_cloud``,
+    raising PointCloudParseError with the 1-based line number."""
+    pts, width = [], 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -388,7 +391,8 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             if len(fields) not in (3, 6):
                 raise PointCloudParseError(path, lineno,
                                            f"expected 3 or 6 fields, got {len(fields)}")
-            if pts and len(fields) != (6 if colors else 3):
+            width = width or len(fields)
+            if len(fields) != width:
                 raise PointCloudParseError(path, lineno, "mixed colored and uncolored points")
             try:
                 values = [float(f) for f in fields]
@@ -397,22 +401,15 @@ def parse_point_cloud_lines(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             if not all(math.isfinite(v) for v in values):
                 raise PointCloudParseError(path, lineno, "non-finite value")
             pts.append(values[:3])
-            if len(values) == 6:
-                colors.append(values[3:])
-    return (np.array(pts, dtype=np.float64).reshape(-1, 3),
-            np.array(colors, dtype=np.float64).reshape(-1, 3) if colors else None)
+    return np.array(pts, dtype=np.float64).reshape(-1, 3)
 
 
 def save_point_cloud(cloud: PointCloud, path: Path) -> None:
     """Write ``cloud`` in the ASCII format ``load_point_cloud`` reads, as
     clouds made elsewhere come; floats use repr so a reload is exact."""
     with path.open("w", encoding="utf-8") as fh:
-        for i, p in enumerate(cloud.points):
-            line = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
-            if cloud.colors is not None:
-                c = cloud.colors[i]
-                line += f" {float(c[0])!r} {float(c[1])!r} {float(c[2])!r}"
-            fh.write(line + "\n")
+        for p in cloud.points:
+            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
 
 
 def visibility_per_call(poses: list[Pose], landmarks: list[LandmarkInstance],
@@ -631,3 +628,36 @@ def roof_points_loop(footprint: list[tuple[float, float]], spacing: float) -> np
     gy = np.arange(min(ys), max(ys) + spacing / 2, spacing)
     pts = [(x, y) for x in gx for y in gy if point_in_polygon((x, y), footprint)]
     return np.array(pts, dtype=np.float64).reshape(-1, 2)
+
+
+def traverse_step_budget(grid: VoxelGrid, ax: float, ay: float, az: float,
+                         bx_: float, by_: float, bz_: float) -> list[tuple[int, int, int]]:
+    """``occupancy.traverse_coords`` as it was before it stopped stepping an
+    axis at the end cell's index: it stepped every axis the segment moves
+    along until it met the end cell, within a budget of three steps past
+    the Manhattan distance, then yielded the end cell."""
+    size = grid.voxel_size
+    ox, oy, oz = float(grid.origin[0]), float(grid.origin[1]), float(grid.origin[2])
+    ix, iy, iz = (math.floor((ax - ox) / size), math.floor((ay - oy) / size),
+                  math.floor((az - oz) / size))
+    bx, by, bz = (math.floor((bx_ - ox) / size), math.floor((by_ - oy) / size),
+                  math.floor((bz_ - oz) / size))
+    cells = [(ix, iy, iz)]
+    if (ix, iy, iz) == (bx, by, bz):
+        return cells
+    dx, dy, dz = bx_ - ax, by_ - ay, bz_ - az
+    sx, sy, sz = (1 if dx > 0 else -1), (1 if dy > 0 else -1), (1 if dz > 0 else -1)
+    tmx, tdx = ((ox + (ix + (dx > 0)) * size - ax) / dx, size / abs(dx)) if dx else (math.inf,) * 2
+    tmy, tdy = ((oy + (iy + (dy > 0)) * size - ay) / dy, size / abs(dy)) if dy else (math.inf,) * 2
+    tmz, tdz = ((oz + (iz + (dz > 0)) * size - az) / dz, size / abs(dz)) if dz else (math.inf,) * 2
+    for _ in range(abs(bx - ix) + abs(by - iy) + abs(bz - iz) + 3):
+        if tmx <= tmy and tmx <= tmz:
+            ix, tmx = ix + sx, tmx + tdx
+        elif tmy <= tmz:
+            iy, tmy = iy + sy, tmy + tdy
+        else:
+            iz, tmz = iz + sz, tmz + tdz
+        cells.append((ix, iy, iz))
+        if (ix, iy, iz) == (bx, by, bz):
+            return cells
+    return cells + [(bx, by, bz)]

@@ -775,7 +775,7 @@ def demo_episodes(demo_scenes, demo_config) -> Path:
 
 def test_npy_and_text_clouds_load_bit_identical(demo_scenes):
     (spec, binary), (text_spec, text) = map(pl.read_scene_dir, demo_scenes)
-    assert spec == text_spec and binary.colors is None and text.colors is None
+    assert spec == text_spec
     assert binary.points.shape == text.points.shape
     assert binary.points.tobytes() == text.points.tobytes()
 

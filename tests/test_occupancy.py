@@ -8,15 +8,16 @@ import struct
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (bev_columns, bev_where_max, brute_force_cells, dense_segment_free,
-                     dilate_l1, grid_from_debug_dump, point_blocked, voxelize_broadcast)
+                     dilate_l1, grid_from_debug_dump, point_blocked, traverse_step_budget,
+                     voxelize_broadcast)
 from uavnav.geometry import Point3
 from uavnav.occupancy import (BevGrid, VoxelGrid, bev_project, grid_debug_dump,
                               is_free, load_grid, mark_vegetation, save_grid,
-                              segment_free, traverse_segment, voxelize)
+                              segment_free, traverse_coords, traverse_segment, voxelize)
 from uavnav.scene import PointCloud, load_point_cloud
 
 
@@ -26,6 +27,32 @@ def cloud_of(points) -> PointCloud:
 
 def occupied_set(grid: VoxelGrid) -> set:
     return {tuple(c) for c in np.argwhere(grid.occupancy)}
+
+
+@st.composite
+def grids_and_points(draw, count: int):
+    """A random 6x6x6 grid (voxel size 0.5, 0.7, 1 or 1.3; origin zero or
+    not) and ``count`` points in and around it, each coordinate on a cell
+    face, a float away from one, halfway, or anywhere in the cell."""
+    size = draw(st.sampled_from([0.5, 0.7, 1.0, 1.3]))
+    origin = np.array(draw(st.lists(st.sampled_from([0.0, -2.5, 0.35])
+                                    | st.floats(-10, 10, allow_subnormal=False),
+                                    min_size=3, max_size=3)))
+    occ = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((6, 6, 6)) < 0.3
+    grid = VoxelGrid(origin=origin, voxel_size=size, dims=(6, 6, 6), occupancy=occ)
+
+    def coord(axis: int) -> float:
+        face = float(origin[axis] + draw(st.integers(-2, 8)) * size)
+        offset = draw(st.sampled_from(["on", "below", "above", "half", "any"]))
+        if offset in ("below", "above"):
+            return math.nextafter(face, -math.inf if offset == "below" else math.inf)
+        if offset == "half":
+            return face + 0.5 * size
+        if offset == "any":
+            return face + draw(st.floats(0, 1, exclude_max=True)) * size
+        return face
+
+    return grid, [Point3(coord(0), coord(1), coord(2)) for _ in range(count)]
 
 
 class TestVoxelize:
@@ -219,6 +246,13 @@ class TestBevProject:
 
 
 class TestIsFree:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_points(8))
+    def test_on_faces_and_edges_equals_the_point_formula(self, case):
+        grid, points = case
+        for p in points:
+            assert is_free(grid, p) == (not point_blocked(grid, p.x, p.y, p.z))
+
     @pytest.fixture()
     def wall_grid(self) -> VoxelGrid:
         occ = np.zeros((10, 10, 10), dtype=bool)
@@ -292,6 +326,44 @@ class TestSegmentFree:
             a = Point3(*rng.uniform(0.5, 14.5, size=2), rng.uniform(0.5, 7.5))
             b = Point3(*rng.uniform(0.5, 14.5, size=2), rng.uniform(0.5, 7.5))
             assert segment_free(grid, a, b) == dense_segment_free(grid, a, b)
+
+    def test_walk_stays_between_start_and_end_cells(self):
+        # (0, 3, 0) is two cells off the segment, outside the box from the
+        # start cell (3, 0, 0) to the end cell (2, 2, 0): the walk never visits it.
+        occ = np.zeros((5, 5, 1), dtype=bool)
+        occ[0, 3, 0] = True
+        grid = VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=(5, 5, 1), occupancy=occ)
+        a, b = Point3(3.5, 0.5, 0.5), Point3(2.0, 2.0, 0.5)
+        assert list(traverse_segment(grid, a, b)) == [(3, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0)]
+        assert segment_free(grid, a, b)
+
+    @settings(max_examples=400, deadline=None)
+    @given(grids_and_points(2))
+    def test_walk_is_face_steps_toward_the_end_cell(self, case):
+        grid, (a, b) = case
+        cells = list(traverse_segment(grid, a, b))
+        start, end = grid.cell_of(a), grid.cell_of(b)
+        assert cells[0] == start and cells[-1] == end
+        assert len(cells) == 1 + sum(abs(e - s) for s, e in zip(start, end))
+        for u, v in zip(cells, cells[1:]):
+            steps = [(w - x, e - x) for x, w, e in zip(u, v, end) if w != x]
+            assert len(steps) == 1
+            step, to_end = steps[0]
+            assert abs(step) == 1 and step * to_end > 0
+        for cell in cells:
+            assert all(min(s, e) <= c <= max(s, e) for c, s, e in zip(cell, start, end))
+
+    @settings(max_examples=400, deadline=None)
+    @given(grids_and_points(2))
+    def test_walk_equals_step_budget_walk_inside_the_box(self, case):
+        grid, (a, b) = case
+        old = traverse_step_budget(grid, a.x, a.y, a.z, b.x, b.y, b.z)
+        start, end = grid.cell_of(a), grid.cell_of(b)
+        inside = all(min(s, e) <= c <= max(s, e)
+                     for cell in old for c, s, e in zip(cell, start, end))
+        event(f"step-budget walk inside the box: {inside}")
+        if inside:
+            assert list(traverse_coords(grid, a.x, a.y, a.z, b.x, b.y, b.z)) == old
 
     def test_traversal_connects_start_to_end(self):
         grid = VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=(30, 30, 30),

@@ -18,6 +18,7 @@ from conftest import desk_trajgen_config
 from oracles import first_blocked_pose_pair, visibility_per_call
 from uavnav import keyframe as kf
 from uavnav import dataset as ds
+from uavnav import evaluation as ev
 from uavnav import pipeline as pl
 from uavnav import segmentation as seg
 from uavnav import trajgen as tg
@@ -25,7 +26,7 @@ from uavnav.dataset import read_episodes
 from uavnav.geometry import Point3
 from uavnav.instructions import split_subtrajectories
 from uavnav.occupancy import VoxelGrid
-from uavnav.scene import PointCloud
+from uavnav.scene import SceneSpec, TreeSpec, load_point_cloud
 from uavnav.vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient
 
 
@@ -403,20 +404,29 @@ class TestSceneBundle:
         assert all(lm.caption is not None for lm in bundle.landmarks)
         assert [t.id for t in bundle.sight_targets] == [lm.id for lm in bundle.landmarks]
 
+    def test_each_tree_marked_with_its_own_canopy(self, desk_cfg):
+        # Each tree is marked with its own canopy radius, not the largest one.
+        spec = SceneSpec(extent=(60.0, 40.0),
+                         trees=[TreeSpec((20.0, 20.0), 10.0, canopy_radius=1.0),
+                                TreeSpec((45.0, 20.0), 10.0, canopy_radius=8.0)])
+        bev = pl.build_scene_bundle(spec, desk_cfg).bev
+        assert bev.is_vegetation(20.0, 20.0) and bev.is_vegetation(50.0, 20.0)
+        assert not bev.is_vegetation(25.0, 20.0)  # 5 m from the 1 m tree, 20 m from the other
+
     @pytest.mark.parametrize("colored", [False, True])
     def test_scene_dir_cloud_is_what_np_save_writes(self, tmp_path, colored):
+        # A cloud read from x y z r g b columns keeps and writes only its x y z.
         rng = np.random.default_rng(5)
-        cloud = PointCloud(points=rng.uniform(-50, 50, size=(40, 3)),
-                           colors=rng.uniform(0, 1, size=(40, 3)) if colored else None)
+        xyz = rng.uniform(-50, 50, size=(40, 3))
+        source = tmp_path / "source.npy"
+        np.save(source, np.hstack([xyz, rng.uniform(0, 1, size=(40, 3))]) if colored else xyz)
+        cloud = load_point_cloud(source)
         scene_dir = pl.write_scene_dir(pl.demo_scene_spec(), tmp_path / "scene", cloud=cloud)
         assert sorted(p.name for p in scene_dir.iterdir()) == ["cloud.npy", "scene.json"]
-        columns = (lambda c: np.hstack([c.points, c.colors])) if colored else (lambda c: c.points)
         buf = io.BytesIO()
-        np.save(buf, columns(cloud), allow_pickle=False)
+        np.save(buf, xyz, allow_pickle=False)
         assert (scene_dir / "cloud.npy").read_bytes() == buf.getvalue()
-        back = pl.read_scene_dir(scene_dir)[1]
-        assert (back.colors is not None) == colored
-        assert columns(back).tobytes() == columns(cloud).tobytes()
+        assert pl.read_scene_dir(scene_dir)[1].points.tobytes() == xyz.tobytes()
 
     def test_captions_reflect_ground_truth_labels(self, demo_bundle):
         colors = {lm.caption.color for lm in demo_bundle.landmarks}
@@ -451,3 +461,26 @@ def test_benchmark_probes_resolve(monkeypatch):
     tracing = importlib.import_module("tracing")
     probes = tracing._probes(tracing.Tracer())
     assert probes and all(callable(wrapper) for _, _, wrapper in probes)
+
+
+def test_benchmark_probe_counts_match_the_program(monkeypatch, demo_bundle, desk_cfg, tmp_path):
+    """The benchmark's ``trajgen.collision_checks`` counts calls of trajgen's
+    ``segment_free_coords``; it equals the report's own count only while
+    nothing else (``is_free`` included) goes through that name. Its
+    ``evaluation.replay_checks`` is one ``segment_free`` per translating
+    action before Stop."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    A = tg.Action
+    actions = [A.FORWARD_3, A.TURN_LEFT, A.MOVE_UP, A.FORWARD_9, A.TURN_RIGHT, A.MOVE_DOWN,
+               A.FORWARD_6, A.STOP, A.FORWARD_3]
+    with tracing.traced(tracer):
+        report = pl.run_generate(demo_bundle, replace(desk_cfg, workers=1), 5,
+                                 tmp_path / "out.jsonl")
+        checks = tracer.summary()[2]["trajgen.segment_free_coords"]
+        start = read_episodes(tmp_path / "out.jsonl")[0].trajectory.start
+        ev.replay(start, actions, demo_bundle.nav_grid)
+    counts = tracer.summary()[2]
+    assert report.accepted == 5 and checks == report.collision_checks > 0
+    assert counts["evaluation.segment_free"] == 5

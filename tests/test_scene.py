@@ -54,11 +54,17 @@ class TestLoadPointCloud:
         assert len(load_point_cloud(path)) == 1
 
     def test_colors_parsed(self, tmp_path):
+        # Colors are checked as every other field, then dropped: only xyz is kept.
         path = tmp_path / "col.txt"
         path.write_text("1 2 3 0.5 0.25 1.0\n")
         cloud = load_point_cloud(path)
-        assert cloud.colors is not None
-        assert np.allclose(cloud.colors[0], [0.5, 0.25, 1.0])
+        assert cloud.points.tobytes() == np.array([[1.0, 2.0, 3.0]]).tobytes()
+        for bad, message in [("1 2 3 0.5 nan 1.0\n", "non-finite value"),
+                             ("1 2 3 0.5 red 1.0\n", "could not convert"),
+                             ("1 2 3 0.5 0.25 1.0\n4 5 6\n", "mixed colored")]:
+            path.write_text(bad)
+            with pytest.raises(PointCloudParseError, match=message):
+                load_point_cloud(path)
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -148,7 +154,7 @@ def cloud_path(tmp_path_factory):
 def test_load_point_cloud_matches_line_loop(cloud_path, text):
     cloud_path.write_bytes(text.encode("utf-8"))
     try:
-        points, colors = parse_point_cloud_lines(cloud_path)
+        points = parse_point_cloud_lines(cloud_path)
     except PointCloudParseError as expected:
         with pytest.raises(PointCloudParseError) as err:
             load_point_cloud(cloud_path)
@@ -157,9 +163,6 @@ def test_load_point_cloud_matches_line_loop(cloud_path, text):
     cloud = load_point_cloud(cloud_path)
     assert cloud.points.shape == points.shape
     assert cloud.points.tobytes() == points.tobytes()
-    assert (cloud.colors is None) == (colors is None)
-    if colors is not None:
-        assert cloud.colors.tobytes() == colors.tobytes()
 
 
 class TestRoundTrip:
@@ -174,13 +177,11 @@ class TestRoundTrip:
 
     def test_exact_round_trip_with_colors(self, tmp_path):
         rng = np.random.default_rng(12)
-        cloud = PointCloud(points=rng.normal(size=(50, 3)),
-                           colors=rng.uniform(0, 1, size=(50, 3)))
+        rows = np.hstack([rng.normal(size=(50, 3)), rng.uniform(0, 1, size=(50, 3))])
         path = tmp_path / "rtc.txt"
-        save_point_cloud(cloud, path)
+        path.write_text("".join(" ".join(map(repr, map(float, row))) + "\n" for row in rows))
         back = load_point_cloud(path)
-        assert np.array_equal(back.points, cloud.points)
-        assert np.array_equal(back.colors, cloud.colors)
+        assert back.points.tobytes() == np.ascontiguousarray(rows[:, :3]).tobytes()
 
 
     @pytest.mark.parametrize("layout", [
@@ -193,7 +194,6 @@ class TestRoundTrip:
         np.save(path, layout(array), allow_pickle=False)
         cloud = load_point_cloud(path)
         assert np.array_equal(cloud.points, layout(array)[:, :3])
-        assert np.array_equal(cloud.colors, layout(array)[:, 3:])
 
 
 class TestSynthesize:

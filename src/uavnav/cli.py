@@ -18,7 +18,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import ConfigError, UavnavError, atomic_open, check_kind, load_json, save_json
@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
                               "ground truth and no meta.gt_length")
         results.append(ev.score(result, goal_point, gt_length, args.radius))
     missing = len(predictions) - len(results)
-    summary = ev.aggregate(results).to_dict()
+    summary = asdict(ev.aggregate(results))
     summary["missing_predictions"] = missing
     summary["unpredicted"] = len(gt) - len(results)
     if args.out:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ DEFAULT_TREE_HEIGHT = 15.0
 MIN_ACTIONS = 2
 MAX_ACTIONS = 150
 POSE_TOLERANCE = 1e-4  # canonical 9-digit float form rounds serialized poses
+HISTOGRAM_BUCKET = 25.0  # meters, of path length and of mean altitude
 
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
 
@@ -302,8 +302,8 @@ def split_dataset(
 class CorpusStats:
     episode_count: int
     action_histogram: dict[str, int]
-    length_histogram: dict[str, int]  # path length, meters buckets
-    height_histogram: dict[str, int]  # mean altitude, meters buckets
+    length_histogram: dict[float, int]  # path length, by bucket lower bound
+    height_histogram: dict[float, int]  # mean altitude, by bucket lower bound
     vocab_size: int
     mean_instruction_tokens: float
     noun_table: dict[str, int]
@@ -313,8 +313,8 @@ class CorpusStats:
         return {
             "episode_count": self.episode_count,
             "action_histogram": dict(sorted(self.action_histogram.items())),
-            "length_histogram": _by_lower_bound(self.length_histogram),
-            "height_histogram": _by_lower_bound(self.height_histogram),
+            "length_histogram": _labelled(self.length_histogram),
+            "height_histogram": _labelled(self.height_histogram),
             "vocab_size": self.vocab_size,
             "mean_instruction_tokens": round_sig(self.mean_instruction_tokens),
             "noun_table": dict(Counter(self.noun_table).most_common(50)),
@@ -337,20 +337,20 @@ class CorpusStats:
         return "\n".join(lines)
 
 
-def _bucket(value: float, width: float) -> str:
-    lo = math.floor(value / width) * width
-    return f"{lo:g}-{lo + width:g}"
+def _lower_bound(value: float) -> float:
+    return math.floor(value / HISTOGRAM_BUCKET) * HISTOGRAM_BUCKET
 
 
-def _by_lower_bound(histogram: dict[str, int]) -> dict[str, int]:
-    """``_bucket`` labels in the order of their lower bounds, which may be
-    negative or in exponent form: "-50--25" before "-25-0" before "0-25"."""
-    return dict(sorted(histogram.items(),
-                       key=lambda kv: float(re.match(r"-?[\d.]+(e[-+]\d+)?", kv[0])[0])))
+def _labelled(histogram: dict[float, int]) -> dict[str, int]:
+    """Counts by "lo-hi" label, in the order of the lower bounds: "-50--25"
+    before "-25-0" before "0-25". Bounds that ``:g`` prints alike share one."""
+    labelled: Counter = Counter()
+    for lo, count in sorted(histogram.items()):
+        labelled[f"{lo:g}-{lo + HISTOGRAM_BUCKET:g}"] += count
+    return dict(labelled)
 
 
-def compute_stats(episodes: Sequence[Episode], length_bucket: float = 25.0,
-                  height_bucket: float = 25.0) -> CorpusStats:
+def compute_stats(episodes: Sequence[Episode]) -> CorpusStats:
     """Exact histograms and vocabulary over a set of episodes."""
     actions: Counter = Counter()
     lengths: Counter = Counter()
@@ -363,9 +363,9 @@ def compute_stats(episodes: Sequence[Episode], length_bucket: float = 25.0,
         t = episode.trajectory
         for action in t.actions:
             actions[action.kind.value] += 1
-        lengths[_bucket(t.path_length(), length_bucket)] += 1
+        lengths[_lower_bound(t.path_length())] += 1
         mean_alt = sum(p.position.z for p in t.poses) / len(t.poses)
-        heights[_bucket(mean_alt, height_bucket)] += 1
+        heights[_lower_bound(mean_alt)] += 1
         if episode.instruction is not None:
             tokens = alnum_tokens(episode.instruction.text)
             vocab.update(tokens)

@@ -50,10 +50,6 @@ class EvalSummary:
     spl: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {"ne": self.ne, "sr": self.sr, "osr": self.osr,
-                "spl": self.spl, "count": self.count}
-
 
 def replay(start: Pose, actions: Sequence[Action], grid: VoxelGrid) -> ReplayResult:
     """Walk the lattice states of ``trajgen.rollout`` up to the first Stop;

@@ -16,7 +16,7 @@ import os
 import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -33,13 +33,14 @@ from .geometry import Point3, point_in_polygon
 from .keyframe import SightTarget, landmark_visibility, sight_targets
 from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, voxelize
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
-                    load_scene_spec, scene_spec_to_dict, synthesize_scene)
+                    load_scene_spec, synthesize_scene)
 from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
 
 log = logging.getLogger("uavnav")
 
 RETRY_BUDGET_FACTOR = 5
 IN_FLIGHT_PER_WORKER = 2  # pool episodes submitted and not yet consumed, per thread
+MAX_WORKERS = 256  # pool threads a config may ask for
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ class PipelineConfig:
             "a string": ("vlm_mode", "vlm_endpoint", "vlm_model"),
             "a string or null": ("vlm_cache_dir",),
             "a bool": ("stamp_outputs",)})
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
         if not (0.0 < self.coref_threshold <= 1.0):
             raise ConfigError("coref_threshold must be in (0, 1]")
 
@@ -159,9 +162,9 @@ class SceneBundle:
     def sight_targets(self) -> list[SightTarget]:  # of the landmarks, on the raw grid
         return sight_targets(self.raw_grid, self.landmarks)
 
-    def captions(self) -> dict[int, dict[str, str]]:
-        return {lm.id: lm.caption.as_dict() for lm in self.landmarks
-                if lm.caption is not None}
+    @cached_property
+    def captions(self) -> dict[int, dict[str, str]]:  # of the captioned landmarks, by id
+        return {lm.id: asdict(lm.caption) for lm in self.landmarks if lm.caption is not None}
 
 
 def _match_label(inst: seg.LandmarkInstance, spec: SceneSpec) -> str | None:
@@ -223,7 +226,7 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     if cloud is None:
         cloud = synthesize_scene(spec)
-    save_json(out_dir / "scene.json", scene_spec_to_dict(spec))
+    save_json(out_dir / "scene.json", asdict(spec))
     a = np.ascontiguousarray(cloud.points)
     # np.save's bytes, written by the file object so that a failed write keeps its errno
     with atomic_open(out_dir / "cloud.npy", "wb") as fh:
@@ -304,7 +307,7 @@ def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
     """Instruction for one trajectory, hinted by the landmarks in view at
     each sub-trajectory's end."""
     return instr.build_instruction(
-        trajectory, bundle.captions(), vlm, image_refs=image_refs,
+        trajectory, bundle.captions, vlm, image_refs=image_refs,
         visible=lambda k: landmark_visibility(trajectory.poses[k], bundle.sight_targets,
                                               bundle.raw_grid),
         threshold=cfg.coref_threshold)
@@ -373,7 +376,7 @@ def run_generate(bundle: SceneBundle, cfg: PipelineConfig, count: int,
     check_kind("count", count, "an integer >= 0", ConfigError)
     tg.eligible_landmarks(bundle.landmarks, cfg.trajgen)  # refused before any episode runs
     vlm = (vlm or cfg.make_vlm()) if narrate else None
-    bundle.nav_grid, bundle.bev, bundle.sight_targets  # built here, not raced for by workers
+    bundle.nav_grid, bundle.bev, bundle.sight_targets, bundle.captions  # not raced for by workers
     started = time.monotonic()
     report = GenerationReport()
 
@@ -420,8 +423,7 @@ class Violation:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"episode_id": self.episode_id, "kind": self.kind,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass

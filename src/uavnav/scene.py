@@ -45,7 +45,9 @@ class PointCloud:
     points: np.ndarray  # (N, 3) float64
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = np.asarray(self.points, dtype=np.float64)
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
+            raise ValueError(f"point cloud shape {self.points.shape}, expected (n, 3)")
         if len(self.points) and not np.isfinite(self.points).all():
             raise ValueError("point cloud contains non-finite coordinates")
 
@@ -77,17 +79,18 @@ class TreeSpec:
     canopy_radius: float = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SceneSpec:
     """A procedural scene. Construction, ``dataclasses.replace`` included,
     checks it and raises ConfigError; footprints may not overlap, so the
-    landmark count is well-defined."""
+    landmark count is well-defined. ``dataclasses.asdict`` is its scene.json
+    document, keys in field order."""
 
+    scene_id: str = "scene"
     extent: tuple[float, float]  # ground size in meters (x, y), origin at (0, 0)
     buildings: list[BuildingSpec] = field(default_factory=list)
     trees: list[TreeSpec] = field(default_factory=list)
     seed: int = 0
-    scene_id: str = "scene"
 
     def __post_init__(self) -> None:
         ex, ey = self.extent
@@ -113,6 +116,9 @@ class SceneSpec:
         for t in self.trees:
             if t.canopy_height <= 0:
                 raise ConfigError("tree canopy height must be positive")
+            if t.canopy_radius <= 0:
+                raise ConfigError(f"tree at {t.position} has non-positive canopy radius "
+                                  f"{t.canopy_radius}")
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
@@ -238,26 +244,6 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
         seed=check_kind("seed", doc.get("seed", 0), "an integer"),
         scene_id=check_kind("scene_id", doc.get("scene_id", "scene"), "a string"),
     )
-
-
-def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "scene_id": spec.scene_id,
-        "extent": list(spec.extent),
-        "buildings": [
-            {"footprint": [list(v) for v in b.footprint], "height": b.height, "label": b.label}
-            for b in spec.buildings
-        ],
-        "trees": [
-            {
-                "position": list(t.position),
-                "canopy_height": t.canopy_height,
-                "canopy_radius": t.canopy_radius,
-            }
-            for t in spec.trees
-        ],
-        "seed": spec.seed,
-    }
 
 
 def _linspace_count(length: float, spacing: float) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +43,6 @@ class Caption:
 
     def __post_init__(self) -> None:
         check_kinds(self, "caption ", {"a string": _CAPTION_FIELDS})
-
-    def as_dict(self) -> dict[str, str]:
-        return {"color": self.color, "feature": self.feature,
-                "size": self.size, "type": self.type}
 
 
 @dataclass(frozen=True)
@@ -208,18 +204,7 @@ def caption_instance(
 
 
 def instances_to_json(instances: list[LandmarkInstance]) -> str:
-    docs = []
-    for inst in instances:
-        docs.append({
-            "id": inst.id,
-            "contour": [[x, y] for x, y in inst.contour],
-            "centroid": list(inst.centroid),
-            "height": inst.height,
-            "area": inst.area,
-            "cells": [[i, j] for i, j in inst.cells],
-            "caption": inst.caption.as_dict() if inst.caption else None,
-        })
-    return json.dumps(docs, indent=1)
+    return json.dumps([asdict(inst) for inst in instances], indent=1)
 
 
 def instances_from_json(docs: list[dict]) -> list[LandmarkInstance]:

@@ -20,7 +20,9 @@ four scene-layer forms kept as the references for their column-pass
 and lattice-state rewrites: ``voxelize_broadcast``, ``bev_where_max``,
 ``replay_lattice_walk`` and ``roof_points_loop``, and
 ``traverse_step_budget``, the voxel walk as it was before it stopped
-each axis at the end cell.
+each axis at the end cell, and ``scene_spec_to_dict`` and
+``instances_to_json``, the hand-written scene.json and landmarks.json
+writers, kept as the references for ``dataclasses.asdict``.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
@@ -40,7 +42,7 @@ from uavnav.geometry import Point3, point_in_polygon
 from uavnav.keyframe import (KeyframeSet, MergeEvent, TokenMatrix, _cosine_matrix,
                              aim_cell)
 from uavnav.occupancy import VoxelGrid, is_free, segment_free, traverse_segment
-from uavnav.scene import PointCloud, PointCloudParseError
+from uavnav.scene import PointCloud, PointCloudParseError, SceneSpec
 from uavnav.segmentation import LandmarkInstance
 from uavnav.textproc import (_BOUNDARY_RE, ATTACH_PREPS, LANDMARK_NOUNS, NounPhrase,
                              _is_participle, _is_proper, tag_word, word_tokens)
@@ -661,3 +663,44 @@ def traverse_step_budget(grid: VoxelGrid, ax: float, ay: float, az: float,
         if (ix, iy, iz) == (bx, by, bz):
             return cells
     return cells + [(bx, by, bz)]
+
+
+def scene_spec_to_dict(spec: SceneSpec) -> dict:
+    """The scene.json document as its hand-written writer built it, key by
+    key, before ``dataclasses.asdict`` of the spec replaced it."""
+    return {
+        "scene_id": spec.scene_id,
+        "extent": list(spec.extent),
+        "buildings": [
+            {"footprint": [list(v) for v in b.footprint], "height": b.height, "label": b.label}
+            for b in spec.buildings
+        ],
+        "trees": [
+            {
+                "position": list(t.position),
+                "canopy_height": t.canopy_height,
+                "canopy_radius": t.canopy_radius,
+            }
+            for t in spec.trees
+        ],
+        "seed": spec.seed,
+    }
+
+
+def instances_to_json(instances: list[LandmarkInstance]) -> str:
+    """landmarks.json as its hand-written writer built it, before
+    ``dataclasses.asdict`` of each instance replaced the field list."""
+    docs = []
+    for inst in instances:
+        c = inst.caption
+        docs.append({
+            "id": inst.id,
+            "contour": [[x, y] for x, y in inst.contour],
+            "centroid": list(inst.centroid),
+            "height": inst.height,
+            "area": inst.area,
+            "cells": [[i, j] for i, j in inst.cells],
+            "caption": ({"color": c.color, "feature": c.feature, "size": c.size,
+                         "type": c.type} if c else None),
+        })
+    return json.dumps(docs, indent=1)

@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,7 @@ from uavnav.dataset import read_episodes
 from uavnav.geometry import Point3
 from uavnav.keyframe import load_tokens, save_tokens, TokenMatrix
 from uavnav.occupancy import load_grid, voxelize
-from uavnav.scene import (BuildingSpec, SceneSpec, TreeSpec, load_scene_spec,
-                          scene_spec_to_dict, synthesize_scene)
+from uavnav.scene import BuildingSpec, SceneSpec, TreeSpec, load_scene_spec, synthesize_scene
 
 
 def test_cli_imports_neither_scipy_nor_requests():
@@ -64,7 +64,7 @@ def scene_args(workdir, config: Path | None = None) -> list[str]:
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     spec_path = root / "spec.json"
-    spec_path.write_text(json.dumps(scene_spec_to_dict(small_spec())))
+    spec_path.write_text(json.dumps(asdict(small_spec())))
     config_path = root / "config.json"
     config_path.write_text(json.dumps({
         "seed": 7,
@@ -711,7 +711,7 @@ def test_scene_past_the_point_cap_exits_2(tmp_path, edit, message):
     # The point count is bounded from the spec before anything is
     # allocated: sampling these specs needs an 8.5 PiB ground grid or
     # 14.6 TiB of wall.
-    doc = scene_spec_to_dict(small_spec())
+    doc = asdict(small_spec())
     edit(doc)
     spec = tmp_path / "scene.json"
     spec.write_text(json.dumps(doc))
@@ -1151,6 +1151,27 @@ def test_negative_count_exits_2(workdir, tmp_path, capsys, monkeypatch, command)
                  "--out", str(out)]) == 2
     assert "count" in one_line_error(capsys)
     assert not out.exists()
+
+
+def test_workers_above_the_cap_exits_2(workdir, tmp_path, capsys, monkeypatch):
+    # Refused with the config, before the scene loads or a thread starts.
+    monkeypatch.setattr(pl, "load_scene_dir", lambda *a, **k: pytest.fail("scene loaded"))
+    out = tmp_path / "out.jsonl"
+    assert main(["generate", *scene_args(workdir), "--workers", str(pl.MAX_WORKERS + 1),
+                 "--count", "1", "--out", str(out)]) == 2
+    assert f"workers must be <= {pl.MAX_WORKERS}" in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_non_positive_canopy_radius_exits_2(tmp_path, capsys):
+    doc = {"scene_id": "small", "extent": [40.0, 40.0],
+           "trees": [{"position": [20.0, 20.0], "canopy_height": 6.0, "canopy_radius": -3}]}
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["scene", "synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert one_line_error(capsys) == (f"config error: {spec}: tree at (20.0, 20.0) "
+                                      "has non-positive canopy radius -3.0")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -63,6 +63,15 @@ class TestPipelineConfig:
         with pytest.raises(pl.ConfigError, match="trajgen.height_range"):
             replace(desk_cfg.trajgen, height_range=(40.0, 15.0))
 
+    def test_workers_above_the_cap_rejected(self, desk_cfg):
+        # A pool of that many threads is never started: only configs are built.
+        assert replace(desk_cfg, workers=pl.MAX_WORKERS).workers == pl.MAX_WORKERS
+        message = f"workers must be <= {pl.MAX_WORKERS}, got {pl.MAX_WORKERS + 1}"
+        with pytest.raises(pl.ConfigError, match=message):
+            replace(desk_cfg, workers=pl.MAX_WORKERS + 1)
+        with pytest.raises(pl.ConfigError, match=message):
+            pl.pipeline_config_from_dict({"workers": pl.MAX_WORKERS + 1})
+
     def test_invalid_nested_values_rejected(self):
         with pytest.raises(pl.ConfigError):
             pl.pipeline_config_from_dict(

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_point_cloud_lines, roof_points_loop, save_point_cloud
+from oracles import (parse_point_cloud_lines, roof_points_loop, save_point_cloud,
+                     scene_spec_to_dict)
 from uavnav import ConfigError
+from uavnav.pipeline import write_scene_dir
 from uavnav.scene import (SURFACE_SAMPLE_SPACING, BuildingSpec, PointCloud,
                           PointCloudParseError, SceneSpec, TreeSpec,
                           _sample_polygon_interior,
                           load_point_cloud,
-                          scene_spec_from_dict, scene_spec_to_dict,
+                          scene_spec_from_dict,
                           synthesize_scene)
 
 
@@ -47,6 +52,13 @@ class TestLoadPointCloud:
         lo, hi = cloud.bounds
         assert np.array_equal(lo, [-3.0, -2.0, -1.0])
         assert np.array_equal(hi, [2.0, 4.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(4, 6), (8, 2), (12,), (2, 2, 3), (0,)])
+    def test_point_cloud_refuses_any_shape_but_n_by_3(self, shape):
+        # An x y z r g b array once became twice the points, colours as coordinates.
+        with pytest.raises(ValueError, match=r"expected \(n, 3\)"):
+            PointCloud(points=np.arange(float(np.prod(shape))).reshape(shape))
+        assert len(PointCloud(points=np.zeros((0, 3)))) == 0
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -257,8 +269,20 @@ class TestSynthesize:
                          buildings=[BuildingSpec(box(2, 3, 5, 6), 9.0, "tower")],
                          trees=[TreeSpec((11.0, 12.0), 7.0, 1.5)],
                          seed=5, scene_id="rt")
-        again = scene_spec_from_dict(scene_spec_to_dict(spec))
+        again = scene_spec_from_dict(json.loads(json.dumps(asdict(spec))))
         assert again == spec
+
+    @pytest.mark.parametrize("radius", [0.0, -3.0, -1e14])
+    def test_non_positive_canopy_radius_rejected(self, radius):
+        # -1e14 on a 1e7 m ground once made the point bound negative, so
+        # it passed MAX_POINTS; the spec is refused before any bound.
+        message = r"tree at \(20.0, 20.0\) has non-positive canopy radius"
+        with pytest.raises(ConfigError, match=message):
+            SceneSpec(extent=(40.0, 40.0), trees=[TreeSpec((20.0, 20.0), 6.0, radius)])
+        doc = {"extent": [1e7, 1e7], "trees": [
+            {"position": [20.0, 20.0], "canopy_height": 6.0, "canopy_radius": radius}]}
+        with pytest.raises(ConfigError, match=message):
+            scene_spec_from_dict(doc)
 
 
 def _on_lattice(v: float):
@@ -288,3 +312,39 @@ def test_roof_sampling_equals_point_in_polygon_loop(footprint):
     got = _sample_polygon_interior(footprint, SURFACE_SAMPLE_SPACING)
     want = roof_points_loop(footprint, SURFACE_SAMPLE_SPACING)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SIZES = st.integers(1, 60) | st.floats(0.5, 60.0)  # JSON "30" and "30.0" alike
+
+
+@st.composite
+def scene_specs(draw) -> SceneSpec:
+    """Up to four buildings, one per 10 m column so that none overlap, and
+    up to three trees, each with the default canopy radius or its own."""
+    n = draw(st.integers(0, 4))
+    buildings = [BuildingSpec(box(10 * k + 1, draw(st.floats(0.0, 20.0)),
+                                  draw(st.floats(1.0, 8.0)), draw(st.sampled_from([2, 4.5]))),
+                              draw(SIZES), draw(st.text(min_size=1, max_size=6)))
+                 for k in range(n)]
+    trees = []
+    for _ in range(draw(st.integers(0, 3))):
+        position = (draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 30.0)))
+        radius = draw(st.none() | SIZES)
+        trees.append(TreeSpec(position, draw(SIZES)) if radius is None
+                     else TreeSpec(position, draw(SIZES), radius))
+    return SceneSpec(scene_id=draw(st.text(max_size=6)), extent=(10 * n + 40, 30.0),
+                     buildings=buildings, trees=trees, seed=draw(st.integers(0, 2**40)))
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("spec")
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=scene_specs())
+def test_scene_json_is_the_hand_written_document(spec_dir, spec):
+    write_scene_dir(spec, spec_dir, cloud=PointCloud(points=np.zeros((0, 3))))
+    written = (spec_dir / "scene.json").read_text(encoding="utf-8")
+    assert written == json.dumps(scene_spec_to_dict(spec), indent=1)
+    assert scene_spec_from_dict(json.loads(written)) == spec

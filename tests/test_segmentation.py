@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import union_find_components
 from uavnav.geometry import point_in_polygon
 from uavnav.occupancy import BevGrid, bev_project, voxelize
@@ -190,6 +193,10 @@ class TestCaptionInstance:
         assert "size: medium" in err.value.raw_reply
 
 
+COORD = st.integers(-500, 500) | st.floats(-500.0, 500.0)
+PAIRS = st.tuples(COORD, COORD)
+
+
 class TestInstanceSerialization:
     def test_json_round_trip(self):
         inst = make_instance()
@@ -200,3 +207,18 @@ class TestInstanceSerialization:
             caption=Caption("red", "brick", "small", "house"))
         back = instances_from_json(json.loads(instances_to_json([inst, captioned])))
         assert back == [inst, captioned]
+
+    def test_demo_landmarks_are_the_hand_written_document(self, demo_bundle):
+        landmarks = demo_bundle.landmarks
+        assert all(lm.caption is not None for lm in landmarks)
+        assert instances_to_json(landmarks) == oracles.instances_to_json(landmarks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances=st.lists(st.builds(
+        LandmarkInstance, id=st.integers(0, 999), contour=st.lists(PAIRS, max_size=6),
+        centroid=PAIRS, height=COORD, area=COORD,
+        cells=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=6),
+        caption=st.none() | st.builds(Caption, *[st.text(max_size=6)] * 4)), max_size=4))
+    def test_json_is_the_hand_written_document(self, instances):
+        assert instances_to_json(instances) == oracles.instances_to_json(instances)
+        assert instances_from_json(json.loads(instances_to_json(instances))) == instances

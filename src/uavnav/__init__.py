@@ -107,6 +107,7 @@ def atomic_open(path: str | Path, mode: str = "w"):
 
 def save_json(path: str | Path, doc) -> None:
     """Write ``doc`` as indented JSON through ``atomic_open``; the writing
-    counterpart of ``load_json`` and the one place that knows the form."""
+    counterpart of ``load_json`` and the one place that knows the form,
+    but for ``keyframe.save_merge_log``, which writes the same bytes."""
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc, indent=1))

@@ -233,7 +233,7 @@ def cmd_keyframe(args) -> int:
     if not frames:
         raise ConfigError(f"no token files found under {tokens_dir}")
     bank = kf.MemoryBank()
-    events: list[kf.MergeEvent] = []
+    events: list[kf.MergeEvent] | None = [] if args.log else None
     try:  # token shapes that disagree with each other or with the config
         for keyframe_set in sets:
             merged = kf.merge_tokens(keyframe_set, cfg.similarity_threshold, log=events)
@@ -243,10 +243,7 @@ def cmd_keyframe(args) -> int:
         raise ConfigError(f"{tokens_dir}: {exc}") from exc
     kf.save_tokens(observation, args.out)
     if args.log:
-        save_json(args.log, [
-            {"frame_index": e.frame_index, "reference_token": e.reference_token,
-             "frame_token": e.frame_token, "similarity": e.similarity}
-            for e in events])
+        kf.save_merge_log(events, args.log)
     print(f"assembled observation: {observation.count} tokens "
           f"({len(bank)} bank keyframes + current) -> {args.out}")
     return 0

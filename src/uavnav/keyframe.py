@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -146,8 +147,7 @@ def confirm_keyframes(
     return sets
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     frame_index: int
     reference_token: int
     frame_token: int
@@ -204,9 +204,8 @@ def merge_tokens(keyframe_set: KeyframeSet, threshold: float,
         running[rows] = (running[rows] * c[:, None] + frame.tokens[cols]) / (c + 1)[:, None]
         counts[rows] += 1
         if log is not None:
-            log.extend(MergeEvent(frame_index=frame.frame_index, reference_token=i,
-                                  frame_token=j, similarity=sim)
-                       for i, j, sim in zip(rows, cols, sims[rows, cols].tolist()))
+            log.extend(map(MergeEvent, repeat(frame.frame_index), rows, cols,
+                           sims[rows, cols].tolist()))
     return TokenMatrix(tokens=running, frame_index=reference.frame_index)
 
 
@@ -346,6 +345,21 @@ def save_tokens(matrix: TokenMatrix, path: str | Path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_TOKENS_HEADER.pack(matrix.count, matrix.dim))
         fh.write(matrix.tokens.astype("<f4").tobytes(order="C"))
+
+
+def save_merge_log(events: Sequence[MergeEvent], path: str | Path) -> None:
+    """The ``keyframe --log`` file: the bytes ``save_json`` writes for one
+    object per event, keys in field order, built in one formatted pass.
+    A non-finite similarity, which ``merge_tokens`` never logs, is a
+    ValueError rather than a ``NaN`` in the file."""
+    for e in events:
+        if not math.isfinite(e.similarity):
+            raise ValueError(f"merge event {e} has a non-finite similarity")
+    body = ",\n".join(f' {{\n  "frame_index": {f},\n  "reference_token": {i},\n'
+                      f'  "frame_token": {j},\n  "similarity": {float.__repr__(s)}\n }}'
+                      for f, i, j, s in events)
+    with atomic_open(path) as fh:
+        fh.write(f"[\n{body}\n]" if events else "[]")
 
 
 def load_tokens(path: str | Path, frame_index: int = 0) -> TokenMatrix:

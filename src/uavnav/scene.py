@@ -114,6 +114,9 @@ class SceneSpec:
                     raise ConfigError(
                         f"building footprints overlap: {a.label!r} and {b.label!r}")
         for t in self.trees:
+            x, y = t.position
+            if not (0.0 <= x <= ex and 0.0 <= y <= ey):
+                raise ConfigError(f"tree at {t.position} leaves the ground extent")
             if t.canopy_height <= 0:
                 raise ConfigError("tree canopy height must be positive")
             if t.canopy_radius <= 0:

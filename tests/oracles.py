@@ -22,7 +22,9 @@ and lattice-state rewrites: ``voxelize_broadcast``, ``bev_where_max``,
 ``traverse_step_budget``, the voxel walk as it was before it stopped
 each axis at the end cell, and ``scene_spec_to_dict`` and
 ``instances_to_json``, the hand-written scene.json and landmarks.json
-writers, kept as the references for ``dataclasses.asdict``.
+writers, kept as the references for ``dataclasses.asdict``, and
+``merge_log_json``, the merge log as ``json.dumps`` indented it, kept as
+the reference for ``keyframe.save_merge_log``.
 ``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
@@ -704,3 +706,12 @@ def instances_to_json(instances: list[LandmarkInstance]) -> str:
                          "type": c.type} if c else None),
         })
     return json.dumps(docs, indent=1)
+
+
+def merge_log_json(events: list[MergeEvent]) -> str:
+    """The ``keyframe --log`` text as ``cmd_keyframe`` wrote it through
+    ``save_json``, one dict literal per event, before the one-pass writer."""
+    return json.dumps([
+        {"frame_index": e.frame_index, "reference_token": e.reference_token,
+         "frame_token": e.frame_token, "similarity": e.similarity}
+        for e in events], indent=1)

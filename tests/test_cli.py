@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import save_point_cloud
+from oracles import merge_log_json, save_point_cloud
 from uavnav import ConfigError, load_json
 from uavnav import evaluation as ev
+from uavnav import keyframe as kf
 from uavnav import pipeline as pl
 from uavnav import segmentation as seg
 from uavnav import trajgen as tg
@@ -409,7 +410,7 @@ def test_episode_file_not_utf8(workdir, generated, tmp_path, capsys, command):
         assert f"bad.jsonl:2: {message}" in one_line_error(capsys)
 
 
-def test_keyframe_command(workdir):
+def test_keyframe_command(workdir, monkeypatch):
     actions = [{"kind": "forward", "magnitude": 3.0}] * 3 \
         + [{"kind": "turn_left", "magnitude": 30.0}] * 2 \
         + [{"kind": "forward", "magnitude": 6.0}] * 2 + [{"kind": "stop"}]
@@ -424,14 +425,28 @@ def test_keyframe_command(workdir):
     cfg_path = workdir / "kf.json"
     cfg_path.write_text(json.dumps({"capacity": 2, "pooled_tokens": 1,
                                     "current_tokens": 16, "window": 1}))
+    logs = []  # the log argument of every merge_tokens call
+    merge_tokens = kf.merge_tokens
+
+    def recording_merge(keyframe_set, threshold, log=None):
+        logs.append(log)
+        return merge_tokens(keyframe_set, threshold, log=log)
+
+    monkeypatch.setattr(kf, "merge_tokens", recording_merge)
     out = workdir / "obs.bin"
+    args = ["keyframe", "--actions", str(actions_path), "--tokens", str(tokens_dir),
+            "--config", str(cfg_path), "--out", str(out)]
+    assert main(args) == 0
+    assert logs and all(arg is None for arg in logs)  # no --log: no events collected
+    plain = out.read_bytes()
+    logs.clear()
     log = workdir / "merges.json"
-    assert main(["keyframe", "--actions", str(actions_path),
-                 "--tokens", str(tokens_dir), "--config", str(cfg_path),
-                 "--out", str(out), "--log", str(log)]) == 0
-    obs = load_tokens(out)
-    assert obs.count >= 16
-    assert json.loads(log.read_text()) is not None
+    assert main([*args, "--log", str(log)]) == 0
+    assert out.read_bytes() == plain
+    assert load_tokens(out).count >= 16
+    events = logs[0]
+    assert events and all(arg is events for arg in logs)
+    assert log.read_bytes() == merge_log_json(events).encode()
 
 
 def test_bad_config_exits_2(workdir, tmp_path):
@@ -1171,6 +1186,17 @@ def test_non_positive_canopy_radius_exits_2(tmp_path, capsys):
     assert main(["scene", "synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert one_line_error(capsys) == (f"config error: {spec}: tree at (20.0, 20.0) "
                                       "has non-positive canopy radius -3.0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tree_outside_extent_exits_2(tmp_path, capsys):
+    doc = {"scene_id": "small", "extent": [40.0, 40.0],
+           "trees": [{"position": [-5000.0, -5000.0], "canopy_height": 6.0}]}
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["scene", "synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert one_line_error(capsys) == (f"config error: {spec}: tree at (-5000.0, -5000.0) "
+                                      "leaves the ground extent")
     assert not (tmp_path / "out").exists()
 
 

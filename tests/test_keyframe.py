@@ -6,18 +6,18 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (exhaustive_greedy_merge, merge_tokens_full_sort, split_runs_oracle,
-                     visibility_per_call)
+from oracles import (exhaustive_greedy_merge, merge_log_json, merge_tokens_full_sort,
+                     split_runs_oracle, visibility_per_call)
 from uavnav.geometry import Point3
 from uavnav.keyframe import (KeyframeCandidate, KeyframeSet, MemoryBank,
                              MemoryBankConfig, MergeEvent, TokenMatrix,
                              _cosine_matrix, aim_cell, assemble_observation,
                              confirm_keyframes, grid_pool, landmark_visibility,
-                             load_tokens, memory_push, merge_tokens, save_tokens,
-                             select_candidates, sight_targets)
+                             load_tokens, memory_push, merge_tokens, save_merge_log,
+                             save_tokens, select_candidates, sight_targets)
 from uavnav.occupancy import VoxelGrid
 from uavnav.segmentation import LandmarkInstance
 from uavnav.trajgen import (MOVE_UP, STOP, TURN_LEFT, TURN_RIGHT, Pose,
@@ -254,6 +254,53 @@ def test_merge_matches_full_sort(case):
     assert np.array_equal(out.tokens, expected.tokens)
     assert out.tokens.tobytes() == expected.tokens.tobytes()  # bit for bit
     assert log == full_log
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=merge_cases())
+def test_logged_similarities_finite_and_above_threshold(case):
+    # what lets save_merge_log write every logged event with float.__repr__
+    keyframe_set, threshold = case
+    log: list[MergeEvent] = []
+    merge_tokens(keyframe_set, threshold, log=log)
+    assert all(math.isfinite(e.similarity) and threshold < e.similarity <= 1.0 for e in log)
+
+
+def test_merge_event_repr_and_keywords():
+    event = MergeEvent(frame_index=3, reference_token=1, frame_token=2, similarity=0.5)
+    assert event == MergeEvent(3, 1, 2, 0.5)
+    assert repr(event) == \
+        "MergeEvent(frame_index=3, reference_token=1, frame_token=2, similarity=0.5)"
+
+
+INDICES = st.integers(0, 2**31)
+SIMILARITIES = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from(
+    [1.0, 5e-324, 1 / 3, math.nextafter(0.1, 1.0)])
+MERGE_EVENTS = st.builds(MergeEvent, INDICES, INDICES, INDICES, SIMILARITIES)
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("merge_log")
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(MERGE_EVENTS, max_size=40))
+@example(events=[])
+@example(events=[MergeEvent(0, 0, 0, 1.0)])
+@example(events=[MergeEvent(2**31, 7, 2**31, s) for s in (1.0, 5e-324, 1 / 3, 0.1000001)] * 25)
+def test_merge_log_bytes_match_json_dumps(log_dir, events):
+    path = log_dir / "merges.json"
+    save_merge_log(events, path)
+    assert path.read_bytes() == merge_log_json(events).encode()
+
+
+@pytest.mark.parametrize("similarity", [math.nan, math.inf, -math.inf])
+def test_merge_log_refuses_non_finite_similarity(tmp_path, similarity):
+    path = tmp_path / "merges.json"
+    with pytest.raises(ValueError, match="non-finite similarity"):
+        save_merge_log([MergeEvent(0, 0, 0, 0.5), MergeEvent(1, 2, 3, similarity)], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGridPool:

@@ -284,6 +284,27 @@ class TestSynthesize:
         with pytest.raises(ConfigError, match=message):
             scene_spec_from_dict(doc)
 
+    @pytest.mark.parametrize("position", [(-5000.0, -5000.0), (40.5, 20.0), (20.0, -0.1),
+                                          (float("nan"), 20.0)],
+                             ids=["far", "past_x", "below_y", "nan"])
+    def test_tree_outside_extent_rejected(self, position):
+        # The far tree once synthesized, and its cloud's bounds would have
+        # sized a ~7e8-cell grid for a 40 m scene; no grid is built here.
+        with pytest.raises(ConfigError, match="leaves the ground extent"):
+            SceneSpec(extent=(40.0, 40.0), trees=[TreeSpec(position, 6.0)])
+
+    def test_tree_outside_extent_rejected_from_dict(self):
+        doc = {"extent": [40.0, 40.0],
+               "trees": [{"position": [-5000.0, -5000.0], "canopy_height": 6.0}]}
+        with pytest.raises(ConfigError,
+                           match=r"tree at \(-5000.0, -5000.0\) leaves the ground extent"):
+            scene_spec_from_dict(doc)
+
+    def test_tree_on_extent_edge_accepted(self):
+        spec = SceneSpec(extent=(40.0, 30.0), trees=[TreeSpec((0.0, 30.0), 6.0),
+                                                     TreeSpec((40.0, 0.0), 6.0)])
+        assert len(spec.trees) == 2
+
 
 def _on_lattice(v: float):
     v = round(v * 2) / 2  # the 0.5 m sampling lattice, as an int where whole

@@ -211,9 +211,9 @@ def _read_npy(path: Path) -> np.ndarray:
             raise ConfigError(f"{path}: shape {shape} needs {8 * count} bytes of data, "
                               f"the file holds {size}")
         a = np.fromfile(fh, dtype, count).reshape(shape, order="F" if fortran_order else "C")
-    finite = np.isfinite(a).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"{path}: row {int(np.argmin(finite))}: non-finite value")
+    if not np.isfinite(a).all():  # one flat pass; the per-row one only names the row
+        row = int(np.argmin(np.isfinite(a).all(axis=1)))
+        raise ConfigError(f"{path}: row {row}: non-finite value")
     return a
 
 

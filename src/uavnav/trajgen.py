@@ -5,8 +5,8 @@ TurnRight (30 degrees), MoveUp / MoveDown (3 m), Stop. Headings are
 quantized to 12 bins, which makes every reachable horizontal offset an
 exact element of the lattice 1.5 * (a + b * sqrt(3)). That lattice is
 the one kinematics: the search, ``rollout`` and ``evaluation.replay`` all
-move integer states by the per-heading deltas of ``_SUCCESSORS`` and
-place them with the expressions of ``lattice_pose``.
+move integer states by the per-heading deltas of ``_MOVES`` and place
+them with the expressions of ``lattice_pose``.
 A ``Trajectory`` is its start and its actions; its poses are their
 ``rollout``, so whoever builds or reads one sees the same floats.
 Edge costs are exact (tenths of a meter, with turns costing one unit to
@@ -163,7 +163,7 @@ SearchState = tuple[int, int, int, int, int, int]
 _FORWARD, _TURN, _VERTICAL = range(3)
 
 
-def _successor_table() -> list[list[tuple]]:
+def _successor_table(magnitudes: Sequence[float]) -> list[list[tuple]]:
     """Per heading, the moves in canonical order (forward by magnitude,
     left, right, up, down) as (da, db, dc, dd, dkz, next heading, cost,
     move kind, action)."""
@@ -171,7 +171,7 @@ def _successor_table() -> list[list[tuple]]:
     for yaw in range(12):
         (cp, cq), (sp, sq) = _COS_PQ[yaw], _SIN_PQ[yaw]
         moves = []
-        for g in FORWARD_MAGNITUDES:
+        for g in magnitudes:
             n = int(round(g / 3.0))
             action = forward(g)
             moves.append((n * cp, n * cq, n * sp, n * sq, 0, yaw,
@@ -186,9 +186,12 @@ def _successor_table() -> list[list[tuple]]:
     return table
 
 
-_SUCCESSORS = _successor_table()
+# The search offers only the 3 m forward: a 6 or 9 m one reaches the state
+# that two or three of them reach, at the same cost.
+_SUCCESSORS = _successor_table((3.0,))
 # (heading, action) -> state delta and next heading, for every action but Stop.
-_MOVES = {(yaw, move[8]): move[:6] for yaw, moves in enumerate(_SUCCESSORS) for move in moves}
+_MOVES = {(yaw, move[8]): move[:6]
+          for yaw, moves in enumerate(_successor_table(FORWARD_MAGNITUDES)) for move in moves}
 
 
 def initial_state(start: Pose) -> SearchState:
@@ -341,10 +344,11 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     deduplicate exactly; the bin-dominance rule above keeps the state
     space finite without breaking Dijkstra-comparability.
 
-    Successors come from a per-heading table of integer state deltas.
-    Positions are always computed from the integer state with the
-    expressions in the SearchState comment, so a state's coordinates, and
-    every collision verdict on them, do not depend on the path to it.
+    Successors come from a per-heading table of integer state deltas,
+    with the 3 m forward as the only forward move. Positions are always
+    computed from the integer state with the expressions in the
+    SearchState comment, so a state's coordinates, and every collision
+    verdict on them, do not depend on the path to it.
 
     Edges are checked lazily, as in Lazy PRM (Bohlin & Kavraki 2000).
     Every offer into an unsettled state is pushed unchecked, apart from
@@ -355,13 +359,20 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     so it settles at its cheapest collision-free cost, and no edge into
     a settled state is ever checked.
 
+    The path to the goal is written with each run of 3 m forwards merged
+    greedily: 9 m moves, then one 6 or 3 m move. Each merged move is
+    swept once from its first state to its last; these sweeps are the
+    only checks made between settled states. A refused sweep keeps one
+    3 m step and merges again from the next state. The cost is the same.
+
     ``flown`` are actions already flown from ``start``: the search begins
     where they end, and the trajectory it returns, from ``start``, opens
     with them. It carries ``target_landmark_id``.
 
     ``stats`` (a ``pipeline.GenerationReport``, say), when given, gains
     this search's settled ``expansions`` and swept-segment
-    ``collision_checks``, also when the search fails.
+    ``collision_checks``, merge sweeps included, also when the search
+    fails.
     """
     first = initial_state(start)
     for action in flown:
@@ -407,12 +418,33 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
             if expansions > cfg.max_expansions:
                 raise NoPathError(f"expansion budget {cfg.max_expansions} exceeded")
             if math.dist((x, y, z), goal_xyz) <= tolerance:
+                states, steps = [state], []
+                while parents[state] is not None:
+                    state, action = parents[state]  # type: ignore[misc]
+                    states.append(state)
+                    steps.append(action)
+                states.reverse()
+                steps.reverse()
                 actions: list[Action] = []
-                s = state
-                while parents[s] is not None:
-                    s, action = parents[s]  # type: ignore[misc]
-                    actions.append(action)
-                actions.reverse()
+                i = 0
+                while i < len(steps):
+                    run = 1  # 3 m forwards merged into this action, at most three
+                    while (run < 3 and i + run < len(steps)
+                           and steps[i] is steps[i + run] is Action.FORWARD_3):
+                        run += 1
+                    if run > 1:
+                        pa, pb, pc, pd, pkz, _ = states[i]
+                        na, nb, nc, nd, nkz, _ = states[i + run]
+                        checks += 1
+                        if not segment_free_coords(grid, ox + 1.5 * (pa + pb * SQRT3),
+                                                   oy + 1.5 * (pc + pd * SQRT3),
+                                                   oz + VERTICAL_STEP * pkz,
+                                                   ox + 1.5 * (na + nb * SQRT3),
+                                                   oy + 1.5 * (nc + nd * SQRT3),
+                                                   oz + VERTICAL_STEP * nkz):
+                            run = 1  # keep the checked 3 m step; merge from the next
+                    actions.append(forward(3.0 * run) if run > 1 else steps[i])
+                    i += run
                 return Trajectory(start, [*flown, *actions, STOP], target_landmark_id)
             key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
             best = bin_best.get(key)

@@ -523,7 +523,7 @@ def test_trajgen_is_generate_without_instructions(workdir, tmp_path):
 
 def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys):
     doc = json.loads((workdir / "config.json").read_text())
-    doc["trajgen"]["max_expansions"] = 4  # too few for some first attempts
+    doc["trajgen"]["max_expansions"] = 8  # too few for some first attempts
     config = tmp_path / "tight.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "trajs.jsonl"

@@ -269,6 +269,30 @@ def test_search_validate_and_replay_agree_next_to_a_voxel_face(
         event(f"{'first' if traj is first else 'new'} path free: {search_free}")
 
 
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(demo=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       fraction=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       offset=st.tuples(*[st.integers(-6, 6)] * 4), kz=st.integers(-3, 3),
+       yaw=st.integers(0, 11), steps=st.sampled_from([2, 3]))
+def test_merged_forward_is_free_exactly_when_its_3m_steps_are(desk_bundle, demo, seed, fraction,
+                                                              offset, kz, yaw, steps):
+    # Differential: the search settles 3 m steps and writes a run of two or
+    # three of them as one 6 or 9 m forward swept once; that sweep gives
+    # the steps' verdict, on the floats lattice_pose places them at.
+    grid = desk_bundle[0].nav_grid if demo else random_obstacle_grid(np.random.default_rng(seed))
+    lo, hi = grid.origin, grid.origin + grid.voxel_size * np.array(grid.dims)
+    origin = Point3(*(float(l + f * (h - l)) for l, f, h in zip(lo, fraction, hi)))
+    chain = [(*offset, kz, yaw)]
+    for _ in range(steps):
+        chain.append(tg.advance(chain[-1], tg.Action.FORWARD_3))
+    assert tg.advance(chain[0], tg.forward(3.0 * steps)) == chain[-1]
+    points = [tg.lattice_pose(origin, state).position for state in chain]
+    stepwise = all(segment_free(grid, a, b) for a, b in zip(points, points[1:]))
+    assert segment_free(grid, points[0], points[-1]) == stepwise
+    event(f"{'demo' if demo else 'random'} grid, {steps} steps free: {stepwise}")
+
+
 MOVES = [tg.forward(3.0), tg.forward(6.0), tg.forward(9.0), tg.TURN_LEFT, tg.TURN_RIGHT,
          tg.MOVE_UP, tg.MOVE_DOWN]
 

@@ -15,6 +15,7 @@ from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
 from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_whole_ball,
                      point_blocked)
 from uavnav import ConfigError
+from uavnav.evaluation import replay
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
 from uavnav.pipeline import (GenerationReport, PipelineConfig, build_scene_bundle,
@@ -331,6 +332,65 @@ class TestAstar:
         assert False in verdicts  # the case does hit obstacles
         assert stats.collision_checks == len(verdicts) <= pops
         assert sum(verdicts) <= stats.expansions - 1
+
+    def test_search_offers_only_the_3m_forward(self, monkeypatch):
+        # A 6 or 9 m forward reaches the state that 3 m ones reach at the
+        # same cost, so the search never offers one; the output merges them.
+        import uavnav.trajgen as tg
+
+        offered: list[Action] = []
+        push = tg.heappush
+
+        def recording_push(heap, entry):
+            offered.extend(item for item in entry if isinstance(item, Action))
+            push(heap, entry)
+
+        monkeypatch.setattr(tg, "heappush", recording_push)
+        grid = random_obstacle_grid(np.random.default_rng(4))
+        traj = astar_search(Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0),
+                            grid, TrajGenConfig(height_range=(3.0, 27.0)))
+        assert {a for a in offered if a.kind is ActionKind.FORWARD} == {Action.FORWARD_3}
+        assert {Action.FORWARD_6, Action.FORWARD_9} & set(traj.actions)
+
+    @pytest.mark.parametrize("start, goal", [
+        (Pose(Point3(5.0, 5.0, 12.0), 0.0), Point3(52.0, 44.0, 12.0)),
+        (Pose(Point3(50.0, 8.0, 6.0), 150.0), Point3(9.0, 50.0, 21.0)),
+        (Pose(Point3(30.0, 30.0, 15.0), 270.0), Point3(31.0, 3.0, 15.0)),
+    ])
+    def test_forward_runs_are_nine_metre_moves_then_at_most_one_shorter(self, start, goal):
+        traj = astar_search(start, goal, empty_grid(), TrajGenConfig(height_range=(3.0, 27.0)))
+        runs: list[list[float]] = [[]]
+        for action in traj.actions:
+            if action.kind is ActionKind.FORWARD:
+                runs[-1].append(action.magnitude)
+            elif runs[-1]:
+                runs.append([])
+        assert any(9.0 in run for run in runs)
+        for run in filter(None, runs):
+            assert all(m == 9.0 for m in run[:-1]), traj.actions
+
+    def test_refused_merge_sweep_keeps_a_3m_step(self, monkeypatch):
+        # With every 9 m sweep refused, a run is written with 6 and 3 m
+        # moves: the same cost, and replay flies it without a collision.
+        import uavnav.trajgen as tg
+
+        grid = random_obstacle_grid(np.random.default_rng(4))
+        cfg = TrajGenConfig(height_range=(3.0, 27.0))
+        start, goal = Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0)
+        merged = astar_search(start, goal, grid, cfg)
+        assert Action.FORWARD_9 in merged.actions
+        check = tg.segment_free_coords
+
+        def refusing_nine(grid, ax, ay, az, bx, by, bz):
+            return (math.dist((ax, ay, az), (bx, by, bz)) < 8.0
+                    and check(grid, ax, ay, az, bx, by, bz))
+
+        monkeypatch.setattr(tg, "segment_free_coords", refusing_nine)
+        refused = astar_search(start, goal, grid, cfg)
+        assert Action.FORWARD_9 not in refused.actions
+        assert path_cost_units(refused.actions) == path_cost_units(merged.actions)
+        assert refused.poses[-1] == merged.poses[-1]
+        assert not replay(start, refused.actions, grid).collided
 
     def test_stats_count_failed_searches(self):
         grid = empty_grid(dims=(40, 40, 12))

@@ -29,7 +29,7 @@ from . import pipeline as pl
 from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3
-from .occupancy import grid_debug_dump, save_grid, voxelize
+from .occupancy import DEFAULT_MARGIN, DEFAULT_VOXEL_SIZE, save_grid, voxelize
 from .scene import load_point_cloud, load_scene_spec, synthesize_scene
 
 log = logging.getLogger("uavnav")
@@ -98,9 +98,6 @@ def cmd_voxelize(args) -> int:
              else load_point_cloud(args.scene))
     grid = voxelize(cloud, args.voxel_size, args.margin)
     save_grid(grid, args.out)
-    if args.debug_json:
-        with atomic_open(args.debug_json) as fh:
-            fh.write(grid_debug_dump(grid))
     print(f"voxelized {len(cloud)} points -> dims {grid.dims}, "
           f"{int(grid.occupancy.sum())} occupied cells -> {args.out}")
     return 0
@@ -120,8 +117,7 @@ def cmd_instruct(args) -> int:
     vlm = cfg.make_vlm()
     episodes = ds.read_episodes(args.episodes)
     for episode in episodes:
-        episode.instruction = pl.narrate(bundle, cfg, vlm, episode.trajectory,
-                                         episode.image_refs)
+        episode.instruction = pl.narrate(bundle, vlm, episode.trajectory, episode.image_refs)
     ds.write_episodes(episodes, args.out)
     print(f"instructed {len(episodes)} episodes -> {args.out}")
     return 0
@@ -133,8 +129,7 @@ def cmd_dataset_filter(args) -> int:
     episodes = ds.read_episodes(args.episodes)
     kept, rejected = [], []
     for episode in episodes:
-        verdict = ds.filter_episode(episode, cfg.tree_height,
-                                    bundle.bev if bundle else None)
+        verdict = ds.filter_episode(episode, bev=bundle.bev if bundle else None)
         (kept if verdict.accepted else rejected).append((episode, verdict))
     ds.write_episodes([e for e, _ in kept], args.out)
     if args.rejects:
@@ -296,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("voxelize", help="build and export the voxel grid")
     p.add_argument("--scene", required=True, help="scene dir or point cloud file")
-    p.add_argument("--voxel-size", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=2.0)
+    p.add_argument("--voxel-size", type=float, default=DEFAULT_VOXEL_SIZE)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--out", required=True)
-    p.add_argument("--debug-json")
     p.set_defaults(func=cmd_voxelize)
 
     p = sub.add_parser("segment", help="extract and caption landmark instances")

@@ -8,7 +8,6 @@ immutable after construction, so concurrent read queries are safe.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -274,16 +273,4 @@ def load_grid(path: str | Path) -> VoxelGrid:
     occ = bits[:n_cells].astype(bool).reshape((nx, ny, nz))
     return VoxelGrid(origin=np.array([ox, oy, oz]), voxel_size=size,
                      dims=(int(nx), int(ny), int(nz)), occupancy=occ)
-
-
-def grid_debug_dump(grid: VoxelGrid) -> str:
-    """Lossless JSON form, mainly for diffing small grids in tests."""
-    occupied = np.argwhere(grid.occupancy)
-    doc = {
-        "origin": [float(v) for v in grid.origin],
-        "voxel_size": grid.voxel_size,
-        "dims": list(grid.dims),
-        "occupied_cells": occupied.tolist(),
-    }
-    return json.dumps(doc, separators=(",", ":"))
 

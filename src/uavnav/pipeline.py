@@ -31,16 +31,18 @@ from . import segmentation as seg
 from . import trajgen as tg
 from .geometry import Point3, point_in_polygon
 from .keyframe import SightTarget, landmark_visibility, sight_targets
-from .occupancy import BevGrid, VoxelGrid, bev_project, mark_vegetation, voxelize
+from .occupancy import (DEFAULT_MARGIN, DEFAULT_VOXEL_SIZE, BevGrid, VoxelGrid, bev_project,
+                        mark_vegetation, voxelize)
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
                     load_scene_spec, synthesize_scene)
-from .vlm import API_KEY_ENV, ENDPOINT_ENV, VlmClient, VlmError
+from .vlm import API_KEY_ENV, DEFAULT_MODEL, ENDPOINT_ENV, VlmClient, VlmError
 
 log = logging.getLogger("uavnav")
 
 RETRY_BUDGET_FACTOR = 5
 IN_FLIGHT_PER_WORKER = 2  # pool episodes submitted and not yet consumed, per thread
 MAX_WORKERS = 256  # pool threads a config may ask for
+BEV_MIN_HEIGHT = 2.0  # ignore terrain-surface voxels in the BEV
 
 
 @dataclass(frozen=True)
@@ -49,19 +51,15 @@ class PipelineConfig:
     checks them and raises ConfigError naming the field."""
 
     seed: int = 0
-    voxel_size: float = 1.0
-    margin: float = 2.0
-    bev_min_height: float = 2.0  # ignore terrain-surface voxels in the BEV
-    min_area: float = seg.DEFAULT_MIN_AREA
-    tree_height: float = ds.DEFAULT_TREE_HEIGHT
+    voxel_size: float = DEFAULT_VOXEL_SIZE
+    margin: float = DEFAULT_MARGIN
     segments: int = 1
     workers: int = 4
     trajgen: tg.TrajGenConfig = field(default_factory=tg.TrajGenConfig)
     vlm_mode: str = "mock"
     vlm_endpoint: str = ""
-    vlm_model: str = "gpt-4o"
+    vlm_model: str = DEFAULT_MODEL
     vlm_cache_dir: str | None = None
-    coref_threshold: float = instr.DEFAULT_SIMILARITY_THRESHOLD
     stamp_outputs: bool = False  # real timestamps break byte-identical runs
 
     def __post_init__(self) -> None:
@@ -69,15 +67,12 @@ class PipelineConfig:
             "an integer >= 0": ("seed",),
             "an integer >= 1": ("segments", "workers"),
             "a finite number > 0": ("voxel_size",),
-            "a number >= 0": ("margin", "min_area"),
-            "a number": ("bev_min_height", "tree_height", "coref_threshold"),
+            "a number >= 0": ("margin",),
             "a string": ("vlm_mode", "vlm_endpoint", "vlm_model"),
             "a string or null": ("vlm_cache_dir",),
             "a bool": ("stamp_outputs",)})
         if self.workers > MAX_WORKERS:
             raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
-        if not (0.0 < self.coref_threshold <= 1.0):
-            raise ConfigError("coref_threshold must be in (0, 1]")
 
     def make_vlm(self) -> VlmClient:
         """Build the client; endpoint and key env vars override the config,
@@ -143,7 +138,7 @@ class SceneBundle:
 
     @cached_property
     def bev(self) -> BevGrid:  # of the raw grid, trees marked as vegetation
-        bev = bev_project(self.raw_grid, min_height=self.cfg.bev_min_height)
+        bev = bev_project(self.raw_grid, min_height=BEV_MIN_HEIGHT)
         for t in self.spec.trees:  # each with its own canopy
             bev = mark_vegetation(bev, [t.position], radius=t.canopy_radius)
         return bev
@@ -156,7 +151,7 @@ class SceneBundle:
         return [seg.caption_instance(inst, [f"{self.scene_id}/landmark_{inst.id:03d}/view_{k}"
                                             for k in range(3)],
                                      vlm, hint_label=_match_label(inst, self.spec))
-                for inst in seg.extract_instances(self.bev, self.cfg.min_area)]
+                for inst in seg.extract_instances(self.bev)]
 
     @cached_property
     def sight_targets(self) -> list[SightTarget]:  # of the landmarks, on the raw grid
@@ -302,15 +297,14 @@ class GenerationReport:
         }
 
 
-def narrate(bundle: SceneBundle, cfg: PipelineConfig, vlm: VlmClient,
-            trajectory: tg.Trajectory, image_refs: list[str]) -> instr.Instruction:
+def narrate(bundle: SceneBundle, vlm: VlmClient, trajectory: tg.Trajectory,
+            image_refs: list[str]) -> instr.Instruction:
     """Instruction for one trajectory, hinted by the landmarks in view at
     each sub-trajectory's end."""
     return instr.build_instruction(
         trajectory, bundle.captions, vlm, image_refs=image_refs,
         visible=lambda k: landmark_visibility(trajectory.poses[k], bundle.sight_targets,
-                                              bundle.raw_grid),
-        threshold=cfg.coref_threshold)
+                                              bundle.raw_grid))
 
 
 def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
@@ -339,7 +333,7 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
         image_refs = [f"{episode_id}/frame_{k:05d}"
                       for k in range(len(trajectory.poses))]
         try:
-            instruction = (narrate(bundle, cfg, vlm, trajectory, image_refs)
+            instruction = (narrate(bundle, vlm, trajectory, image_refs)
                            if vlm is not None else None)
         except VlmError:
             outcome.vlm_failures += 1
@@ -356,7 +350,7 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
         episode = ds.Episode(episode_id=episode_id, scene_id=bundle.scene_id,
                              trajectory=trajectory, instruction=instruction,
                              image_refs=image_refs, meta=meta)
-        verdict = ds.filter_episode(episode, cfg.tree_height, bundle.bev)
+        verdict = ds.filter_episode(episode, bev=bundle.bev)
         if verdict.accepted:
             outcome.accepted, outcome.episode = 1, episode
             break
@@ -467,8 +461,7 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
                       bundle: SceneBundle | None) -> list[Violation]:
     out: list[Violation] = []
     t = episode.trajectory
-    verdict = ds.filter_episode(episode, cfg.tree_height,
-                                bundle.bev if bundle else None)
+    verdict = ds.filter_episode(episode, bev=bundle.bev if bundle else None)
     if not verdict.accepted:
         out.append(Violation(episode.episode_id, "filter", verdict.reason or ""))
     if episode.instruction is not None and not episode.instruction.text:

@@ -28,6 +28,7 @@ from .geometry import polygons_overlap
 
 SURFACE_SAMPLE_SPACING = 0.5  # meters; fine enough that 1 m voxels never miss a wall
 MAX_POINTS = 4 * 10**7  # per synthesized cloud: ~1 GB of float64, a few times that to build
+DEFAULT_CANOPY_RADIUS = 2.0  # meters, of a tree spec that gives none
 
 
 class PointCloudParseError(ConfigError):
@@ -76,7 +77,7 @@ class BuildingSpec:
 class TreeSpec:
     position: tuple[float, float]
     canopy_height: float
-    canopy_radius: float = 2.0
+    canopy_radius: float = DEFAULT_CANOPY_RADIUS
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -239,8 +240,9 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
                                           "two finite numbers")),
                 canopy_height=float(check_kind("tree canopy_height", t["canopy_height"],
                                                "a number")),
-                canopy_radius=float(check_kind("tree canopy_radius",
-                                               t.get("canopy_radius", 2.0), "a number")),
+                canopy_radius=float(check_kind(
+                    "tree canopy_radius", t.get("canopy_radius", DEFAULT_CANOPY_RADIUS),
+                    "a number")),
             )
             for t in doc.get("trees", [])
         ],

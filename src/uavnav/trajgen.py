@@ -50,7 +50,7 @@ POSITION_BIN = 1.0  # dominance bin, below the smallest 3 m step
 BIN_DOMINANCE_MARGIN_UNITS = 45
 
 DEFAULT_GOAL_TOLERANCE = 5.0
-DEFAULT_GOAL_OFFSET = 10.0
+GOAL_OFFSET = 10.0  # least distance of a sampled goal from its landmark's centroid
 
 
 class TrajGenError(UavnavError):
@@ -237,7 +237,6 @@ class TrajGenConfig:
     min_landmark_height: float = 20.0
     start_distance_range: tuple[float, float] = (60.0, 250.0)
     goal_tolerance: float = DEFAULT_GOAL_TOLERANCE
-    goal_offset: float = DEFAULT_GOAL_OFFSET
     max_expansions: int = 2_000_000
     max_sample_attempts: int = 200
 
@@ -246,7 +245,6 @@ class TrajGenConfig:
             "two numbers": ("height_range", "start_distance_range"),
             "a number": ("min_landmark_height",),
             "a finite number > 0": ("goal_tolerance",),
-            "a number >= 0": ("goal_offset",),
             "an integer >= 1": ("max_expansions", "max_sample_attempts")})
         lo, hi = self.start_distance_range
         if not (0 < lo <= hi):
@@ -487,18 +485,17 @@ def nearest_heading(bearing_deg: float) -> float:
 
 
 def _goal_on_line(from_xy: tuple[float, float], landmark: LandmarkInstance,
-                  altitude: float, bev: BevGrid, grid: VoxelGrid,
-                  cfg: TrajGenConfig) -> Point3 | None:
-    """First point on the centroid->start line, at least goal_offset out,
+                  altitude: float, bev: BevGrid, grid: VoxelGrid) -> Point3 | None:
+    """First point on the centroid->start line, at least GOAL_OFFSET out,
     that is unoccupied in the BEV map and free in the voxel grid, with
     coordinates rounded as the JSONL stores them."""
     cx, cy = landmark.centroid
     vx, vy = from_xy[0] - cx, from_xy[1] - cy
     span = math.hypot(vx, vy)
-    if span <= cfg.goal_offset:
+    if span <= GOAL_OFFSET:
         return None
     ux, uy = vx / span, vy / span
-    t = cfg.goal_offset
+    t = GOAL_OFFSET
     while t < span:
         gx, gy = round_sig(cx + ux * t), round_sig(cy + uy * t)
         cell = bev.cell_of(gx, gy)
@@ -552,7 +549,7 @@ def sample_endpoints(
             continue
         if bev.column_top(sx, sy) >= altitude:
             continue
-        goal = _goal_on_line((sx, sy), lm, altitude, bev, grid, cfg)
+        goal = _goal_on_line((sx, sy), lm, altitude, bev, grid)
         if goal is None:
             continue
         yaw = nearest_heading(_bearing_deg(goal.x - sx, goal.y - sy))
@@ -590,7 +587,7 @@ def chain_trajectories(
         candidates = in_range or [lm for lm in eligible if lm.id != target] or eligible
         try:
             lm = candidates[int(rng.integers(len(candidates)))]
-            goal = _goal_on_line((here.x, here.y), lm, here.z, bev, grid, cfg)
+            goal = _goal_on_line((here.x, here.y), lm, here.z, bev, grid)
             if goal is None:
                 raise SamplingError("no clear goal on the connecting line")
             trajectory = astar_search(start, goal, grid, cfg, stats, trajectory.actions[:-1],

@@ -27,6 +27,7 @@ from . import ConfigError, UavnavError, atomic_open
 
 ENDPOINT_ENV = "UAVNAV_VLM_ENDPOINT"
 API_KEY_ENV = "UAVNAV_VLM_API_KEY"
+DEFAULT_MODEL = "gpt-4o"
 TIMEOUT_S = 30.0  # covers connecting and each read of a live request
 MAX_RETRIES = 2  # a live request is sent at most MAX_RETRIES + 1 times
 RETRY_BACKOFF_S = 0.5  # times the attempt number, before each retry
@@ -136,7 +137,7 @@ class VlmClient:
 
     mode: str = "mock"  # live | mock | replay
     endpoint: str = ""
-    model: str = "gpt-4o"
+    model: str = DEFAULT_MODEL
     cache_dir: Path | None = None
     api_key: str = ""
 

@@ -25,7 +25,6 @@ each axis at the end cell, and ``scene_spec_to_dict`` and
 writers, kept as the references for ``dataclasses.asdict``, and
 ``merge_log_json``, the merge log as ``json.dumps`` indented it, kept as
 the reference for ``keyframe.save_merge_log``.
-``grid_from_debug_dump`` reads ``occupancy.grid_debug_dump`` back and
 ``save_point_cloud`` writes the ASCII cloud format, which only tests need.
 """
 
@@ -76,16 +75,6 @@ def dilate_l1(occ: np.ndarray, k: int) -> np.ndarray:
         if abs(di) + abs(dj) + abs(dk) <= k:
             out |= padded[k + di:k + di + nx, k + dj:k + dj + ny, k + dk:k + dk + nz]
     return out
-
-
-def grid_from_debug_dump(text: str) -> VoxelGrid:
-    doc = json.loads(text)
-    dims = tuple(doc["dims"])
-    occ = np.zeros(dims, dtype=bool)
-    for i, j, k in doc["occupied_cells"]:
-        occ[i, j, k] = True
-    return VoxelGrid(origin=np.array(doc["origin"], dtype=np.float64),
-                     voxel_size=float(doc["voxel_size"]), dims=dims, occupancy=occ)
 
 
 def point_blocked(grid: VoxelGrid, x: float, y: float, z: float) -> bool:

@@ -133,12 +133,11 @@ def test_scene_synth_seed_zero_is_kept(tmp_path):
 
 def test_voxelize_roundtrip(workdir):
     grid_path = workdir / "grid.bin"
-    debug_path = workdir / "grid.json"
     assert main(["voxelize", "--scene", str(workdir / "scene"),
-                 "--out", str(grid_path), "--debug-json", str(debug_path)]) == 0
+                 "--out", str(grid_path)]) == 0
     grid = load_grid(grid_path)
     assert grid.occupancy.any()
-    assert json.loads(debug_path.read_text())["voxel_size"] == 1.0
+    assert grid.voxel_size == 1.0
 
 
 def test_voxelize_reads_a_spec_only_scene_dir(workdir, tmp_path):
@@ -521,11 +520,19 @@ def test_trajgen_is_generate_without_instructions(workdir, tmp_path):
     assert instructed.read_bytes() == generated.read_bytes()
 
 
-def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys):
+def test_trajgen_retries_failed_searches(workdir, tmp_path, capsys, monkeypatch):
     doc = json.loads((workdir / "config.json").read_text())
-    doc["trajgen"]["max_expansions"] = 8  # too few for some first attempts
-    config = tmp_path / "tight.json"
-    config.write_text(json.dumps(doc))
+    config = tmp_path / "one_worker.json"
+    config.write_text(json.dumps({**doc, "workers": 1}))  # searches run one at a time
+    search, calls = tg.astar_search, []
+
+    def every_other_search_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2:
+            raise tg.NoPathError("every other search fails")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tg, "astar_search", every_other_search_fails)
     out = tmp_path / "trajs.jsonl"
     assert main(["trajgen", *scene_args(workdir, config), "--count", "5",
                  "--out", str(out)]) == 0
@@ -833,13 +840,19 @@ def test_scene_readers_are_byte_identical_on_npy_and_text_clouds(
     ({"vlm": {"modle": "live"}}, "vlm.modle"),
     ({"vlm": {"cache_dir": 5}}, "vlm_cache_dir must be a string or null"),
     ({"stamp_outputs": "no"}, "stamp_outputs must be a bool"),
-    ({"min_area": -1}, "min_area must be a number >= 0"),
+    ({"bev_min_height": 2.0}, "unknown config keys: ['bev_min_height']"),
+    ({"min_area": 20.0}, "unknown config keys: ['min_area']"),
+    ({"tree_height": 15.0}, "unknown config keys: ['tree_height']"),
+    ({"coref_threshold": 0.6}, "unknown config keys: ['coref_threshold']"),
+    ({"trajgen": {"goal_offset": 10.0}}, "unknown config keys: ['trajgen.goal_offset']"),
     ({"trajgen": {"max_sample_attempts": 0}},
      "trajgen.max_sample_attempts must be an integer >= 1"),
     ({"trajgen": {"max_expansions": 0}}, "trajgen.max_expansions must be an integer >= 1"),
 ], ids=["list", "trajgen_not_object", "vlm_not_object", "string_seed", "bool_seed",
         "float_segments", "string_workers", "scalar_range", "three_field_range",
-        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs", "negative_min_area",
+        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs", "removed_bev_min_height",
+        "removed_min_area", "removed_tree_height", "removed_coref_threshold",
+        "removed_goal_offset",
         "zero_sample_attempts", "zero_expansions"])
 def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     config = tmp_path / "config.json"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 import re
 import struct
@@ -12,12 +11,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (bev_columns, bev_where_max, brute_force_cells, dense_segment_free,
-                     dilate_l1, grid_from_debug_dump, point_blocked, traverse_step_budget,
-                     voxelize_broadcast)
+                     dilate_l1, point_blocked, traverse_step_budget, voxelize_broadcast)
 from uavnav.geometry import Point3
-from uavnav.occupancy import (BevGrid, VoxelGrid, bev_project, grid_debug_dump,
-                              is_free, load_grid, mark_vegetation, save_grid,
-                              segment_free, traverse_coords, traverse_segment, voxelize)
+from uavnav.occupancy import (BevGrid, VoxelGrid, bev_project, is_free, load_grid,
+                              mark_vegetation, save_grid, segment_free, traverse_coords,
+                              traverse_segment, voxelize)
 from uavnav.scene import PointCloud, load_point_cloud
 
 
@@ -415,15 +413,6 @@ class TestGridIO:
         path.write_bytes(struct.pack("<3dd3q", *header) + bytes(payload))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_grid(path)
-
-    def test_json_debug_dump_lossless(self):
-        rng = np.random.default_rng(18)
-        occ = rng.random((4, 5, 6)) < 0.25
-        grid = VoxelGrid(origin=np.array([0.0, 1.0, 2.0]), voxel_size=2.0,
-                         dims=(4, 5, 6), occupancy=occ)
-        back = grid_from_debug_dump(grid_debug_dump(grid))
-        assert np.array_equal(back.occupancy, grid.occupancy)
-        assert json.loads(grid_debug_dump(grid)) == json.loads(grid_debug_dump(back))
 
 
 class TestVegetation:

@@ -7,7 +7,7 @@ import logging
 import re
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,6 +41,19 @@ class TestPipelineConfig:
         assert cfg.seed == 3
         assert cfg.trajgen.height_range == (10.0, 20.0)
         assert cfg.vlm_model == "anything"
+
+    def test_readme_names_exactly_the_config_fields(self):
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
+                          .read_text(encoding="utf-8").split())
+        paragraph = readme[readme.index("Top-level keys are"):readme.index("Any other key is")]
+        top, trajgen, vlm = re.split(r"The `trajgen` section takes|The `vlm` section takes",
+                                     paragraph)
+        named = [set(re.findall(r"`(\w+)`", part)) - {"true", "false"}
+                 for part in (top, trajgen, vlm)]
+        pipeline = {f.name for f in fields(pl.PipelineConfig)} - {"trajgen"}
+        assert named == [{n for n in pipeline if not n.startswith("vlm_")},
+                         {f.name for f in fields(tg.TrajGenConfig)},
+                         {n.removeprefix("vlm_") for n in pipeline if n.startswith("vlm_")}]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(pl.ConfigError, match="unknown"):
@@ -167,8 +180,8 @@ class TestRunGenerate:
         assert pl.run_generate(demo_bundle, cfg, 20, oracle).accepted == 20
         assert lean.read_bytes() == oracle.read_bytes()
 
-    def test_sight_lines_start_only_where_sub_trajectories_end(self, demo_bundle, desk_cfg,
-                                                               small_batch, monkeypatch):
+    def test_sight_lines_start_only_where_sub_trajectories_end(self, demo_bundle, small_batch,
+                                                               monkeypatch):
         walk, starts, walked = kf.traverse_segment, [], 0
 
         def traverse(grid, a, b):
@@ -183,7 +196,7 @@ class TestRunGenerate:
             ends = {id(t.poses[sub.terminal_pose_index].position)
                     for sub in split_subtrajectories(t)}
             starts.clear()
-            pl.narrate(demo_bundle, desk_cfg, vlm, t, episode.image_refs)
+            pl.narrate(demo_bundle, vlm, t, episode.image_refs)
             assert all(id(a) in ends for a in starts), episode.episode_id
             walked += len(starts)
         assert walked > 0

@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import ConfigError, UavnavError, atomic_open, check_kind, load_json, save_json
+from . import ConfigError, UavnavError, check_kind, load_json, save_json
 from . import dataset as ds
 from . import evaluation as ev
 from . import keyframe as kf
@@ -84,8 +84,7 @@ def _bundle(args, cfg: pl.PipelineConfig) -> pl.SceneBundle:
 
 
 def cmd_scene_synth(args) -> int:
-    spec = (load_scene_spec(args.spec) if args.spec
-            else pl.demo_scene_spec(seed=args.seed))
+    spec = load_scene_spec(args.spec) if args.spec else pl.demo_scene_spec()
     cloud = synthesize_scene(spec)
     pl.write_scene_dir(spec, args.out, cloud=cloud)
     print(f"wrote scene {spec.scene_id!r}: {len(cloud)} points, "
@@ -125,18 +124,10 @@ def cmd_instruct(args) -> int:
 
 def cmd_dataset_filter(args) -> int:
     cfg = _load_config(args)
-    bundle = _bundle(args, cfg) if (args.scene or args.spec) else None
+    bev = _bundle(args, cfg).bev if (args.scene or args.spec) else None
     episodes = ds.read_episodes(args.episodes)
-    kept, rejected = [], []
-    for episode in episodes:
-        verdict = ds.filter_episode(episode, bev=bundle.bev if bundle else None)
-        (kept if verdict.accepted else rejected).append((episode, verdict))
-    ds.write_episodes([e for e, _ in kept], args.out)
-    if args.rejects:
-        with atomic_open(args.rejects) as fh:
-            for episode, verdict in rejected:
-                fh.write(json.dumps({"episode_id": episode.episode_id,
-                                     "reason": verdict.reason}) + "\n")
+    kept = [e for e in episodes if ds.filter_episode(e, bev=bev).accepted]
+    ds.write_episodes(kept, args.out)
     print(f"kept {len(kept)} / {len(episodes)} episodes -> {args.out}")
     return 0
 
@@ -285,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     scene_sub = p.add_subparsers(dest="scene_command", required=True)
     p_synth = scene_sub.add_parser("synth", help="synthesize a procedural scene")
     p_synth.add_argument("--spec", help="scene spec JSON (omit for the demo scene)")
-    p_synth.add_argument("--seed", type=int, default=7, help="demo scene seed")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_scene_synth)
 
@@ -324,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_filter)
     p_filter.add_argument("--episodes", required=True)
     p_filter.add_argument("--out", required=True)
-    p_filter.add_argument("--rejects", help="JSONL of rejected ids and reasons")
     p_filter.set_defaults(func=cmd_dataset_filter)
     p_split = dataset_sub.add_parser("split")
     p_split.add_argument("--episodes", required=True)

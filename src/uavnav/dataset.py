@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import ConfigError, UavnavError, atomic_open, check_kind
 from .geometry import Point3, round_sig
 from .instructions import Instruction
-from .occupancy import BevGrid
+from .occupancy import MAX_COORDINATE, BevGrid
 from .textproc import alnum_tokens, noun_verb_tables
 from .trajgen import Action, Pose, Trajectory
 
@@ -80,8 +80,17 @@ def _pose_doc(pose: Pose) -> dict:
     }
 
 
+def _coordinates(name: str, value) -> list:
+    """``value``, if it is three numbers each within ``MAX_COORDINATE`` of 0."""
+    x, y, z = check_kind(name, value, "three finite numbers")
+    if not max(abs(x), abs(y), abs(z)) <= MAX_COORDINATE:
+        raise ValueError(f"{name} must lie within MAX_COORDINATE ({MAX_COORDINATE:.0e} m) "
+                         f"of the origin, got {value!r}")
+    return value
+
+
 def _pose_from_doc(doc: dict) -> Pose:
-    x, y, z = check_kind("pose position", doc["position"], "three finite numbers")
+    x, y, z = _coordinates("pose position", doc["position"])
     yaw = check_kind("pose yaw", doc["yaw"], "a number")
     return Pose(Point3(float(x), float(y), float(z)), float(yaw))
 
@@ -120,7 +129,7 @@ def episode_from_dict(doc: dict) -> Episode:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     meta = dict(check_kind("meta", doc.get("meta", {}), "an object"))
     if meta.get("goal") is not None:
-        check_kind("meta.goal", meta["goal"], "three finite numbers")
+        _coordinates("meta.goal", meta["goal"])
     if meta.get("gt_length") is not None:
         check_kind("meta.gt_length", meta["gt_length"], "a finite number > 0")
     check_kind("meta.damaged_image_indices", meta.get("damaged_image_indices", []),

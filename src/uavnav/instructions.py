@@ -191,10 +191,9 @@ def build_instruction(
     vlm: VlmClient,
     image_refs: Sequence[str] | None,
     visible: Callable[[int], set[int] | None],
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
 ) -> Instruction:
     """Full trajectory-to-instruction pipeline for one trajectory; each
     clause describes the landmark in view at its sub-trajectory's end."""
     clauses = [generate_sub_instruction(sub, captions_by_landmark.get(sub.landmark_hint), vlm)
                for sub in split_subtrajectories(trajectory, image_refs, visible)]
-    return refine_coreference(fuse_instruction(clauses, vlm), threshold=threshold)
+    return refine_coreference(fuse_instruction(clauses, vlm))

@@ -23,6 +23,7 @@ from .scene import PointCloud
 DEFAULT_VOXEL_SIZE = 1.0  # meters
 DEFAULT_MARGIN = 2.0  # meters of safety inflation around occupied cells
 MAX_VOXELS = 10**9  # cells per grid: 1 GB of occupancy, a few times that while dilating
+MAX_COORDINATE = 1e9  # meters from the origin, of a grid corner or an episode coordinate
 
 _GRID_HEADER = struct.Struct("<3dd3q")  # origin xyz, voxel_size, dims xyz
 
@@ -101,7 +102,9 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     occupied set is then dilated by ceil(margin / voxel_size) cells using
     the 6-neighborhood (face) structuring element, with cells outside the
     grid counted as free. The grid covers the cloud bounds plus the
-    margin. A grid of more than ``MAX_VOXELS`` cells is a ConfigError.
+    margin. A grid of more than ``MAX_VOXELS`` cells, or with a corner
+    more than ``MAX_COORDINATE`` from the origin, is a ConfigError: every
+    pose planned in it is then one that ``dataset`` reads back.
     """
     check_kind("voxel_size", voxel_size, "a finite number > 0", ConfigError)
     check_kind("margin", margin, "a number >= 0", ConfigError)
@@ -115,6 +118,10 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     if not math.prod(dims) <= MAX_VOXELS:  # counted in floats, before any allocation
         raise ConfigError(f"a {voxel_size} m grid over this cloud needs "
                           f"{math.prod(dims):.3g} voxels, more than MAX_VOXELS ({MAX_VOXELS:.0e})")
+    reach = max(np.abs(origin).max(), np.abs(origin + np.array(dims) * voxel_size).max())
+    if not reach <= MAX_COORDINATE:
+        raise ConfigError(f"a grid over this cloud reaches {reach:.3g} m from the origin, "
+                          f"more than MAX_COORDINATE ({MAX_COORDINATE:.0e} m)")
     dims = tuple(map(int, dims))
     occ = np.zeros(dims, dtype=bool)
     occ[tuple(np.floor((cloud.points[:, k] - origin[k]) / voxel_size).astype(np.int64)

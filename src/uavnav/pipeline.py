@@ -60,7 +60,6 @@ class PipelineConfig:
     vlm_endpoint: str = ""
     vlm_model: str = DEFAULT_MODEL
     vlm_cache_dir: str | None = None
-    stamp_outputs: bool = False  # real timestamps break byte-identical runs
 
     def __post_init__(self) -> None:
         check_kinds(self, "", {
@@ -69,8 +68,7 @@ class PipelineConfig:
             "a finite number > 0": ("voxel_size",),
             "a number >= 0": ("margin",),
             "a string": ("vlm_mode", "vlm_endpoint", "vlm_model"),
-            "a string or null": ("vlm_cache_dir",),
-            "a bool": ("stamp_outputs",)})
+            "a string or null": ("vlm_cache_dir",)})
         if self.workers > MAX_WORKERS:
             raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
 
@@ -89,7 +87,6 @@ def pipeline_config_from_dict(doc: Mapping) -> PipelineConfig:
     """The config of a JSON object of fields, with ``trajgen`` and ``vlm``
     sections; a malformed one is a ConfigError naming the key or section."""
     doc = dict(doc)
-    doc.pop("schema_version", None)  # accepted for old documents, unused
     sections = {name: doc.pop(name, {}) for name in ("trajgen", "vlm")}
     for name, section in sections.items():
         if not isinstance(section, Mapping):
@@ -230,7 +227,7 @@ def write_scene_dir(spec: SceneSpec, out_dir: str | Path,
     return out_dir
 
 
-def demo_scene_spec(seed: int = 7, scene_id: str = "demo") -> SceneSpec:
+def demo_scene_spec(scene_id: str = "demo") -> SceneSpec:
     """A compact mixed-height scene used by tests, docs, and quickstarts."""
     def box(x: float, y: float, w: float, h: float) -> list[tuple[float, float]]:
         return [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
@@ -248,7 +245,6 @@ def demo_scene_spec(seed: int = 7, scene_id: str = "demo") -> SceneSpec:
         ],
         trees=[TreeSpec((100.0, 40.0), 10.0), TreeSpec((210.0, 110.0), 12.0),
                TreeSpec((40.0, 110.0), 9.0)],
-        seed=seed,
     )
 
 
@@ -344,8 +340,6 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
             "episode_index": index,
             "goal": [goal.x, goal.y, goal.z],
             "gt_length": trajectory.path_length(),
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-                          if cfg.stamp_outputs else None,
         }
         episode = ds.Episode(episode_id=episode_id, scene_id=bundle.scene_id,
                              trajectory=trajectory, instruction=instruction,
@@ -354,7 +348,7 @@ def generate_episode(bundle: SceneBundle, cfg: PipelineConfig,
         if verdict.accepted:
             outcome.accepted, outcome.episode = 1, episode
             break
-        outcome.rejections[verdict.reason or "rejected"] += 1
+        outcome.rejections[verdict.reason] += 1
     outcome.wall_time_s = time.monotonic() - started
     return outcome
 
@@ -463,7 +457,7 @@ def _validate_episode(episode: ds.Episode, cfg: PipelineConfig,
     t = episode.trajectory
     verdict = ds.filter_episode(episode, bev=bundle.bev if bundle else None)
     if not verdict.accepted:
-        out.append(Violation(episode.episode_id, "filter", verdict.reason or ""))
+        out.append(Violation(episode.episode_id, "filter", verdict.reason))
     if episode.instruction is not None and not episode.instruction.text:
         out.append(Violation(episode.episode_id, "instruction", "empty text"))
     if bundle is not None:

@@ -91,7 +91,6 @@ class SceneSpec:
     extent: tuple[float, float]  # ground size in meters (x, y), origin at (0, 0)
     buildings: list[BuildingSpec] = field(default_factory=list)
     trees: list[TreeSpec] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         ex, ey = self.extent
@@ -223,6 +222,8 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
 
 
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
+    """The spec of a scene.json document; keys it does not read, such as
+    the ``seed`` older files carry, are ignored."""
     return SceneSpec(
         extent=tuple(check_kind("extent", doc["extent"], "two finite numbers")),
         buildings=[
@@ -246,7 +247,6 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
             )
             for t in doc.get("trees", [])
         ],
-        seed=check_kind("seed", doc.get("seed", 0), "an integer"),
         scene_id=check_kind("scene_id", doc.get("scene_id", "scene"), "a string"),
     )
 

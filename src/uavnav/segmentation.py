@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic_open, check_kind, check_kinds, load_json
+from . import check_kind, check_kinds, load_json, save_json
 from .occupancy import BevGrid
 from .vlm import MAX_RETRIES, VlmClient, VlmReplyError
 
@@ -203,10 +203,6 @@ def caption_instance(
     raise VlmReplyError("caption reply never parsed", reply)
 
 
-def instances_to_json(instances: list[LandmarkInstance]) -> str:
-    return json.dumps([asdict(inst) for inst in instances], indent=1)
-
-
 def instances_from_json(docs: list[dict]) -> list[LandmarkInstance]:
     """Landmarks from a parsed landmarks.json document; a value of the wrong
     kind (see ``check_kind``) is a ValueError naming the field."""
@@ -234,5 +230,4 @@ def load_instances(path: str | Path) -> list[LandmarkInstance]:
 
 
 def save_instances(instances: list[LandmarkInstance], path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(instances_to_json(instances))
+    save_json(path, [asdict(inst) for inst in instances])

@@ -249,8 +249,8 @@ class TrajGenConfig:
         lo, hi = self.start_distance_range
         if not (0 < lo <= hi):
             raise ConfigError("trajgen.start_distance_range must satisfy 0 < min <= max")
-        if self.height_range[0] > self.height_range[1]:
-            raise ConfigError("trajgen.height_range min must not exceed max")
+        if not 0 <= self.height_range[1] - self.height_range[0] < math.inf:  # for rng.uniform
+            raise ConfigError("trajgen.height_range needs min <= max and a finite max - min")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import ConfigError, UavnavError, atomic_open
+from . import ConfigError, UavnavError, save_json
 
 ENDPOINT_ENV = "UAVNAV_VLM_ENDPOINT"
 API_KEY_ENV = "UAVNAV_VLM_API_KEY"
@@ -199,9 +199,7 @@ class VlmClient:
     def _record(self, request: dict, reply: str) -> None:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        doc = {"request": request, "reply": reply}
-        with atomic_open(self._cache_path(request)) as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1))
+        save_json(self._cache_path(request), {"request": request, "reply": reply})
 
     def _live_reply(self, request: dict) -> str:
         # Imported here: they pull in ssl and email, which only live mode needs.

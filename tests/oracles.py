@@ -674,7 +674,6 @@ def scene_spec_to_dict(spec: SceneSpec) -> dict:
             }
             for t in spec.trees
         ],
-        "seed": spec.seed,
     }
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import merge_log_json, save_point_cloud
 from uavnav import ConfigError, load_json
+from uavnav import dataset as ds
 from uavnav import evaluation as ev
 from uavnav import keyframe as kf
 from uavnav import pipeline as pl
@@ -47,7 +48,7 @@ def small_spec() -> SceneSpec:
         scene_id="cli-scene", extent=(120.0, 120.0),
         buildings=[BuildingSpec(box(20, 20, 18, 18), 32.0, "blue glass tower"),
                    BuildingSpec(box(75, 70, 20, 16), 26.0, "red brick warehouse")],
-        trees=[TreeSpec((60.0, 30.0), 8.0)], seed=3)
+        trees=[TreeSpec((60.0, 30.0), 8.0)])
 
 
 def one_line_error(capsys) -> str:
@@ -122,13 +123,18 @@ def test_scene_synth_demo_scene(tmp_path):
     out = tmp_path / "demo"
     assert main(["scene", "synth", "--out", str(out)]) == 0
     assert (out / "cloud.npy").exists()
-    assert json.loads((out / "scene.json").read_text())["seed"] == 7
+    assert "seed" not in json.loads((out / "scene.json").read_text())
 
 
-def test_scene_synth_seed_zero_is_kept(tmp_path):
-    out = tmp_path / "demo0"
-    assert main(["scene", "synth", "--seed", "0", "--out", str(out)]) == 0
-    assert json.loads((out / "scene.json").read_text())["seed"] == 0
+@pytest.mark.parametrize("argv", [
+    ["scene", "synth", "--out", "unused", "--seed", "3"],
+    ["dataset", "filter", "--episodes", "e.jsonl", "--out", "o.jsonl", "--rejects", "r.jsonl"],
+], ids=["scene_synth_seed", "dataset_filter_rejects"])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_voxelize_roundtrip(workdir):
@@ -238,6 +244,16 @@ def test_validate_flags_too_long(workdir, generated, capsys):
                for v in out["violations"])
 
 
+def test_validate_flags_empty_instruction_text(workdir, generated, tmp_path, capsys):
+    doc = json.loads(generated.read_text().splitlines()[0])
+    doc["instruction"]["text"] = ""
+    bad = tmp_path / "empty.jsonl"
+    bad.write_text(json.dumps(doc) + "\n")
+    assert main(["validate", "--episodes", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        {"episode_id": doc["episode_id"], "kind": "instruction", "detail": "empty text"}]
+
+
 def test_dataset_filter_split_stats(workdir, generated, capsys):
     kept = workdir / "kept.jsonl"
     assert main(["dataset", "filter", "--episodes", str(generated),
@@ -272,6 +288,18 @@ def test_eval_ground_truth_predictions_score_perfectly(workdir, generated, capsy
     assert report["osr"] == 1.0
     assert report["spl"] > 0.9
     assert (report["count"], report["missing_predictions"], report["unpredicted"]) == (5, 0, 0)
+
+
+def test_eval_without_meta_goal_scores_against_the_final_pose(workdir, generated, tmp_path):
+    episode = read_episodes(generated)[0]
+    final = episode.trajectory.poses[-1].position
+    assert final.distance_to(Point3(*episode.meta.pop("goal"))) > 0.01  # the two differ
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text(json.dumps(ds.episode_to_dict(episode)) + "\n")
+    preds = write_predictions(tmp_path / "preds.jsonl", [episode])
+    assert main(["eval", *scene_args(workdir), "--episodes", str(episodes),
+                 "--predictions", str(preds), "--out", str(tmp_path / "eval.json")]) == 0
+    assert json.loads((tmp_path / "eval.json").read_text())["ne"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eval_replays_at_most_step_cap_actions(workdir, generated, tmp_path):
@@ -604,7 +632,6 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
            "building height must be a number"),
           (lambda doc: {**doc, "buildings": [{**doc["buildings"][0], "label": 7}]},
            "building label must be a string"),
-          (lambda doc: {**doc, "seed": 2.9}, "seed must be an integer"),
           (lambda doc: {**doc, "trees": [{**doc["trees"][0], "position": ["60", 30]}]},
            "tree position must be two finite numbers"))],
     *[("landmarks.json", lambda spec, caption=caption: json.dumps([{
@@ -622,7 +649,7 @@ def test_replay_with_empty_cache_exits_1(workdir, tmp_path, capsys):
         "cloud_not_utf8", "one_index_cell", "three_index_cell", "one_number_centroid",
         "three_number_centroid", "infinite_centroid", "string_centroid",
         "fractional_landmark_id", "string_landmark_height", "bool_landmark_area",
-        "string_building_height", "int_building_label", "fractional_scene_seed",
+        "string_building_height", "int_building_label",
         "string_tree_position", "non_string_caption_fields", "string_caption",
         "landmarks_list_of_numbers", "landmarks_string", "landmarks_object", "spec_list"])
 def test_malformed_scene_files_exit_2(workdir, tmp_path, capsys, name, edit, message):
@@ -723,6 +750,19 @@ def test_grid_past_the_voxel_cap_exits_2(workdir, tmp_path, cloud, flags, messag
     assert done.returncode == 2, done.stderr
     assert done.stderr.strip() == f"config error: {message}, more than MAX_VOXELS (1e+09)"
     assert not (tmp_path / "grid.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["voxelize", "trajgen"])
+def test_grid_past_the_coordinate_bound_exits_2(workdir, tmp_path, capsys, command):
+    # Poses planned in it could lie past MAX_COORDINATE, which the episode readers refuse.
+    scene = scene_with_cloud(workdir, tmp_path, saved(np.save, np.array(
+        [[2e9, 0.0, 0.0], [2e9 + 40.0, 40.0, 40.0]])))
+    argv = {"voxelize": ["voxelize", "--scene", str(scene)],
+            "trajgen": ["trajgen", *scene_args(workdir), "--scene", str(scene), "--count", "1"]}
+    assert main([*argv[command], "--out", str(tmp_path / "out")]) == 2
+    assert one_line_error(capsys) == ("config error: a grid over this cloud reaches 2e+09 m "
+                                      "from the origin, more than MAX_COORDINATE (1e+09 m)")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -839,7 +879,8 @@ def test_scene_readers_are_byte_identical_on_npy_and_text_clouds(
     ({"trajgen": {"start_distance_range": [1, 2, 3]}}, "trajgen.start_distance_range"),
     ({"vlm": {"modle": "live"}}, "vlm.modle"),
     ({"vlm": {"cache_dir": 5}}, "vlm_cache_dir must be a string or null"),
-    ({"stamp_outputs": "no"}, "stamp_outputs must be a bool"),
+    ({"stamp_outputs": True}, "unknown config keys: ['stamp_outputs']"),
+    ({"schema_version": 1}, "unknown config keys: ['schema_version']"),
     ({"bev_min_height": 2.0}, "unknown config keys: ['bev_min_height']"),
     ({"min_area": 20.0}, "unknown config keys: ['min_area']"),
     ({"tree_height": 15.0}, "unknown config keys: ['tree_height']"),
@@ -848,12 +889,17 @@ def test_scene_readers_are_byte_identical_on_npy_and_text_clouds(
     ({"trajgen": {"max_sample_attempts": 0}},
      "trajgen.max_sample_attempts must be an integer >= 1"),
     ({"trajgen": {"max_expansions": 0}}, "trajgen.max_expansions must be an integer >= 1"),
+    *[({"trajgen": {"height_range": span}},
+       "trajgen.height_range needs min <= max and a finite max - min")
+      for span in ([40.0, 20.0], [-1e308, 1e308])],
 ], ids=["list", "trajgen_not_object", "vlm_not_object", "string_seed", "bool_seed",
         "float_segments", "string_workers", "scalar_range", "three_field_range",
-        "unknown_vlm_key", "int_cache_dir", "string_stamp_outputs", "removed_bev_min_height",
+        "unknown_vlm_key", "int_cache_dir", "removed_stamp_outputs", "removed_schema_version",
+        "removed_bev_min_height",
         "removed_min_area", "removed_tree_height", "removed_coref_threshold",
         "removed_goal_offset",
-        "zero_sample_attempts", "zero_expansions"])
+        "zero_sample_attempts", "zero_expansions", "inverted_height_range",
+        "overflowing_height_span"])
 def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -861,6 +907,14 @@ def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     err = one_line_error(capsys)
     assert err.startswith(f"config error: {config}: ") and message in err
+
+
+def test_unknown_vlm_mode_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vlm": {"mode": "bogus"}}))
+    assert main(["generate", *scene_args(workdir, config), "--count", "1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert one_line_error(capsys) == "config error: unknown VLM mode 'bogus'"
 
 
 @pytest.mark.parametrize("content, build, detail", [
@@ -972,11 +1026,18 @@ def _set(container, key, value):
     (lambda doc: _set(doc, "meta", [list(item) for item in doc["meta"].items()]),
      "meta must be an object"),
     (lambda doc: _set(doc, "instruction", "abc"), "instruction must be an object"),
+    (lambda doc: doc.update(image_refs=doc["image_refs"][:-1]),
+     "episode cli-scene-000000: 3 image refs for 4 poses"),
+    (lambda doc: [p["position"].__setitem__(2, 1e308) for p in [doc["start"], *doc["poses"]]],
+     "pose position must lie within MAX_COORDINATE (1e+09 m) of the origin"),
+    (lambda doc: _set(doc["meta"], "goal", [1.7e308] * 3),
+     "meta.goal must lie within MAX_COORDINATE (1e+09 m) of the origin"),
 ], ids=["no_final_stop", "mid_stop", "one_pose_short", "one_pose_extra", "int_instruction_text",
         "string_sub_instructions", "fractional_target_landmark_id",
         "string_target_landmark_id", "bool_target_landmark_id", "int_image_ref",
         "int_episode_id", "string_start_coordinate", "pose_1_moved_5_m", "pose_1_yaw_plus_30",
-        "meta_list_of_pairs", "string_instruction"])
+        "meta_list_of_pairs", "string_instruction", "one_image_ref_short",
+        "poses_at_1e308_m", "goal_at_1_7e308_m"])
 def test_malformed_episode_is_refused_by_every_reader(workdir, generated, tmp_path, capsys,
                                                       edit, message):
     doc = json.loads(generated.read_text().splitlines()[0])

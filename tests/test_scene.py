@@ -15,7 +15,7 @@ from uavnav.pipeline import write_scene_dir
 from uavnav.scene import (SURFACE_SAMPLE_SPACING, BuildingSpec, PointCloud,
                           PointCloudParseError, SceneSpec, TreeSpec,
                           _sample_polygon_interior,
-                          load_point_cloud,
+                          load_point_cloud, load_scene_spec,
                           scene_spec_from_dict,
                           synthesize_scene)
 
@@ -226,7 +226,7 @@ class TestSynthesize:
     def test_same_seed_bit_identical(self):
         spec = SceneSpec(extent=(30.0, 30.0),
                          buildings=[BuildingSpec(box(5, 5, 8, 8), 12.0, "b")],
-                         trees=[TreeSpec((20.0, 20.0), 6.0)], seed=99)
+                         trees=[TreeSpec((20.0, 20.0), 6.0)])
         a = synthesize_scene(spec)
         b = synthesize_scene(spec)
         assert np.array_equal(a.points, b.points)
@@ -267,10 +267,16 @@ class TestSynthesize:
     def test_spec_json_round_trip(self):
         spec = SceneSpec(extent=(30.0, 40.0),
                          buildings=[BuildingSpec(box(2, 3, 5, 6), 9.0, "tower")],
-                         trees=[TreeSpec((11.0, 12.0), 7.0, 1.5)],
-                         seed=5, scene_id="rt")
+                         trees=[TreeSpec((11.0, 12.0), 7.0, 1.5)], scene_id="rt")
         again = scene_spec_from_dict(json.loads(json.dumps(asdict(spec))))
         assert again == spec
+
+    def test_spec_json_with_an_old_seed_loads(self, tmp_path):
+        # scene.json files written before the spec lost its unused seed.
+        spec = SceneSpec(extent=(30.0, 40.0), buildings=[BuildingSpec(box(2, 3, 5, 6), 9.0, "t")])
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**asdict(spec), "seed": 3}))
+        assert load_scene_spec(path) == spec
 
     @pytest.mark.parametrize("radius", [0.0, -3.0, -1e14])
     def test_non_positive_canopy_radius_rejected(self, radius):
@@ -354,7 +360,7 @@ def scene_specs(draw) -> SceneSpec:
         trees.append(TreeSpec(position, draw(SIZES)) if radius is None
                      else TreeSpec(position, draw(SIZES), radius))
     return SceneSpec(scene_id=draw(st.text(max_size=6)), extent=(10 * n + 40, 30.0),
-                     buildings=buildings, trees=trees, seed=draw(st.integers(0, 2**40)))
+                     buildings=buildings, trees=trees)
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,8 @@ from uavnav.pipeline import demo_scene_spec
 from uavnav.scene import synthesize_scene
 from uavnav.segmentation import (Caption, LandmarkInstance,
                                  caption_instance, extract_instances,
-                                 instances_from_json, instances_to_json,
-                                 parse_caption)
+                                 instances_from_json, load_instances, parse_caption,
+                                 save_instances)
 from uavnav.vlm import VlmClient, VlmReplyError
 
 
@@ -197,21 +197,33 @@ COORD = st.integers(-500, 500) | st.floats(-500.0, 500.0)
 PAIRS = st.tuples(COORD, COORD)
 
 
+def saved(instances: list[LandmarkInstance], directory) -> str:
+    """The landmarks.json text ``save_instances`` writes for ``instances``."""
+    save_instances(instances, directory / "landmarks.json")
+    return (directory / "landmarks.json").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def landmarks_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("landmarks")
+
+
 class TestInstanceSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         inst = make_instance()
         captioned = LandmarkInstance(
             id=3, contour=[(0.5, 0.5), (2.5, 0.5), (2.5, 2.5)],
             centroid=(1.5, 1.5), height=12.0, area=9.0,
             cells=[(0, 0), (0, 1)],
             caption=Caption("red", "brick", "small", "house"))
-        back = instances_from_json(json.loads(instances_to_json([inst, captioned])))
-        assert back == [inst, captioned]
+        path = tmp_path / "landmarks.json"
+        save_instances([inst, captioned], path)
+        assert load_instances(path) == [inst, captioned]
 
-    def test_demo_landmarks_are_the_hand_written_document(self, demo_bundle):
+    def test_demo_landmarks_are_the_hand_written_document(self, demo_bundle, tmp_path):
         landmarks = demo_bundle.landmarks
         assert all(lm.caption is not None for lm in landmarks)
-        assert instances_to_json(landmarks) == oracles.instances_to_json(landmarks)
+        assert saved(landmarks, tmp_path) == oracles.instances_to_json(landmarks)
 
     @settings(max_examples=150, deadline=None)
     @given(instances=st.lists(st.builds(
@@ -219,6 +231,7 @@ class TestInstanceSerialization:
         centroid=PAIRS, height=COORD, area=COORD,
         cells=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=6),
         caption=st.none() | st.builds(Caption, *[st.text(max_size=6)] * 4)), max_size=4))
-    def test_json_is_the_hand_written_document(self, instances):
-        assert instances_to_json(instances) == oracles.instances_to_json(instances)
-        assert instances_from_json(json.loads(instances_to_json(instances))) == instances
+    def test_json_is_the_hand_written_document(self, landmarks_dir, instances):
+        written = saved(instances, landmarks_dir)
+        assert written == oracles.instances_to_json(instances)
+        assert instances_from_json(json.loads(written)) == instances

@@ -15,6 +15,7 @@ from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
 from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_whole_ball,
                      point_blocked)
 from uavnav import ConfigError
+from uavnav import trajgen as tg
 from uavnav.evaluation import replay
 from uavnav.geometry import Point3
 from uavnav.occupancy import is_free, segment_free
@@ -619,6 +620,23 @@ class TestChain:
         for a, b in zip(traj.poses, traj.poses[1:]):
             assert segment_free(bundle.nav_grid, a.position, b.position)
         assert traj.poses[-1].position.distance_to(goal) <= cfg.trajgen.goal_tolerance
+
+    def test_failed_later_segment_is_a_no_path_error(self, demo_bundle_small, monkeypatch):
+        # The sampler's goal is found; the second segment's is not.
+        bundle, cfg = demo_bundle_small
+        goal_on_line, goals = tg._goal_on_line, []
+
+        def first_goal_only(*args):
+            goal = None if goals else goal_on_line(*args)
+            goals.extend([goal] if goal is not None else [])
+            return goal
+
+        monkeypatch.setattr(tg, "_goal_on_line", first_goal_only)
+        with pytest.raises(NoPathError, match="segment 2 of 2 failed: no clear goal on the "
+                                              "connecting line"):
+            chain_trajectories(2, bundle.landmarks, bundle.bev, bundle.nav_grid,
+                               cfg.trajgen, np.random.default_rng(6))
+        assert len(goals) == 1
 
     def test_invalid_segment_count(self, demo_bundle_small):
         bundle, cfg = demo_bundle_small

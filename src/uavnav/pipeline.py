@@ -35,7 +35,8 @@ from .occupancy import (DEFAULT_MARGIN, DEFAULT_VOXEL_SIZE, BevGrid, VoxelGrid, 
                         mark_vegetation, voxelize)
 from .scene import (BuildingSpec, PointCloud, SceneSpec, TreeSpec, load_point_cloud,
                     load_scene_spec, synthesize_scene)
-from .vlm import API_KEY_ENV, DEFAULT_MODEL, ENDPOINT_ENV, VlmClient, VlmError
+from .vlm import (API_KEY_ENV, DEFAULT_MODEL, ENDPOINT_ENV, VlmClient, VlmError,
+                  check_vlm_mode)
 
 log = logging.getLogger("uavnav")
 
@@ -71,6 +72,7 @@ class PipelineConfig:
             "a string or null": ("vlm_cache_dir",)})
         if self.workers > MAX_WORKERS:
             raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
+        check_vlm_mode(self.vlm_mode)
 
     def make_vlm(self) -> VlmClient:
         """Build the client; endpoint and key env vars override the config,

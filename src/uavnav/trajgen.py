@@ -4,9 +4,9 @@ Actions: Forward (3, 6, or 9 m along the current heading), TurnLeft /
 TurnRight (30 degrees), MoveUp / MoveDown (3 m), Stop. Headings are
 quantized to 12 bins, which makes every reachable horizontal offset an
 exact element of the lattice 1.5 * (a + b * sqrt(3)). That lattice is
-the one kinematics: the search, ``rollout`` and ``evaluation.replay`` all
-move integer states by the per-heading deltas of ``_MOVES`` and place
-them with the expressions of ``lattice_pose``.
+the one kinematics: ``rollout`` and ``evaluation.replay`` move integer
+states by the per-heading deltas of ``_MOVES``, the search by the same
+deltas on packed states, and all place them as ``lattice_pose`` does.
 A ``Trajectory`` is its start and its actions; its poses are their
 ``rollout``, so whoever builds or reads one sees the same floats.
 Edge costs are exact (tenths of a meter, with turns costing one unit to
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -327,6 +328,26 @@ def lattice_heuristic(dx: float, dy: float, dz: float, tolerance: float) -> floa
     return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
 
 
+def _pack(state: SearchState, width: int) -> int:
+    """``state`` as one int: a, b, c, d and kz, each plus 2 ** (width - 1)
+    in a ``width``-bit field, a highest, then yaw in the low 4 bits.
+    ``astar_search`` reads the fields back in place."""
+    packed = 0
+    for value in state[:5]:
+        packed = packed << width | (value + (1 << (width - 1)))
+    return packed << 4 | state[5]
+
+
+@lru_cache(maxsize=None)
+def _packed_moves(width: int) -> tuple[tuple, dict[int, Action]]:
+    """Per heading, ``_SUCCESSORS`` as (delta, cost, kind), where the delta
+    moves a state packed with ``width``-bit fields; and each delta's action
+    (fields of 3 bits or more keep the deltas of different actions apart)."""
+    rows = [[(_pack(m[:6], width) - _pack((0, 0, 0, 0, 0, yaw), width), *m[6:]) for m in row]
+            for yaw, row in enumerate(_SUCCESSORS)]
+    return tuple(tuple(m[:3] for m in row) for row in rows), {m[0]: m[3] for r in rows for m in r}
+
+
 def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                  cfg: TrajGenConfig, stats=None,
                  flown: Sequence[Action] = (), target_landmark_id: int = -1) -> Trajectory:
@@ -342,11 +363,18 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     deduplicate exactly; the bin-dominance rule above keeps the state
     space finite without breaking Dijkstra-comparability.
 
-    Successors come from a per-heading table of integer state deltas,
-    with the 3 m forward as the only forward move. Positions are always
-    computed from the integer state with the expressions in the
-    SearchState comment, so a state's coordinates, and every collision
-    verdict on them, do not depend on the path to it.
+    A state is packed into one int (``_pack``) whose fields hold every
+    state the search can reach: no field's magnitude exceeds the first
+    state's largest plus 2 * ``cfg.max_expansions`` (proved where the
+    width is set). A successor is the state plus a per-heading delta of
+    ``_SUCCESSORS``, which offers only the 3 m forward, so heap entries
+    and parent links hold only ints and floats. Two per-search caches are
+    keyed on the position, the packed state without its heading: its
+    coordinates and ``lattice_heuristic``, computed once with the
+    expressions in the SearchState comment, so they and every collision
+    verdict on them do not depend on the path to it; and the verdict of
+    the vertical sweep between it and the position above, which both
+    directions and all 12 headings share.
 
     Edges are checked lazily, as in Lazy PRM (Bohlin & Kavraki 2000).
     Every offer into an unsettled state is pushed unchecked, apart from
@@ -368,9 +396,9 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     with them. It carries ``target_landmark_id``.
 
     ``stats`` (a ``pipeline.GenerationReport``, say), when given, gains
-    this search's settled ``expansions`` and swept-segment
-    ``collision_checks``, merge sweeps included, also when the search
-    fails.
+    this search's settled ``expansions`` and ``collision_checks``, the
+    segment sweeps actually run (merge sweeps included, cached vertical
+    verdicts not), also when the search fails.
     """
     first = initial_state(start)
     for action in flown:
@@ -381,49 +409,60 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
     ox, oy, oz = start.position.as_tuple()
     goal_xyz = gx, gy, gz = (goal.x, goal.y, goal.z)
     tolerance = cfg.goal_tolerance
+    # At most max_expansions states settle (one more raises), and a pushed
+    # state's parent chain back to ``first`` holds only settled states, so
+    # it is at most max_expansions moves from ``first``. A move changes a
+    # field by at most 2 (a 3 m forward), so no |field| passes the sum
+    # below; 2 ** (width - 1) exceeds it, so offset fields stay in range.
+    width = (max(map(abs, first[:5])) + 2 * cfg.max_expansions).bit_length() + 1
+    moves, action_of = _packed_moves(width)
+    offset, mask, kz_yaw = 1 << (width - 1), (1 << width) - 1, (1 << (width + 4)) - 1
+    a_at, b_at, c_at = 4 * width, 3 * width, 2 * width  # field shifts in a position
+    state = _pack(first, width)
+    h0 = lattice_heuristic(here.x - gx, here.y - gy, here.z - gz, tolerance)
+    placed = {state >> 4: (*here.as_tuple(), h0)}  # position -> x, y, z, heuristic
+    vertical_free: dict[int, bool] = {}  # the lower position -> sweep verdict
     # Parent links are recorded when a state is settled, so the
     # reconstructed action chain is exactly the one whose swept segments
     # were collision-checked.
-    parents: dict[SearchState, tuple[SearchState, Action] | None] = {}
+    parents: dict[int, int] = {}  # state -> parent, -1 for the first
     bin_best: dict[tuple, int] = {}
-    h0 = lattice_heuristic(here.x - gx, here.y - gy, here.z - gz, tolerance)
-    heap: list[tuple[float, float, int, int, SearchState,
-                     SearchState | None, Action | None, int]] = [
-        (h0, h0, 0, 0, first, None, None, _TURN)  # no edge to check
-    ]
+    # (f, h, seq, g, state, parent, kind); the first has no edge to check.
+    heap = [(h0, h0, 0, 0, state, -1, _TURN)]
     seq = 0
     expansions = checks = 0
     z_lo, z_hi = cfg.height_range
 
     try:
         while heap:
-            _, h_here, _, g_here, state, parent, via_action, kind = heappop(heap)
+            _, h_here, _, g_here, state, parent, kind = heappop(heap)
             if state in parents:
                 continue  # settled already
-            a, b, c, d, kz, yaw = state
-            x = ox + 1.5 * (a + b * SQRT3)
-            y = oy + 1.5 * (c + d * SQRT3)
-            z = oz + VERTICAL_STEP * kz
+            pos = state >> 4
+            x, y, z, _ = placed[pos]
             if kind != _TURN:
-                pa, pb, pc, pd, pkz, _ = parent
-                checks += 1
-                if not segment_free_coords(grid, ox + 1.5 * (pa + pb * SQRT3),
-                                           oy + 1.5 * (pc + pd * SQRT3),
-                                           oz + VERTICAL_STEP * pkz, x, y, z):
+                ppos = parent >> 4
+                free = vertical_free.get(min(pos, ppos)) if kind == _VERTICAL else None
+                if free is None:
+                    px, py, pz, _ = placed[ppos]
+                    checks += 1
+                    free = segment_free_coords(grid, px, py, pz, x, y, z)
+                    if kind == _VERTICAL:
+                        vertical_free[min(pos, ppos)] = free
+                if not free:
                     continue  # blocked edge; a costlier offer may still be free
-            parents[state] = (parent, via_action) if parent is not None else None
+            parents[state] = parent
             expansions += 1
             if expansions > cfg.max_expansions:
                 raise NoPathError(f"expansion budget {cfg.max_expansions} exceeded")
             if math.dist((x, y, z), goal_xyz) <= tolerance:
-                states, steps = [state], []
-                while parents[state] is not None:
-                    state, action = parents[state]  # type: ignore[misc]
-                    states.append(state)
-                    steps.append(action)
-                states.reverse()
-                steps.reverse()
-                actions: list[Action] = []
+                path = [state]
+                while parent >= 0:
+                    path.append(parent)
+                    parent = parents[parent]
+                path.reverse()
+                steps = [action_of[s - p] for p, s in zip(path, path[1:])]
+                out: list[Action] = []
                 i = 0
                 while i < len(steps):
                     run = 1  # 3 m forwards merged into this action, at most three
@@ -431,44 +470,45 @@ def astar_search(start: Pose, goal: Point3, grid: VoxelGrid,
                            and steps[i] is steps[i + run] is Action.FORWARD_3):
                         run += 1
                     if run > 1:
-                        pa, pb, pc, pd, pkz, _ = states[i]
-                        na, nb, nc, nd, nkz, _ = states[i + run]
+                        px, py, pz, _ = placed[path[i] >> 4]
+                        nx, ny, nz, _ = placed[path[i + run] >> 4]
                         checks += 1
-                        if not segment_free_coords(grid, ox + 1.5 * (pa + pb * SQRT3),
-                                                   oy + 1.5 * (pc + pd * SQRT3),
-                                                   oz + VERTICAL_STEP * pkz,
-                                                   ox + 1.5 * (na + nb * SQRT3),
-                                                   oy + 1.5 * (nc + nd * SQRT3),
-                                                   oz + VERTICAL_STEP * nkz):
+                        if not segment_free_coords(grid, px, py, pz, nx, ny, nz):
                             run = 1  # keep the checked 3 m step; merge from the next
-                    actions.append(forward(3.0 * run) if run > 1 else steps[i])
+                    out.append(forward(3.0 * run) if run > 1 else steps[i])
                     i += run
-                return Trajectory(start, [*flown, *actions, STOP], target_landmark_id)
-            key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), kz, yaw)
+                return Trajectory(start, [*flown, *out, STOP], target_landmark_id)
+            key = (math.floor(x / POSITION_BIN), math.floor(y / POSITION_BIN), state & kz_yaw)
             best = bin_best.get(key)
             if best is not None and best <= g_here - BIN_DOMINANCE_MARGIN_UNITS:
                 continue  # a much cheaper same-bin state already settled
             if best is None or g_here < best:
                 bin_best[key] = g_here
-            for da, db, dc, dd, dkz, nyaw, cost, kind, action in _SUCCESSORS[yaw]:
-                na, nb, nc, nd, nkz = a + da, b + db, c + dc, d + dd, kz + dkz
-                nstate = (na, nb, nc, nd, nkz, nyaw)
+            for delta, cost, kind in moves[state & 15]:
+                nstate = state + delta
                 if nstate in parents:
                     continue
-                if kind == _FORWARD:
-                    nh = lattice_heuristic(ox + 1.5 * (na + nb * SQRT3) - gx,
-                                           oy + 1.5 * (nc + nd * SQRT3) - gy,
-                                           z - gz, tolerance)
-                elif kind == _TURN:
+                if kind == _TURN:
                     nh = h_here  # same position
                 else:
-                    nz = oz + VERTICAL_STEP * nkz
-                    if not (z_lo <= nz <= z_hi):
-                        continue
-                    nh = lattice_heuristic(x - gx, y - gy, nz - gz, tolerance)
+                    npos, nx, ny, nz = nstate >> 4, x, y, z
+                    if kind == _VERTICAL:
+                        nz = oz + VERTICAL_STEP * ((npos & mask) - offset)
+                        if not z_lo <= nz <= z_hi:
+                            continue
+                    at = placed.get(npos)
+                    if at is None:
+                        if kind == _FORWARD:
+                            nx = ox + 1.5 * ((npos >> a_at) - offset
+                                             + ((npos >> b_at & mask) - offset) * SQRT3)
+                            ny = oy + 1.5 * ((npos >> c_at & mask) - offset
+                                             + ((npos >> width & mask) - offset) * SQRT3)
+                        at = placed[npos] = (
+                            nx, ny, nz, lattice_heuristic(nx - gx, ny - gy, nz - gz, tolerance))
+                    nh = at[3]
                 ng = g_here + cost
                 seq += 1
-                heappush(heap, (ng + nh, nh, seq, ng, nstate, state, action, kind))
+                heappush(heap, (ng + nh, nh, seq, ng, nstate, state, kind))
         raise NoPathError("open set exhausted without reaching the goal")
     finally:
         if stats is not None:

@@ -54,6 +54,12 @@ class VlmReplyError(VlmError):
         self.raw_reply = raw_reply
 
 
+def check_vlm_mode(mode: str) -> None:
+    """Both a pipeline config and a client refuse an unknown mode."""
+    if mode not in ("live", "mock", "replay"):
+        raise ConfigError(f"unknown VLM mode {mode!r}")
+
+
 def size_bucket(area_m2: float) -> str:
     """Footprint-area adjective: <200 small, <1000 medium, else large."""
     for limit, name in KNOWN_SIZE_BUCKETS:
@@ -142,8 +148,7 @@ class VlmClient:
     api_key: str = ""
 
     def __post_init__(self) -> None:
-        if self.mode not in ("live", "mock", "replay"):
-            raise ConfigError(f"unknown VLM mode {self.mode!r}")
+        check_vlm_mode(self.mode)
         if self.mode == "replay" and self.cache_dir is None:
             raise ConfigError("replay mode requires a cache directory")
         if self.cache_dir is not None:

@@ -42,6 +42,17 @@ def empty_grid(dims=(60, 60, 30), voxel_size=1.0) -> VoxelGrid:
                      occupancy=np.zeros(dims, dtype=bool))
 
 
+def floating_plates_grid(rng: np.random.Generator, dims=(40, 40, 30),
+                         n_plates: int = 10) -> VoxelGrid:
+    """Random one-voxel-thick horizontal plates, free above and below."""
+    occ = np.zeros(dims, dtype=bool)
+    for _ in range(n_plates):
+        w, d = (int(v) for v in rng.integers(6, 20, size=2))
+        i, j = int(rng.integers(0, dims[0] - w)), int(rng.integers(0, dims[1] - d))
+        occ[i:i + w, j:j + d, int(rng.integers(2, dims[2] - 2))] = True
+    return VoxelGrid(origin=np.zeros(3), voxel_size=1.0, dims=dims, occupancy=occ)
+
+
 def random_obstacle_grid(rng: np.random.Generator, dims=(100, 100, 30),
                          n_boxes: int = 14) -> VoxelGrid:
     """Random axis-aligned box obstacles in an otherwise free grid."""

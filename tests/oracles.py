@@ -187,6 +187,19 @@ def lattice_heuristic_whole_ball(dx: float, dy: float, dz: float,
     return 30.0 * math.ceil(bound / VERTICAL_STEP - 1e-9)
 
 
+def unpack_state(packed: int, width: int) -> tuple[int, ...]:
+    """The lattice state in ``trajgen._pack``'s layout, read field by
+    field: yaw in the low 4 bits, then kz, d, c, b and a, each in a
+    ``width``-bit field and stored plus 2 ** (width - 1)."""
+    yaw, packed = packed & 15, packed >> 4
+    fields = []
+    for _ in range(5):
+        fields.append((packed & ((1 << width) - 1)) - (1 << (width - 1)))
+        packed >>= width
+    assert packed == 0, "a field overflowed its width"
+    return (*reversed(fields), yaw)
+
+
 def dijkstra_units(start: Pose, goal: Point3, grid: VoxelGrid,
                    cfg: TrajGenConfig) -> int | None:
     """Optimal cost in 0.1 m units to reach the goal-tolerance sphere.

@@ -909,12 +909,21 @@ def test_malformed_config_exit_2(workdir, tmp_path, capsys, doc, message):
     assert err.startswith(f"config error: {config}: ") and message in err
 
 
-def test_unknown_vlm_mode_exits_2(workdir, tmp_path, capsys):
+def test_unknown_vlm_mode_exits_2(workdir, generated, tmp_path, capsys):
+    # Every command that reads a config refuses the mode as it loads it,
+    # also those that never build a VLM client.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"vlm": {"mode": "bogus"}}))
-    assert main(["generate", *scene_args(workdir, config), "--count", "1",
-                 "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert one_line_error(capsys) == "config error: unknown VLM mode 'bogus'"
+    preds = write_predictions(tmp_path / "preds.jsonl", read_episodes(generated)[:1])
+    out = tmp_path / "x.jsonl"
+    for argv in (["generate", "--count", "1", "--out", str(out)],
+                 ["validate", "--episodes", str(generated)],
+                 ["eval", "--episodes", str(generated), "--predictions", str(preds)],
+                 ["dataset", "filter", "--episodes", str(generated), "--out", str(out)]):
+        capsys.readouterr()
+        assert main([*argv, *scene_args(workdir, config)]) == 2, argv
+        assert one_line_error(capsys) == f"config error: {config}: unknown VLM mode 'bogus'"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("content, build, detail", [

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import desk_trajgen_config, empty_grid, random_obstacle_grid
+from conftest import desk_trajgen_config, empty_grid, floating_plates_grid, random_obstacle_grid
 from oracles import (action_by_construction, dijkstra_units, lattice_heuristic_whole_ball,
-                     point_blocked)
+                     point_blocked, unpack_state)
 from uavnav import ConfigError
 from uavnav import trajgen as tg
 from uavnav.evaluation import replay
@@ -163,6 +163,19 @@ class TestStep:
     def test_yaw_quantization_enforced(self):
         with pytest.raises(ValueError):
             Pose(Point3(0, 0, 0), 15.0)
+
+
+def recorded_widths(monkeypatch) -> list[int]:
+    """The field width of each later search, in order."""
+    widths: list[int] = []
+    moves = tg._packed_moves
+
+    def recording_moves(width):
+        widths.append(width)
+        return moves(width)
+
+    monkeypatch.setattr(tg, "_packed_moves", recording_moves)
+    return widths
 
 
 class TestAstar:
@@ -339,19 +352,141 @@ class TestAstar:
         # same cost, so the search never offers one; the output merges them.
         import uavnav.trajgen as tg
 
-        offered: list[Action] = []
+        widths = recorded_widths(monkeypatch)
+        offers: list[tuple[int, int]] = []  # (state, parent) of each pushed entry
         push = tg.heappush
 
         def recording_push(heap, entry):
-            offered.extend(item for item in entry if isinstance(item, Action))
+            offers.append(entry[4:6])
             push(heap, entry)
 
         monkeypatch.setattr(tg, "heappush", recording_push)
+        start = Pose(Point3(8.3, 9.1, 12.0), 60.0)
         grid = random_obstacle_grid(np.random.default_rng(4))
-        traj = astar_search(Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0),
-                            grid, TrajGenConfig(height_range=(3.0, 27.0)))
-        assert {a for a in offered if a.kind is ActionKind.FORWARD} == {Action.FORWARD_3}
+        traj = astar_search(start, Point3(52.0, 48.0, 12.0), grid,
+                            TrajGenConfig(height_range=(3.0, 27.0)))
+        horizontal = []
+        for state, parent in offers:
+            here, there = (tg.lattice_pose(start.position, unpack_state(s, widths[0])).position
+                           for s in (parent, state))
+            if (here.x, here.y) != (there.x, there.y):
+                horizontal.append(math.hypot(there.x - here.x, there.y - here.y))
+        assert horizontal and all(math.isclose(m, 3.0) for m in horizontal)
         assert {Action.FORWARD_6, Action.FORWARD_9} & set(traj.actions)
+
+    def test_each_vertical_verdict_is_its_own_segments_sweep(self, monkeypatch):
+        # A vertical segment is swept once per search, whichever heading and
+        # direction first flies it, and every other offer along it reuses
+        # that verdict. So the column segments of the vertical entries popped
+        # for unsettled states are exactly the segments swept, once each.
+        # Plates make the search fly columns both up and down.
+        import uavnav.trajgen as tg
+
+        widths = recorded_widths(monkeypatch)
+        swept: list[tuple[float, float, float, float]] = []
+        used: set[tuple[float, float, float, float]] = set()
+        settled: set[int] = set()
+        check, pop = tg.segment_free_coords, tg.heappop
+
+        def recording_check(grid, ax, ay, az, bx, by, bz):
+            if (ax, ay) == (bx, by):
+                swept.append((ax, ay, min(az, bz), max(az, bz)))
+            return check(grid, ax, ay, az, bx, by, bz)
+
+        def shadowing_pop(heap):
+            # The search settles a popped state that is not settled yet
+            # when its edge is free; this replays that with direct sweeps.
+            entry = pop(heap)
+            state, parent, kind = entry[4:]
+            if state not in settled:
+                if kind == tg._TURN:  # the start's entry included
+                    settled.add(state)
+                else:
+                    a, b = (tg.lattice_pose(start.position, unpack_state(s, widths[-1])).position
+                            for s in (parent, state))
+                    if check(grid, a.x, a.y, a.z, b.x, b.y, b.z):
+                        settled.add(state)
+                    if kind == tg._VERTICAL:
+                        used.add((a.x, a.y, min(a.z, b.z), max(a.z, b.z)))
+            return entry
+
+        monkeypatch.setattr(tg, "segment_free_coords", recording_check)
+        monkeypatch.setattr(tg, "heappop", shadowing_pop)
+        rng = np.random.default_rng(1)
+        cfg = TrajGenConfig(height_range=(2.0, 28.0), goal_tolerance=3.0)
+        searched = 0
+        while searched < 4:
+            grid = floating_plates_grid(rng)
+            sx, sy = rng.uniform(8, 32, size=2)
+            sz = rng.uniform(3, 27)
+            start = Pose(Point3(sx, sy, sz), 30.0 * rng.integers(0, 12))
+            goal = Point3(sx + rng.uniform(-4, 4), sy + rng.uniform(-4, 4), 30 - sz)
+            if not is_free(grid, start.position) or not is_free(grid, goal):
+                continue
+            for seen in (swept, used, settled):
+                seen.clear()
+            try:
+                astar_search(start, goal, grid, cfg)
+            except NoPathError:
+                pass
+            assert len(swept) == len(set(swept)) and set(swept) == used
+            searched += 1
+
+    def test_heap_entries_are_untracked_by_the_collector(self, monkeypatch):
+        # Entries hold only ints and floats, so a collection untracks them
+        # and later ones never walk the heap.
+        import gc
+
+        import uavnav.trajgen as tg
+
+        paused: list[tuple[int, int]] = []  # (entries, tracked entries) at pop 300
+        pops = 0
+        pop = tg.heappop
+
+        def pausing_pop(heap):
+            nonlocal pops
+            pops += 1
+            if pops == 300:
+                gc.collect()
+                paused.append((len(heap), sum(map(gc.is_tracked, heap))))
+            return pop(heap)
+
+        monkeypatch.setattr(tg, "heappop", pausing_pop)
+        grid = random_obstacle_grid(np.random.default_rng(4))
+        astar_search(Pose(Point3(8.3, 9.1, 12.0), 60.0), Point3(52.0, 48.0, 12.0),
+                     grid, TrajGenConfig(height_range=(3.0, 27.0)))
+        [(entries, tracked)] = paused
+        assert entries > 100 and tracked == 0
+
+    @pytest.mark.parametrize("yaw", [0.0, 90.0, 180.0, 270.0])
+    def test_a_field_at_the_width_bound_places_exactly(self, yaw, monkeypatch):
+        # One 9 m move flown and a budget of 12 expansions bound the fields
+        # by 6 + 2 * 12 = 30, so they get 6 bits, offset 32. The search flies
+        # straight on until the 13th state settles, so its last sweep ends
+        # where a field (c on the 90 and 270 degree headings, which has a
+        # field above it) reaches +-30.
+        import uavnav.trajgen as tg
+
+        widths = recorded_widths(monkeypatch)
+        ends: list[tuple[float, float, float]] = []
+        check = tg.segment_free_coords
+
+        def recording_check(grid, ax, ay, az, bx, by, bz):
+            ends.append((bx, by, bz))
+            return check(grid, ax, ay, az, bx, by, bz)
+
+        monkeypatch.setattr(tg, "segment_free_coords", recording_check)
+        heading = int(yaw // 30)
+        ux, uy = round(math.cos(math.radians(yaw))), round(math.sin(math.radians(yaw)))
+        start = Pose(Point3(30.5 - 25 * ux, 30.5 - 25 * uy, 10.0), yaw)
+        goal = Point3(30.5 + 28 * ux, 30.5 + 28 * uy, 10.0)
+        cfg = TrajGenConfig(height_range=(3.0, 27.0), goal_tolerance=1.0, max_expansions=12)
+        with pytest.raises(NoPathError, match="budget"):
+            astar_search(start, goal, empty_grid(), cfg, flown=[Action.FORWARD_9])
+        edge = [0, 0, 0, 0, 0, heading]
+        edge[0 if ux else 2] = 30 * (ux or uy)  # a along x, c along y
+        assert ends[-1] == tg.lattice_pose(start.position, tuple(edge)).position.as_tuple()
+        assert widths == [6]
 
     @pytest.mark.parametrize("start, goal", [
         (Pose(Point3(5.0, 5.0, 12.0), 0.0), Point3(52.0, 44.0, 12.0)),
@@ -404,6 +539,42 @@ class TestAstar:
                          stats)
         assert stats.expansions == 201  # the one past the budget raises
         assert stats.collision_checks > 0
+
+
+@st.composite
+def _packed_case(draw):
+    """A width and the a, b, c, d and kz of a state, each at most the
+    search's bound for that width, 2 ** (width - 1) - 1, short of one move."""
+    width = draw(st.integers(3, 40))
+    reach = (1 << (width - 1)) - 1 - 2
+    return width, draw(st.lists(st.integers(-reach, reach), min_size=5, max_size=5))
+
+
+class TestPackedStates:
+    @settings(max_examples=300, deadline=None)
+    @given(_packed_case())
+    def test_each_search_move_is_a_delta(self, case):
+        width, fields = case
+        moves, action_of = tg._packed_moves(width)
+        for yaw in range(12):
+            state = (*fields, yaw)
+            actions = [action_of[delta] for delta, _, _ in moves[yaw]]
+            assert actions == [Action.FORWARD_3, TURN_LEFT, TURN_RIGHT, MOVE_UP, MOVE_DOWN]
+            packed = tg._pack(state, width)
+            for (delta, _, _), action in zip(moves[yaw], actions):
+                assert unpack_state(packed + delta, width) == tg.advance(state, action)
+
+    @pytest.mark.parametrize("width", [3, 6, 23, 40])
+    def test_round_trip_at_both_ends_of_every_field(self, width):
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        for index in range(5):
+            for end in (low, high):
+                for yaw in (0, 11):
+                    state = [low + high - end] * 5 + [yaw]  # the others at the far end
+                    state[index] = end
+                    packed = tg._pack(tuple(state), width)
+                    assert 0 <= packed < 1 << (5 * width + 4)
+                    assert unpack_state(packed, width) == tuple(state)
 
 
 _coord = st.floats(-300.0, 300.0, allow_nan=False)
